@@ -19,7 +19,13 @@ from functools import reduce
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import DEFAULT_TOL, ToleranceConfig, require_hermitian
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    anticommutator_deviations,
+    require_hermitian,
+    square_deviations,
+)
 from .report import CheckResult, VerificationReport
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -42,6 +48,11 @@ def irreducible_dim(r: int) -> int:
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     return 2 ** (r // 2)
+
+
+def rep_dim(r: int) -> int:
+    """Size of the matrices gamma_generators(r) builds: 2^floor(r/2), and 2 at rank 1."""
+    return 2 if r == 1 else irreducible_dim(r)
 
 
 def _chain(*factors: np.ndarray) -> np.ndarray:
@@ -68,7 +79,7 @@ def gamma_generators(r: int) -> CliffordRep:
         gens.append(_chain(*([PAULI_Z] * i), PAULI_Y, *([PAULI_I] * (ell - 1 - i))))
     if r % 2:
         gens.append(_chain(*([PAULI_Z] * ell)))
-    return CliffordRep(r, 2**ell, np.stack(gens))
+    return CliffordRep(r, rep_dim(r), np.stack(gens))
 
 
 def gamma_of_vector(rep: CliffordRep, x) -> np.ndarray:
@@ -83,11 +94,25 @@ def gamma_of_vector(rep: CliffordRep, x) -> np.ndarray:
     return np.tensordot(coeffs, rep.generators, axes=1)
 
 
+def gamma_of_rows(rep: CliffordRep, rows) -> np.ndarray:
+    """Evaluate x -> sum_i x_i G_i on every row of an (m, rank) array.
+
+    One tensordot of the rows with the generator stack; returns (m, d, d).
+    """
+    coeffs = np.asarray(rows, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[1] != rep.rank:
+        raise ShapeError(f"expected rows of length {rep.rank}, got shape {coeffs.shape}")
+    return np.tensordot(coeffs, rep.generators, axes=1)
+
+
 def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
     """Check that a family of Hermitian matrices anticommutes pairwise.
 
     Reports the worst deviation of M_i M_j + M_j M_i - 2 delta_ij I over all
-    pairs; passes iff every deviation is within eq_tol.
+    pairs; passes iff every deviation is within eq_tol.  The squares are one
+    batched matmul over the stack and the k(k-1)/2 distinct pairs are formed
+    in chunked batched products; the notes name the first generator and the
+    first pair, in (i, j) order, that attain the worst deviation.
     """
     try:
         arr = np.asarray(mats, dtype=complex)
@@ -97,22 +122,17 @@ def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Verif
         raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
     for idx in range(arr.shape[0]):
         require_hermitian(arr[idx], tol, what=f"generator {idx + 1}")
-    k, d = arr.shape[0], arr.shape[1]
-    eye = np.eye(d)
-
-    dev_sq = 0.0
-    worst_sq = 0
-    for i in range(k):
-        dev = float(np.max(np.abs(arr[i] @ arr[i] - eye)))
-        if dev > dev_sq:
-            dev_sq, worst_sq = dev, i
-    dev_anti = 0.0
+    k = arr.shape[0]
+    sq_devs = square_deviations(arr)
+    worst_sq = int(np.argmax(sq_devs))
+    dev_sq = float(sq_devs[worst_sq])
+    rows, cols = np.triu_indices(k, 1)
+    anti_devs = anticommutator_deviations(arr, rows, cols, np.zeros(rows.size))
+    dev_anti = float(np.max(anti_devs, initial=0.0))
     worst_pair = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            dev = float(np.max(np.abs(arr[i] @ arr[j] + arr[j] @ arr[i])))
-            if dev > dev_anti:
-                dev_anti, worst_pair = dev, (i + 1, j + 1)
+    if dev_anti > 0.0:
+        p = int(np.argmax(anti_devs))
+        worst_pair = (int(rows[p]) + 1, int(cols[p]) + 1)
     checks = (
         CheckResult(
             "generators_square_to_identity",

@@ -18,17 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_vector
-from .elliptope import check_extreme, gram_factors, require_correlation
-from .errors import (
-    InconsistentSumsError,
-    InvariantViolationError,
-    NonUnitVectorError,
-    ShapeError,
-    ZeroSumError,
-)
+from .clifford import gamma_generators, gamma_of_rows, rep_dim
+from .elliptope import check_extreme, require_correlation, resolve_gram_factors
+from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, gram, hs_inner, sorted_eigh
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, chunks, hs_gram, sorted_eigh, square_deviations
 from .report import CheckResult, VerificationReport
 
 
@@ -106,28 +100,34 @@ def build_cpsd_factorization(
     trace inner products equal (1 + a b c_ij) / 4 entrywise.
     """
     a = require_correlation(c, tol)
-    if factors is None:
-        u = gram_factors(a, tol)
-    else:
-        u = np.asarray(factors, dtype=float)
-        if u.ndim != 2 or u.shape[0] != a.shape[0]:
-            raise ShapeError(f"expected {a.shape[0]} factor rows, got shape {u.shape}")
-        dev = float(np.max(np.abs(gram(u) - a)))
-        if dev > max(tol.eq_tol, 1e-12):
-            raise InvariantViolationError(f"supplied factors miss the matrix by {dev:.3e}")
-    norm_dev = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
-    if norm_dev > tol.eq_tol:
-        raise NonUnitVectorError(f"factor rows must be unit vectors, worst deviation {norm_dev:.3e}")
+    u = resolve_gram_factors(a, factors, tol, unit=True)
     rep = gamma_generators(u.shape[1])
     d = rep.rep_dim
     eye = np.eye(d, dtype=complex)
-    scale = 1.0 / (2.0 * math.sqrt(d))
     mats = np.empty((a.shape[0], 2, d, d), dtype=complex)
-    for i, row in enumerate(u):
-        g = gamma_of_vector(rep, row)
-        mats[i, 0] = (eye + g) * scale
-        mats[i, 1] = (eye - g) * scale
+    for part in chunks(a.shape[0], eye.nbytes):
+        g = gamma_of_rows(rep, u[part])
+        np.add(eye, g, out=mats[part, 0])
+        np.subtract(eye, g, out=mats[part, 1])
+    mats *= 1.0 / (2.0 * math.sqrt(d))
     return CpsdFactorization(mats)
+
+
+def _hermitian_psd_deviation(stack: np.ndarray) -> tuple[float, float]:
+    """Worst max|F - F^*| and least eigenvalue of (F + F^*)/2 over a (k, d, d) stack.
+
+    One deviation and one batched eigvalsh per chunk of the stack.
+    """
+    herm_dev = 0.0
+    min_eig = math.inf
+    for part in chunks(stack.shape[0], stack[0:1].nbytes):
+        block = stack[part]
+        adj = block.conj().swapaxes(-1, -2)
+        herm_dev = max(herm_dev, float(np.max(np.abs(block - adj))))
+        herm = block + adj
+        herm /= 2.0
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(herm)[:, 0])))
+    return herm_dev, min_eig
 
 
 def verify_cpsd_factorization(
@@ -140,28 +140,22 @@ def verify_cpsd_factorization(
     Verifies hermiticity and positivity of every factor, the entry identity
     p[(i,a),(j,b)] = Tr(P^i_a P^j_b), consistency of the per-index outcome
     sums, and the normalization Tr(K^2) = 1 of the common sum K.
+
+    With F = mats.reshape(2n, d*d) the vectorized factors in witness row
+    order, the entry check is max|F F^* - p|, one GEMM (linalg.hs_gram).
+    Hermiticity and positivity are one deviation and one batched eigvalsh
+    per chunk of the (2n, d, d) stack, so each temporary stays near
+    linalg.CHUNK_BYTES.
     """
     mat = as_matrix(p, "witness")
     n = f.n
     if mat.shape != (2 * n, 2 * n):
         raise ShapeError(f"witness shape {mat.shape} does not match family size {(2 * n, 2 * n)}")
 
-    herm_dev = 0.0
-    min_eig = math.inf
-    for i in range(n):
-        for o in range(2):
-            factor = f.mats[i, o]
-            herm_dev = max(herm_dev, float(np.max(np.abs(factor - factor.conj().T))))
-            w = np.linalg.eigvalsh((factor + factor.conj().T) / 2.0)
-            min_eig = min(min_eig, float(w[0]))
-
-    entry_dev = 0.0
-    for i in range(n):
-        for oa in range(2):
-            for j in range(n):
-                for ob in range(2):
-                    target = mat[2 * i + oa, 2 * j + ob]
-                    entry_dev = max(entry_dev, abs(hs_inner(f.mats[i, oa], f.mats[j, ob]) - target))
+    d = f.dim
+    stack = f.mats.reshape(2 * n, d, d)
+    herm_dev, min_eig = _hermitian_psd_deviation(stack)
+    entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
 
     sums = f.outcome_sums()
     mean_sum = sums.mean(axis=0)
@@ -190,11 +184,15 @@ def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertif
     of the witness has size at least 2^floor(rank/2).  The certificate also
     records the dimension of the generator construction, which attains the
     bound for rank >= 2.  For non-extreme input no bound is claimed.
+
+    The construction is not built: its dimension follows from the column
+    count of the factors build_cpsd_factorization would use, validated the
+    same way (same errors), so memory stays O(n^2).
     """
     ext = check_extreme(c, tol)
-    construction = build_cpsd_factorization(c, tol=tol)
+    u = resolve_gram_factors(require_correlation(c, tol), tol=tol, unit=True)
     lower = 2 ** (ext.rank // 2) if ext.is_extreme else None
-    return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, construction.dim)
+    return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, rep_dim(u.shape[1]))
 
 
 def extract_matrix_factorization(
@@ -210,7 +208,8 @@ def extract_matrix_factorization(
     X_i = P~^i_{+1} - P~^i_{-1}.  Returns the X family used on both sides
     together with the restricted diagonal weight, plus diagnostics: each
     X_i^2 is at most I, with equality exactly when the source correlation
-    matrix forces unit factor norms (extreme sources do).
+    matrix forces unit factor norms (extreme sources do).  The restriction
+    and conjugation are batched matmuls over chunks of the factor stack.
     """
     sums = f.outcome_sums()
     mean_sum = sums.mean(axis=0)
@@ -240,16 +239,14 @@ def extract_matrix_factorization(
 
     n = f.n
     s = lam.size
-    eye = np.eye(s)
+    bh = basis.conj().T
     x_mats = np.empty((n, s, s), dtype=complex)
-    inv_dev = 0.0
-    for i in range(n):
-        plus = basis.conj().T @ f.mats[i, 0] @ basis * scaling
-        minus = basis.conj().T @ f.mats[i, 1] @ basis * scaling
-        x = plus - minus
-        x = (x + x.conj().T) / 2.0
-        x_mats[i] = x
-        inv_dev = max(inv_dev, float(np.max(np.abs(x @ x - eye))))
+    for part in chunks(n, f.mats[0:1, 0].nbytes):
+        x = bh @ f.mats[part, 0] @ basis * scaling
+        x -= bh @ f.mats[part, 1] @ basis * scaling
+        np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+        x_mats[part] /= 2.0
+    inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))
 
     k_restricted = np.diag(lam.astype(complex))
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)

@@ -78,6 +78,37 @@ def gram_factors(e, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return u[:, keep] * np.sqrt(w[keep])
 
 
+def resolve_gram_factors(
+    a: np.ndarray,
+    factors=None,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    unit: bool = False,
+) -> np.ndarray:
+    """Gram factors of a validated correlation matrix, one row per index.
+
+    Without `factors` these are the deterministic gram_factors of a;
+    supplied factors must have one row per index and reproduce a within
+    max(eq_tol, 1e-12).  With `unit` the rows must also be unit vectors
+    within eq_tol.  The column count is the rank the generator
+    constructions are built at.
+    """
+    if factors is None:
+        u = gram_factors(a, tol)
+    else:
+        u = np.asarray(factors, dtype=float)
+        if u.ndim != 2 or u.shape[0] != a.shape[0]:
+            raise ShapeError(f"expected {a.shape[0]} factor rows, got shape {u.shape}")
+        dev = float(np.max(np.abs(gram(u) - a)))
+        if dev > max(tol.eq_tol, 1e-12):
+            raise InvariantViolationError(f"supplied factors miss the matrix by {dev:.3e}")
+    if unit:
+        norm_dev = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
+        if norm_dev > tol.eq_tol:
+            raise NonUnitVectorError(f"factor rows must be unit vectors, worst deviation {norm_dev:.3e}")
+    return u
+
+
 def _rank_with_gap(m, tol: ToleranceConfig) -> tuple[int, float]:
     s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:

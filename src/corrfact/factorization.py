@@ -18,15 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_vector
-from .elliptope import _require_symmetric, gram_factors, require_correlation
+from .clifford import gamma_generators, gamma_of_rows
+from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
 from .errors import (
     InvariantViolationError,
     NotPsdError,
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, gram, hs_inner, sorted_eigh, vec
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    anticommutator_deviations,
+    as_matrix,
+    chunks,
+    gram,
+    hs_gram,
+    identity_deviations,
+    sorted_eigh,
+    square_deviations,
+)
 from .report import CheckResult, VerificationReport
 
 
@@ -73,16 +84,10 @@ class MatrixFactorization:
         return int(self.x_mats.shape[0]), int(self.y_mats.shape[0])
 
 
-def _resolve_factors(e: np.ndarray, factors, tol: ToleranceConfig) -> np.ndarray:
-    if factors is None:
-        return gram_factors(e, tol)
-    arr = np.asarray(factors, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != e.shape[0]:
-        raise ShapeError(f"expected {e.shape[0]} factor rows, got shape {arr.shape}")
-    dev = float(np.max(np.abs(gram(arr) - e)))
-    if dev > max(tol.eq_tol, 1e-12):
-        raise InvariantViolationError(f"supplied factors miss the matrix by {dev:.3e}")
-    return arr
+def _as_stack(mats, d: int) -> np.ndarray:
+    """A family as a complex (k, d, d) array; an empty family of any shape is (0, d, d)."""
+    arr = np.asarray(mats, dtype=complex)
+    return arr.reshape(0, d, d) if arr.size == 0 else arr
 
 
 def factorize_clifford(
@@ -106,10 +111,10 @@ def factorize_clifford(
         split = n
     if not 0 <= split <= n:
         raise ShapeError(f"split must lie in [0, {n}], got {split}")
-    u = _resolve_factors(a, factors, tol)
+    u = resolve_gram_factors(a, factors, tol)
     rep = gamma_generators(u.shape[1])
-    scale = 1.0 / math.sqrt(rep.rep_dim)
-    mats = np.stack([gamma_of_vector(rep, row) * scale for row in u])
+    mats = gamma_of_rows(rep, u)
+    mats *= 1.0 / math.sqrt(rep.rep_dim)
     return FormBFactorization(mats[:split], mats[split:])
 
 
@@ -125,17 +130,18 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     """Correlation matrix realized by a factorization.
 
     Each K X_i (and Y_j K) is vectorized and split into real and imaginary
-    parts, giving real unit vectors whose Gram matrix is returned.
+    parts, giving real unit vectors whose Gram matrix is returned.  The
+    family is formed by two batched matmuls into one stack, whose complex
+    rows viewed as interleaved real vectors go through one real GEMM.
     """
     k = as_matrix(mf.k)
-    vecs = []
-    for x in mf.x_mats:
-        t = vec(k @ x)
-        vecs.append(np.concatenate([t.real, t.imag]))
-    for y in mf.y_mats:
-        t = vec(y @ k)
-        vecs.append(np.concatenate([t.real, t.imag]))
-    g = gram(np.vstack(vecs))
+    d = k.shape[0]
+    x, y = _as_stack(mf.x_mats, d), _as_stack(mf.y_mats, d)
+    n = x.shape[0]
+    family = np.empty((n + y.shape[0], d, d), dtype=complex)
+    np.matmul(k, x, out=family[:n])
+    np.matmul(y, k, out=family[n:])
+    g = gram(family.reshape(family.shape[0], d * d).view(float))
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > tol.eq_tol:
         raise InvariantViolationError(
@@ -144,12 +150,19 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     return g
 
 
-def _hs_gram_deviation(family: list[np.ndarray], e: np.ndarray) -> float:
-    dev = 0.0
-    for p, fp in enumerate(family):
-        for q in range(p, len(family)):
-            dev = max(dev, abs(hs_inner(fp, family[q]) - e[p, q]))
-    return float(dev)
+def _hs_gram_deviation(first: np.ndarray, second: np.ndarray, e: np.ndarray) -> float:
+    """Worst |Tr(F_p F_q^*) - e_pq| over p <= q, F being `first` then `second`.
+
+    The Gram matrix is built block by block, each block one GEMM of the
+    vectorized stacks (linalg.hs_gram), so the families are never joined.
+    """
+    n = first.shape[0]
+    blocks = (
+        np.triu(hs_gram(first) - e[:n, :n]),
+        hs_gram(first, second) - e[:n, n:],
+        np.triu(hs_gram(second) - e[n:, n:]),
+    )
+    return max(float(np.max(np.abs(b), initial=0.0)) for b in blocks)
 
 
 def verify_factorization(
@@ -164,6 +177,11 @@ def verify_factorization(
     "i-prime" uses (K X_i, K Y_j), and "b-form" checks a form-b
     factorization (families A_i, B_j with A_i^2 = I/d).  Involution and
     weight conditions are verified alongside the Gram reconstruction.
+
+    The Gram family is formed by batched matmuls (K X, Y K or K Y over the
+    stacks) and compared with e over p <= q through one GEMM per block of
+    the vectorized stacks; the involution checks square each stack in
+    chunked batched products.
     """
     a = _require_symmetric(e, tol, "target")
     if mode not in ("i", "i-prime", "b-form"):
@@ -174,14 +192,10 @@ def verify_factorization(
         n, m = fact.sizes
         if a.shape[0] != n + m:
             raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
-        family = [fact.a_mats[i] for i in range(n)] + [fact.b_mats[j] for j in range(m)]
-        gram_dev = _hs_gram_deviation(family, a)
         d = fact.dim
-        eye_over_d = np.eye(d) / d
-        inv_dev = max(
-            (float(np.max(np.abs(f @ f - eye_over_d))) for f in family),
-            default=0.0,
-        )
+        a_mats, b_mats = _as_stack(fact.a_mats, d), _as_stack(fact.b_mats, d)
+        gram_dev = _hs_gram_deviation(a_mats, b_mats, a)
+        inv_dev = max(float(np.max(square_deviations(f, 1.0 / d), initial=0.0)) for f in (a_mats, b_mats))
         checks = (
             CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
             CheckResult("scaled_involutions", inv_dev <= tol.eq_tol, inv_dev),
@@ -194,16 +208,10 @@ def verify_factorization(
     if a.shape[0] != n + m:
         raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
     k = as_matrix(fact.k)
-    if mode == "i":
-        family = [k @ fact.x_mats[i] for i in range(n)] + [fact.y_mats[j] @ k for j in range(m)]
-    else:
-        family = [k @ fact.x_mats[i] for i in range(n)] + [k @ fact.y_mats[j] for j in range(m)]
-    gram_dev = _hs_gram_deviation(family, a)
+    x, y = _as_stack(fact.x_mats, fact.dim), _as_stack(fact.y_mats, fact.dim)
+    gram_dev = _hs_gram_deviation(k @ x, y @ k if mode == "i" else k @ y, a)
 
-    eye = np.eye(fact.dim)
-    inv_dev = 0.0
-    for mat in list(fact.x_mats) + list(fact.y_mats):
-        inv_dev = max(inv_dev, float(np.max(np.abs(mat @ mat - eye))))
+    inv_dev = max(float(np.max(square_deviations(f), initial=0.0)) for f in (x, y))
 
     herm_dev = float(np.max(np.abs(k - k.conj().T), initial=0.0))
     w = np.linalg.eigvalsh((k + k.conj().T) / 2.0)
@@ -236,25 +244,26 @@ def verify_clifford_identity(
 
     Draws `trials` standard-normal direction vectors from a seeded
     generator and also runs the exhaustive pairwise check
-    X_i X_j + X_j X_i = 2 A_ij I, which covers the identity exactly.
+    X_i X_j + X_j X_i = 2 A_ij I, which covers the identity exactly.  All
+    directions are drawn at once (the same stream as one draw per trial);
+    the sums sum_i mu_i X_i are one tensordot per chunk of trials and the
+    pairs i <= j are formed in chunked batched products.
     """
     block = _require_symmetric(a, tol, "block")
     mats = _mat_stack(x_mats, "involutions")
     if mats.shape[0] != block.shape[0]:
         raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
-    d = mats.shape[-1]
-    eye = np.eye(d)
+    k = mats.shape[0]
     rng = np.random.default_rng(seed)
+    mus = rng.standard_normal((max(trials, 0), k))
     dev_rand = 0.0
-    for _ in range(trials):
-        mu = rng.standard_normal(block.shape[0])
-        s = np.tensordot(mu, mats, axes=1)
-        dev_rand = max(dev_rand, float(np.max(np.abs(s @ s - float(mu @ block @ mu) * eye))))
-    dev_pair = 0.0
-    for i in range(mats.shape[0]):
-        for j in range(i, mats.shape[0]):
-            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
-            dev_pair = max(dev_pair, float(np.max(np.abs(anti - 2.0 * block[i, j] * eye))))
+    for part in chunks(len(mus), mats[0:1].nbytes):
+        s = np.tensordot(mus[part], mats, axes=1)
+        shift = np.einsum("ti,ij,tj->t", mus[part], block, mus[part])
+        dev_rand = max(dev_rand, float(np.max(identity_deviations(s @ s, shift[:, None]), initial=0.0)))
+    rows, cols = np.triu_indices(k)
+    pair_devs = anticommutator_deviations(mats, rows, cols, 2.0 * block[rows, cols])
+    dev_pair = float(np.max(pair_devs, initial=0.0))
     checks = (
         CheckResult(
             "random_direction_identity",

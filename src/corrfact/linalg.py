@@ -79,6 +79,81 @@ def hs_inner(x, y) -> complex:
     return complex(np.sum(a * np.conj(b)))
 
 
+CHUNK_BYTES = 1 << 20
+"""Size cap of one temporary in the batched verifiers (1 MiB).
+
+Batched checks work through their (k, d, d) stacks in slices of about this
+many bytes, so a verifier's extra memory stays a small multiple of this
+constant instead of growing with the family.
+"""
+
+
+def chunks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each holding about CHUNK_BYTES of items."""
+    step = max(1, CHUNK_BYTES // max(item_bytes, 1))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def hs_gram(left, right=None) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix G[p, q] = Tr(L_p R_q^*) of two (k, d, d) stacks.
+
+    One GEMM of the row-vectorized stacks, G = vec(L) vec(R)^*.  R is
+    conjugated a chunk of rows at a time, so no conjugate copy of the whole
+    stack is made.  R defaults to L; G is then Hermitian, so only the blocks
+    on and above the diagonal are multiplied and the rest is mirrored.
+    """
+    width = math.prod(left.shape[1:])
+    lf = left.reshape(left.shape[0], width)
+    rf = lf if right is None else right.reshape(right.shape[0], width)
+    out = np.empty((lf.shape[0], rf.shape[0]), dtype=np.result_type(lf, rf))
+    for cols in chunks(rf.shape[0], rf.shape[1] * rf.itemsize):
+        rows = slice(0, cols.stop) if right is None else slice(None)
+        out[rows, cols] = lf[rows] @ rf[cols].conj().T
+    if right is None:
+        lower = np.tril_indices(out.shape[0], -1)
+        out[lower] = out.T[lower].conj()
+    return out
+
+
+def identity_deviations(stack: np.ndarray, shift) -> np.ndarray:
+    """max|S_p - shift_p I| per matrix of a (k, d, d) stack.
+
+    The shift is subtracted on the diagonal in place, so `stack` is
+    overwritten; off-diagonal entries are compared with zero as they are.
+    """
+    idx = np.arange(stack.shape[-1])
+    stack[:, idx, idx] -= shift
+    return np.max(np.abs(stack), axis=(1, 2), initial=0.0)
+
+
+def square_deviations(mats: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """max|M_p^2 - scale I| for each matrix of a (k, d, d) stack.
+
+    Chunked batched products: each slice of the stack is squared by one
+    batched matmul.
+    """
+    out = np.zeros(mats.shape[0])
+    for part in chunks(mats.shape[0], mats[0:1].nbytes):
+        out[part] = identity_deviations(mats[part] @ mats[part], scale)
+    return out
+
+
+def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarray:
+    """max|M_i M_j + M_j M_i - c_p I| for each pair p = (rows[p], cols[p]).
+
+    Chunked batched products: each slice of pairs gathers its left and
+    right factors and forms both products by batched matmul, so the full
+    k^2 d^2 pair tensor is never held.
+    """
+    out = np.zeros(len(rows))
+    for part in chunks(len(rows), 2 * mats[0:1].nbytes):
+        left, right = mats[rows[part]], mats[cols[part]]
+        anti = left @ right
+        anti += right @ left
+        out[part] = identity_deviations(anti, coeffs[part, None])
+    return out
+
+
 def gram(vectors) -> np.ndarray:
     """Real Gram matrix of a family of equal-length real vectors (rows)."""
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_vector
+from .clifford import gamma_generators, gamma_of_rows
 from .elliptope import CSystem
 from .errors import (
     CSystemMismatchError,
@@ -32,6 +32,7 @@ from .linalg import (
     SchmidtDecomposition,
     ToleranceConfig,
     as_matrix,
+    chunks,
     numerical_rank,
     require_hermitian,
     schmidt,
@@ -139,47 +140,47 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     col_coords = cols @ basis.T
 
     rep = gamma_generators(r)
-    alice = np.stack([gamma_of_vector(rep, u) for u in row_coords])
-    bob = np.stack([gamma_of_vector(rep, v).T for v in col_coords])
+    alice = gamma_of_rows(rep, row_coords)
+    bob = gamma_of_rows(rep, col_coords).transpose(0, 2, 1).copy()
     return TensorProductRep(alice, bob, psi=maximally_entangled(rep.rep_dim))
 
 
 def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Realized block: entry (i, j) is Tr((M_i (x) N_j) rho).
 
-    For vector states the contraction Tr(M W N^T W^*) with W = vec_inv(psi)
-    avoids materializing the d^2 x d^2 product.  The real part is returned;
-    an imaginary residue above eq_tol raises, since Hermitian observables
-    against a Hermitian state give real values analytically.
+    For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi),
+    which equals sum_cb Z_i[c, b] N_j[c, b] for Z_i = W^* M_i W: the Z_i are
+    batched matmuls over chunks of Alice's observables and the block is one
+    GEMM per chunk against the vectorized N stack, vec(Z) vec(N)^T, so no
+    d^2 x d^2 product is formed.  For a density matrix the entry is
+    sum M_i[c, a] N_j[e, b] rho[(a, b), (c, e)]: two tensordots over
+    rho.reshape(d, d, d, d).  The real part is returned; an imaginary
+    residue above eq_tol raises, since Hermitian observables against a
+    Hermitian state give real values analytically.
     """
     n, m = rep.sizes
-    out = np.empty((n, m))
-    residue = 0.0
+    d = rep.local_dim
     if rep.psi is not None:
         norm_dev = abs(float(np.linalg.norm(rep.psi)) - 1.0)
         if norm_dev > tol.eq_tol:
             raise InvariantViolationError(f"state norm deviates from one by {norm_dev:.3e}")
-        w = vec_inv(rep.psi, rep.local_dim)
-        wc = w.conj().T
-        for i in range(n):
-            left = rep.alice_obs[i] @ w
-            for j in range(m):
-                val = complex(np.trace(left @ rep.bob_obs[j].T @ wc))
-                residue = max(residue, abs(val.imag))
-                out[i, j] = val.real
+        w = vec_inv(rep.psi, d)
+        wh = w.conj().T
+        bob = rep.bob_obs.reshape(m, d * d)
+        vals = np.empty((n, m), dtype=complex)
+        for part in chunks(n, w.nbytes):
+            vals[part] = (wh @ rep.alice_obs[part] @ w).reshape(-1, d * d) @ bob.T
     else:
         rho = rep.rho
         trace_dev = abs(complex(np.trace(rho)).real - 1.0)
         if trace_dev > tol.eq_tol:
             raise InvariantViolationError(f"state trace deviates from one by {trace_dev:.3e}")
-        for i in range(n):
-            for j in range(m):
-                val = complex(np.trace(np.kron(rep.alice_obs[i], rep.bob_obs[j]) @ rho))
-                residue = max(residue, abs(val.imag))
-                out[i, j] = val.real
+        half = np.tensordot(rep.alice_obs, rho.reshape(d, d, d, d), axes=([1, 2], [2, 0]))
+        vals = np.tensordot(half, rep.bob_obs, axes=([1, 2], [2, 1]))
+    residue = float(np.max(np.abs(vals.imag), initial=0.0))
     if residue > tol.eq_tol:
         raise InvariantViolationError(f"imaginary residue {residue:.3e} exceeds eq_tol")
-    return out
+    return vals.real.copy()
 
 
 def _rank_one_vector(rep: TensorProductRep, tol: ToleranceConfig) -> np.ndarray:
