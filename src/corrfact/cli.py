@@ -359,10 +359,7 @@ def run(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (MatrixFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalContractError as exc:

@@ -130,6 +130,23 @@ def _hermitian_psd_deviation(stack: np.ndarray) -> tuple[float, float]:
     return herm_dev, min_eig
 
 
+def _outcome_sum_check(mats: np.ndarray, hermitize: bool) -> tuple[np.ndarray, float]:
+    """Mean outcome sum K = mean_i (P^i_+ + P^i_-), Hermitized if asked, and max_i |P^i_+ + P^i_- - K|.
+
+    No (n, d, d) stack of sums is built: K accumulates in index order, so it
+    is bit-identical to sums.mean(axis=0) for d >= 2, and the deviation is
+    taken a chunk of indices at a time.
+    """
+    total = mats[0, 0] + mats[0, 1]
+    for pair in mats[1:]:
+        total += pair[0] + pair[1]
+    mean_sum = total / len(mats)
+    if hermitize:
+        mean_sum = (mean_sum + mean_sum.conj().T) / 2.0
+    parts = chunks(len(mats), mats[0:1, 0].nbytes)
+    return mean_sum, max(float(np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0)) for p in parts)
+
+
 def verify_cpsd_factorization(
     p,
     f: CpsdFactorization,
@@ -144,8 +161,8 @@ def verify_cpsd_factorization(
     With F = mats.reshape(2n, d*d) the vectorized factors in witness row
     order, the entry check is max|F F^* - p|, one GEMM (linalg.hs_gram).
     Hermiticity and positivity are one deviation and one batched eigvalsh
-    per chunk of the (2n, d, d) stack, so each temporary stays near
-    linalg.CHUNK_BYTES.
+    per chunk of the (2n, d, d) stack, and the outcome sums are compared a
+    chunk at a time, so each temporary stays near linalg.CHUNK_BYTES.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -157,9 +174,7 @@ def verify_cpsd_factorization(
     herm_dev, min_eig = _hermitian_psd_deviation(stack)
     entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
 
-    sums = f.outcome_sums()
-    mean_sum = sums.mean(axis=0)
-    sum_dev = float(np.max(np.abs(sums - mean_sum), initial=0.0))
+    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=False)
     trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
 
     checks = (
@@ -211,10 +226,7 @@ def extract_matrix_factorization(
     matrix forces unit factor norms (extreme sources do).  The restriction
     and conjugation are batched matmuls over chunks of the factor stack.
     """
-    sums = f.outcome_sums()
-    mean_sum = sums.mean(axis=0)
-    mean_sum = (mean_sum + mean_sum.conj().T) / 2.0
-    sum_dev = float(np.max(np.abs(sums - mean_sum), initial=0.0))
+    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
     if sum_dev > tol.eq_tol:
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
 

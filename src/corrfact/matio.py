@@ -7,10 +7,12 @@ with row-major data; real entries are plain numbers, complex entries are
 form, so a write/read cycle reproduces entries bit-exactly.  Non-finite
 numbers are rejected on both sides.
 
-A factorization directory holds one matrix file per matrix plus a
-``manifest.json`` declaring each file's role, so verifiers never infer
-roles from filenames.  The witness block convention (outcome +1 before -1
-inside each 2x2 block) is recorded in the cpsd manifest.
+A factorization directory (a bundle) holds one matrix file per matrix plus a
+``manifest.json`` declaring each file's role, so verifiers never infer roles
+from filenames.  ``BUNDLES`` is the one place where a bundle format is
+defined; one writer and one validating reader derive file names, entry
+order, counts and checks from it.  The witness block convention (outcome +1
+before -1 inside each 2x2 block) is recorded in the cpsd manifest.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,46 +46,56 @@ def matrix_to_obj(m) -> dict:
     if a.size and not np.all(np.isfinite(a)):
         raise MatrixFormatError("matrix contains non-finite entries")
     is_complex = bool(np.iscomplexobj(a))
-    if is_complex:
-        data = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    else:
-        data = [float(x) for x in a.reshape(-1)]
+    flat = np.asarray(a, dtype=complex if is_complex else float).ravel()
+    data = flat.view(float).reshape(-1, 2).tolist() if is_complex else flat.tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "complex": is_complex, "data": data}
 
 
+def _check_entries(data: list, is_complex: bool) -> None:
+    """Raise for the first entry that is not a finite number (a finite [re, im] pair if complex)."""
+    for idx, entry in enumerate(data):
+        parts = entry if is_complex else [entry]
+        if (is_complex and not (isinstance(entry, list) and len(entry) == 2)) or not all(
+            isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts
+        ):
+            what = "a [re, im] pair" if is_complex else "a number"
+            raise MatrixFormatError(f"data[{idx}] must be {what}, got {entry!r}")
+        try:
+            finite = all(math.isfinite(part) for part in parts)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise MatrixFormatError(f"data[{idx}] is non-finite")
+
+
 def matrix_from_obj(obj) -> np.ndarray:
+    """Parse a matrix object: entries of exact type int or float convert in one
+    array, and the per-entry loop runs only to name a bad entry."""
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix object must be a JSON object")
     for key in ("rows", "cols", "complex", "data"):
         if key not in obj:
             raise MatrixFormatError(f"matrix object missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
         raise MatrixFormatError(f"rows/cols must be positive integers, got {rows!r}, {cols!r}")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(f"data must hold {rows * cols} entries, got {len(data) if isinstance(data, list) else type(data).__name__}")
-    if obj["complex"]:
-        out = np.empty(rows * cols, dtype=complex)
-        for idx, entry in enumerate(data):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
-            ):
-                raise MatrixFormatError(f"data[{idx}] must be a [re, im] pair, got {entry!r}")
-            if not all(math.isfinite(part) for part in entry):
-                raise MatrixFormatError(f"data[{idx}] is non-finite")
-            out[idx] = complex(entry[0], entry[1])
+    is_complex = bool(obj["complex"])
+    if is_complex:
+        pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
+        plain = pairs and set(map(type, chain.from_iterable(data))) <= {int, float}
     else:
-        out = np.empty(rows * cols, dtype=float)
-        for idx, entry in enumerate(data):
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise MatrixFormatError(f"data[{idx}] must be a number, got {entry!r}")
-            if not math.isfinite(entry):
-                raise MatrixFormatError(f"data[{idx}] is non-finite")
-            out[idx] = float(entry)
-    return out.reshape(rows, cols)
+        plain = set(map(type, data)) <= {int, float}
+    try:
+        out = np.array(data, dtype=float) if plain else None
+    except OverflowError:
+        out = None
+    if out is None or not np.isfinite(out).all():
+        _check_entries(data, is_complex)
+        out = np.array(data, dtype=float)
+    return (out.view(complex) if is_complex else out).reshape(rows, cols)
 
 
 def write_matrix(path, m) -> None:
@@ -89,8 +103,7 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    return matrix_from_obj(json.loads(text))
+    return matrix_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)
@@ -145,190 +158,158 @@ class ReportFile:
         }
 
 
-def _write_bundle(dirpath, kind: str, meta: dict, entries: list[tuple[dict, np.ndarray]]) -> None:
+class Role(NamedTuple):
+    """One role of a bundle, listed in the manifest under one of ``names``.
+
+    With ``{i}`` in the ``file`` pattern the role is a family of square matrices
+    of one shape, indexed 1..count (a (count, d, d) stack); ``{o}`` pairs each
+    index with outcome +1 (``p``) then -1 (``m``) (a (count, 2, d, d) stack).
+    ``count`` is the manifest key of the family size (None: count the
+    entries); an empty family takes its matrix size from role ``like``.
+    """
+
+    names: tuple[str, ...]
+    file: str
+    count: str | None = None
+    like: str | None = None
+
+
+# kind -> (manifest keys after "kind", roles), both in file order
+BUNDLES: dict[str, tuple[tuple[str, ...], tuple[Role, ...]]] = {
+    "clifford_generators": (("rank", "dim"), (Role(("generator",), "generator_{i:02d}.json"),)),
+    "matrix_factorization": (
+        ("dim", "n_x", "n_y"),
+        (Role(("x",), "x_{i:02d}.json", "n_x"), Role(("y",), "y_{i:02d}.json", "n_y", "k"), Role(("k",), "k.json")),
+    ),
+    "form_b_factorization": (
+        ("dim", "n_a", "n_b"),
+        (Role(("a",), "a_{i:02d}.json", "n_a"), Role(("b",), "b_{i:02d}.json", "n_b", "a")),
+    ),
+    "cpsd_factorization": (("n", "dim", "block_order"), (Role(("psd_factor",), "factor_{i:02d}_{o}.json", "n"),)),
+    "tensor_product_rep": (
+        ("local_dim", "n_alice", "n_bob"),
+        (
+            Role(("alice_obs",), "alice_obs_{i:02d}.json", "n_alice"),
+            Role(("bob_obs",), "bob_obs_{i:02d}.json", "n_bob", "alice_obs"),
+            Role(("state_vector", "density"), "state.json"),
+        ),
+    ),
+}
+
+
+def _slots(role: Role, count: int) -> list[tuple]:
+    """(index, outcome) of each entry of one role in file order; None where the role has no such field."""
+    if "{i" not in role.file:
+        return [(None, None)]
+    return [(i, outcome) for i in range(1, count + 1) for outcome in ((1, -1) if "{o}" in role.file else (None,))]
+
+
+def _save(dirpath, kind: str, stacks: dict[str, np.ndarray], **meta) -> None:
+    """Write the matrices of each role, found in ``stacks`` by role name, then the manifest."""
+    keys, roles = BUNDLES[kind]
     directory = Path(dirpath)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest_entries = []
-    for info, matrix in entries:
-        info = dict(info)
-        write_matrix(directory / info["file"], matrix)
-        manifest_entries.append(info)
-    manifest = {"kind": kind, **meta, "entries": manifest_entries}
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    entries = []
+    for role in roles:
+        name = next(name for name in role.names if name in stacks)
+        stack = stacks[name]
+        slots = _slots(role, len(stack))
+        if role.count:
+            meta[role.count] = len(stack)
+        for (index, outcome), matrix in zip(slots, np.reshape(stack, (len(slots),) + np.shape(stack)[-2:])):
+            file = role.file.format(i=index, o={1: "p", -1: "m"}.get(outcome))
+            write_matrix(directory / file, matrix)
+            entry = {"role": name, "index": index, "outcome": outcome, "file": file}
+            entries.append({key: value for key, value in entry.items() if value is not None})
+    manifest = {"kind": kind, **{key: meta[key] for key in keys}, "entries": entries}
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _read_bundle(dirpath, expected_kind: str | None = None) -> tuple[dict, list[tuple[dict, np.ndarray]]]:
+def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
+    """Validate a bundle's manifest and read each role's matrices, keyed by role name in table order."""
     directory = Path(dirpath)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
+    if not (directory / MANIFEST_NAME).is_file():
         raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict) or "kind" not in manifest or "entries" not in manifest:
-        raise MatrixFormatError("manifest must carry 'kind' and 'entries'")
-    if expected_kind is not None and manifest["kind"] != expected_kind:
-        raise MatrixFormatError(f"expected a {expected_kind} directory, found kind {manifest['kind']!r}")
-    loaded = []
+    manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or "kind" not in manifest or not isinstance(manifest.get("entries"), list):
+        raise MatrixFormatError("manifest must carry 'kind' and a list of 'entries'")
+    if manifest["kind"] != kind:
+        raise MatrixFormatError(f"expected a {kind} directory, found kind {manifest['kind']!r}")
     for entry in manifest["entries"]:
-        if not isinstance(entry, dict) or "role" not in entry or "file" not in entry:
-            raise MatrixFormatError(f"manifest entry missing role/file: {entry!r}")
-        loaded.append((entry, read_matrix(directory / entry["file"])))
-    return manifest, loaded
-
-
-def _indexed(entries: list[tuple[dict, np.ndarray]], role: str, count: int, what: str) -> np.ndarray:
-    found: dict[int, np.ndarray] = {}
-    for info, matrix in entries:
-        if info["role"] == role:
-            idx = info.get("index")
-            if not isinstance(idx, int):
-                raise MatrixFormatError(f"{what} entry needs an integer index: {info!r}")
-            found[idx] = matrix
-    if set(found) != set(range(1, count + 1)):
-        raise MatrixFormatError(f"{what} entries must cover indices 1..{count}, got {sorted(found)}")
-    return np.stack([found[i] for i in range(1, count + 1)]) if count else np.zeros((0, 0, 0))
-
-
-def _single(entries: list[tuple[dict, np.ndarray]], role: str, what: str) -> np.ndarray:
-    mats = [matrix for info, matrix in entries if info["role"] == role]
-    if len(mats) != 1:
-        raise MatrixFormatError(f"expected exactly one {what} entry, found {len(mats)}")
-    return mats[0]
+        file = entry.get("file") if isinstance(entry, dict) else None
+        plain = isinstance(file, str) and file not in ("", "..") and Path(file).name == file
+        if not (plain and isinstance(entry.get("role"), str)):
+            raise MatrixFormatError(f"manifest entry needs a string role and a plain file name: {entry!r}")
+    out = {}
+    for role in BUNDLES[kind][1]:
+        mine = [entry for entry in manifest["entries"] if entry["role"] in role.names]
+        count = manifest.get(role.count, 0) if role.count else len(mine)
+        if type(count) is not int or count < 0:
+            raise MatrixFormatError(f"manifest {role.count} must be a non-negative integer, got {count!r}")
+        # repr tells 1 from True, 1.0 and "1": only exact integers fill a slot
+        slots = [repr(slot) for slot in _slots(role, count)]
+        files = {repr((entry.get("index"), entry.get("outcome"))): entry["file"] for entry in mine}
+        if len(files) != len(mine) or set(files) != set(slots):
+            what = "/".join(role.names)
+            raise MatrixFormatError(f"{what} entries must fill {len(slots)} slots once each, got {sorted(files)}")
+        mats = [read_matrix(directory / files[slot]) for slot in slots]
+        shapes = sorted({m.shape for m in mats})
+        family = () if "{i" not in role.file else (count, 2) if "{o}" in role.file else (count,)
+        if family and (len(shapes) > 1 or any(rows != cols for rows, cols in shapes)):
+            raise MatrixFormatError(f"{role.names[0]} matrices must be square and of one shape, got {shapes}")
+        name = mine[0]["role"] if mine else role.names[0]
+        if not family:
+            out[name] = mats[0]
+        else:
+            out[name] = np.stack(mats).reshape(family + shapes[0]) if mats else np.zeros((0, 0, 0))
+    for role in BUNDLES[kind][1]:
+        if role.like and not len(out[role.names[0]]):
+            out[role.names[0]] = np.zeros((0,) + out[role.like].shape[-2:], dtype=complex)
+    return out
 
 
 def save_generators(dirpath, generators: np.ndarray, rank: int) -> None:
-    entries = [
-        ({"role": "generator", "index": i + 1, "file": f"generator_{i + 1:02d}.json"}, g)
-        for i, g in enumerate(generators)
-    ]
-    _write_bundle(dirpath, "clifford_generators", {"rank": rank, "dim": int(generators.shape[-1])}, entries)
+    _save(dirpath, "clifford_generators", {"generator": generators}, rank=rank, dim=int(generators.shape[-1]))
 
 
 def load_generators(dirpath) -> np.ndarray:
-    manifest, entries = _read_bundle(dirpath, "clifford_generators")
-    count = sum(1 for info, _ in entries if info["role"] == "generator")
-    return _indexed(entries, "generator", count, "generator")
+    return _load(dirpath, "clifford_generators")["generator"]
 
 
 def save_matrix_factorization(dirpath, mf: MatrixFactorization) -> None:
-    n, m = mf.sizes
-    entries: list[tuple[dict, np.ndarray]] = []
-    for i in range(n):
-        entries.append(({"role": "x", "index": i + 1, "file": f"x_{i + 1:02d}.json"}, mf.x_mats[i]))
-    for j in range(m):
-        entries.append(({"role": "y", "index": j + 1, "file": f"y_{j + 1:02d}.json"}, mf.y_mats[j]))
-    entries.append(({"role": "k", "file": "k.json"}, mf.k))
-    _write_bundle(dirpath, "matrix_factorization", {"dim": mf.dim, "n_x": n, "n_y": m}, entries)
+    _save(dirpath, "matrix_factorization", {"x": mf.x_mats, "y": mf.y_mats, "k": mf.k}, dim=mf.dim)
 
 
 def load_matrix_factorization(dirpath) -> MatrixFactorization:
-    manifest, entries = _read_bundle(dirpath, "matrix_factorization")
-    n = int(manifest.get("n_x", 0))
-    m = int(manifest.get("n_y", 0))
-    k = _single(entries, "k", "weight")
-    x = _indexed(entries, "x", n, "x")
-    y = _indexed(entries, "y", m, "y")
-    if m == 0:
-        y = np.zeros((0,) + k.shape, dtype=complex)
-    return MatrixFactorization(x, y, k)
+    return MatrixFactorization(*_load(dirpath, "matrix_factorization").values())
 
 
 def save_form_b(dirpath, fb: FormBFactorization) -> None:
-    n, m = fb.sizes
-    entries: list[tuple[dict, np.ndarray]] = []
-    for i in range(n):
-        entries.append(({"role": "a", "index": i + 1, "file": f"a_{i + 1:02d}.json"}, fb.a_mats[i]))
-    for j in range(m):
-        entries.append(({"role": "b", "index": j + 1, "file": f"b_{j + 1:02d}.json"}, fb.b_mats[j]))
-    _write_bundle(dirpath, "form_b_factorization", {"dim": fb.dim, "n_a": n, "n_b": m}, entries)
+    _save(dirpath, "form_b_factorization", {"a": fb.a_mats, "b": fb.b_mats}, dim=fb.dim)
 
 
 def load_form_b(dirpath) -> FormBFactorization:
-    manifest, entries = _read_bundle(dirpath, "form_b_factorization")
-    n = int(manifest.get("n_a", 0))
-    m = int(manifest.get("n_b", 0))
-    a = _indexed(entries, "a", n, "a")
-    b = _indexed(entries, "b", m, "b")
-    if m == 0:
-        b = np.zeros((0,) + a.shape[1:], dtype=complex)
-    return FormBFactorization(a, b)
+    return FormBFactorization(*_load(dirpath, "form_b_factorization").values())
 
 
 def save_cpsd_factorization(dirpath, f: CpsdFactorization) -> None:
-    entries: list[tuple[dict, np.ndarray]] = []
-    for i in range(f.n):
-        for outcome, tag, slot in ((1, "p", 0), (-1, "m", 1)):
-            entries.append(
-                (
-                    {
-                        "role": "psd_factor",
-                        "index": i + 1,
-                        "outcome": outcome,
-                        "file": f"factor_{i + 1:02d}_{tag}.json",
-                    },
-                    f.mats[i, slot],
-                )
-            )
-    meta = {"n": f.n, "dim": f.dim, "block_order": BLOCK_ORDER_NOTE}
-    _write_bundle(dirpath, "cpsd_factorization", meta, entries)
+    _save(dirpath, "cpsd_factorization", {"psd_factor": f.mats}, dim=f.dim, block_order=BLOCK_ORDER_NOTE)
 
 
 def load_cpsd_factorization(dirpath) -> CpsdFactorization:
-    manifest, entries = _read_bundle(dirpath, "cpsd_factorization")
-    n = int(manifest.get("n", 0))
-    if n < 1:
+    mats = _load(dirpath, "cpsd_factorization")["psd_factor"]
+    if not len(mats):
         raise MatrixFormatError("cpsd manifest must declare n >= 1")
-    found: dict[tuple[int, int], np.ndarray] = {}
-    for info, matrix in entries:
-        if info["role"] != "psd_factor":
-            continue
-        idx, outcome = info.get("index"), info.get("outcome")
-        if not isinstance(idx, int) or outcome not in (1, -1):
-            raise MatrixFormatError(f"psd_factor entry needs index and outcome +-1: {info!r}")
-        found[(idx, outcome)] = matrix
-    expected = {(i, o) for i in range(1, n + 1) for o in (1, -1)}
-    if set(found) != expected:
-        raise MatrixFormatError("psd_factor entries must cover every (index, outcome) pair")
-    d = found[(1, 1)].shape[0]
-    mats = np.empty((n, 2, d, d), dtype=complex)
-    for i in range(1, n + 1):
-        mats[i - 1, 0] = found[(i, 1)]
-        mats[i - 1, 1] = found[(i, -1)]
-    return CpsdFactorization(mats)
+    return CpsdFactorization(mats.astype(complex))
 
 
 def save_tensor_rep(dirpath, rep: TensorProductRep) -> None:
-    n, m = rep.sizes
-    entries: list[tuple[dict, np.ndarray]] = []
-    for i in range(n):
-        entries.append(
-            ({"role": "alice_obs", "index": i + 1, "file": f"alice_obs_{i + 1:02d}.json"}, rep.alice_obs[i])
-        )
-    for j in range(m):
-        entries.append(
-            ({"role": "bob_obs", "index": j + 1, "file": f"bob_obs_{j + 1:02d}.json"}, rep.bob_obs[j])
-        )
-    if rep.psi is not None:
-        entries.append(({"role": "state_vector", "file": "state.json"}, rep.psi.reshape(-1, 1)))
-    else:
-        entries.append(({"role": "density", "file": "state.json"}, rep.rho))
-    meta = {"local_dim": rep.local_dim, "n_alice": n, "n_bob": m}
-    _write_bundle(dirpath, "tensor_product_rep", meta, entries)
+    state = {"density": rep.rho} if rep.psi is None else {"state_vector": rep.psi.reshape(-1, 1)}
+    stacks = {"alice_obs": rep.alice_obs, "bob_obs": rep.bob_obs, **state}
+    _save(dirpath, "tensor_product_rep", stacks, local_dim=rep.local_dim)
 
 
 def load_tensor_rep(dirpath) -> TensorProductRep:
-    manifest, entries = _read_bundle(dirpath, "tensor_product_rep")
-    n = int(manifest.get("n_alice", 0))
-    m = int(manifest.get("n_bob", 0))
-    alice = _indexed(entries, "alice_obs", n, "alice_obs")
-    bob = _indexed(entries, "bob_obs", m, "bob_obs")
-    if m == 0:
-        bob = np.zeros((0,) + alice.shape[1:], dtype=complex)
-    vectors = [matrix for info, matrix in entries if info["role"] == "state_vector"]
-    densities = [matrix for info, matrix in entries if info["role"] == "density"]
-    if len(vectors) + len(densities) != 1:
-        raise MatrixFormatError("expected exactly one state entry")
-    if vectors:
-        return TensorProductRep(alice, bob, psi=vectors[0].reshape(-1))
-    return TensorProductRep(alice, bob, rho=densities[0])
+    roles = _load(dirpath, "tensor_product_rep")
+    psi = roles["state_vector"].reshape(-1) if "state_vector" in roles else None
+    return TensorProductRep(roles["alice_obs"], roles["bob_obs"], psi=psi, rho=roles.get("density"))

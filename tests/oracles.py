@@ -1,15 +1,21 @@
-"""Loop reference implementations of the batched verifiers and constructions.
+"""Loop reference implementations of the batched verifiers and constructions,
+and of the matrix and bundle file codec.
 
 Each function here is the per-entry or per-matrix loop that the library
 replaced with array expressions (one GEMM of the vectorized stacks, one
 batched eigensolve, chunked batched products).  They are kept verbatim in
-behaviour: same checks, notes, tolerances and random draws.  Tests compare
-the library against them; nothing in ``corrfact`` imports this module.
+behaviour: same checks, notes, tolerances and random draws.  The matio
+section is the per-entry JSON codec and the five hand-written save/load
+pairs that ``matio.BUNDLES`` replaced; the files it writes are the format's
+reference bytes.  Tests compare the library against them; nothing in
+``corrfact`` imports this module.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from corrfact.elliptope import _require_symmetric, gram_factors, require_correla
 from corrfact.errors import (
     InconsistentSumsError,
     InvariantViolationError,
+    MatrixFormatError,
     NonUnitVectorError,
     ShapeError,
     ZeroSumError,
@@ -349,3 +356,258 @@ def build_tensor_rep(c, sys, tol: ToleranceConfig = DEFAULT_TOL) -> TensorProduc
     alice = np.stack([gamma_of_vector(rep, u) for u in row_coords])
     bob = np.stack([gamma_of_vector(rep, v).T for v in col_coords])
     return TensorProductRep(alice, bob, psi=maximally_entangled(rep.rep_dim))
+
+
+# ---------------------------------------------------------------- matio
+
+MANIFEST_NAME = "manifest.json"
+BLOCK_ORDER_NOTE = "row of pair (i, a) is 2*(i-1) + (0 if a == +1 else 1), 1-based i"
+
+
+def matrix_to_obj(m) -> dict:
+    a = np.asarray(m)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if a.ndim != 2:
+        raise MatrixFormatError(f"matrix must be 1-D or 2-D, got shape {a.shape}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise MatrixFormatError("matrix contains non-finite entries")
+    is_complex = bool(np.iscomplexobj(a))
+    if is_complex:
+        data = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    else:
+        data = [float(x) for x in a.reshape(-1)]
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "complex": is_complex, "data": data}
+
+
+def matrix_from_obj(obj) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise MatrixFormatError("matrix object must be a JSON object")
+    for key in ("rows", "cols", "complex", "data"):
+        if key not in obj:
+            raise MatrixFormatError(f"matrix object missing key {key!r}")
+    rows, cols = obj["rows"], obj["cols"]
+    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+        raise MatrixFormatError(f"rows/cols must be positive integers, got {rows!r}, {cols!r}")
+    data = obj["data"]
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise MatrixFormatError(f"data must hold {rows * cols} entries, got {len(data) if isinstance(data, list) else type(data).__name__}")
+    if obj["complex"]:
+        out = np.empty(rows * cols, dtype=complex)
+        for idx, entry in enumerate(data):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
+            ):
+                raise MatrixFormatError(f"data[{idx}] must be a [re, im] pair, got {entry!r}")
+            if not all(math.isfinite(part) for part in entry):
+                raise MatrixFormatError(f"data[{idx}] is non-finite")
+            out[idx] = complex(entry[0], entry[1])
+    else:
+        out = np.empty(rows * cols, dtype=float)
+        for idx, entry in enumerate(data):
+            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+                raise MatrixFormatError(f"data[{idx}] must be a number, got {entry!r}")
+            if not math.isfinite(entry):
+                raise MatrixFormatError(f"data[{idx}] is non-finite")
+            out[idx] = float(entry)
+    return out.reshape(rows, cols)
+
+
+def write_matrix(path, m) -> None:
+    Path(path).write_text(json.dumps(matrix_to_obj(m), allow_nan=False) + "\n", encoding="utf-8")
+
+
+def read_matrix(path) -> np.ndarray:
+    text = Path(path).read_text(encoding="utf-8")
+    return matrix_from_obj(json.loads(text))
+
+
+def _write_bundle(dirpath, kind: str, meta: dict, entries: list[tuple[dict, np.ndarray]]) -> None:
+    directory = Path(dirpath)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest_entries = []
+    for info, matrix in entries:
+        info = dict(info)
+        write_matrix(directory / info["file"], matrix)
+        manifest_entries.append(info)
+    manifest = {"kind": kind, **meta, "entries": manifest_entries}
+    (directory / MANIFEST_NAME).write_text(
+        json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    )
+
+
+def _read_bundle(dirpath, expected_kind: str | None = None) -> tuple[dict, list[tuple[dict, np.ndarray]]]:
+    directory = Path(dirpath)
+    manifest_path = directory / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or "kind" not in manifest or "entries" not in manifest:
+        raise MatrixFormatError("manifest must carry 'kind' and 'entries'")
+    if expected_kind is not None and manifest["kind"] != expected_kind:
+        raise MatrixFormatError(f"expected a {expected_kind} directory, found kind {manifest['kind']!r}")
+    loaded = []
+    for entry in manifest["entries"]:
+        if not isinstance(entry, dict) or "role" not in entry or "file" not in entry:
+            raise MatrixFormatError(f"manifest entry missing role/file: {entry!r}")
+        loaded.append((entry, read_matrix(directory / entry["file"])))
+    return manifest, loaded
+
+
+def _indexed(entries: list[tuple[dict, np.ndarray]], role: str, count: int, what: str) -> np.ndarray:
+    found: dict[int, np.ndarray] = {}
+    for info, matrix in entries:
+        if info["role"] == role:
+            idx = info.get("index")
+            if not isinstance(idx, int):
+                raise MatrixFormatError(f"{what} entry needs an integer index: {info!r}")
+            found[idx] = matrix
+    if set(found) != set(range(1, count + 1)):
+        raise MatrixFormatError(f"{what} entries must cover indices 1..{count}, got {sorted(found)}")
+    return np.stack([found[i] for i in range(1, count + 1)]) if count else np.zeros((0, 0, 0))
+
+
+def _single(entries: list[tuple[dict, np.ndarray]], role: str, what: str) -> np.ndarray:
+    mats = [matrix for info, matrix in entries if info["role"] == role]
+    if len(mats) != 1:
+        raise MatrixFormatError(f"expected exactly one {what} entry, found {len(mats)}")
+    return mats[0]
+
+
+def save_generators(dirpath, generators: np.ndarray, rank: int) -> None:
+    entries = [
+        ({"role": "generator", "index": i + 1, "file": f"generator_{i + 1:02d}.json"}, g)
+        for i, g in enumerate(generators)
+    ]
+    _write_bundle(dirpath, "clifford_generators", {"rank": rank, "dim": int(generators.shape[-1])}, entries)
+
+
+def load_generators(dirpath) -> np.ndarray:
+    manifest, entries = _read_bundle(dirpath, "clifford_generators")
+    count = sum(1 for info, _ in entries if info["role"] == "generator")
+    return _indexed(entries, "generator", count, "generator")
+
+
+def save_matrix_factorization(dirpath, mf: MatrixFactorization) -> None:
+    n, m = mf.sizes
+    entries: list[tuple[dict, np.ndarray]] = []
+    for i in range(n):
+        entries.append(({"role": "x", "index": i + 1, "file": f"x_{i + 1:02d}.json"}, mf.x_mats[i]))
+    for j in range(m):
+        entries.append(({"role": "y", "index": j + 1, "file": f"y_{j + 1:02d}.json"}, mf.y_mats[j]))
+    entries.append(({"role": "k", "file": "k.json"}, mf.k))
+    _write_bundle(dirpath, "matrix_factorization", {"dim": mf.dim, "n_x": n, "n_y": m}, entries)
+
+
+def load_matrix_factorization(dirpath) -> MatrixFactorization:
+    manifest, entries = _read_bundle(dirpath, "matrix_factorization")
+    n = int(manifest.get("n_x", 0))
+    m = int(manifest.get("n_y", 0))
+    k = _single(entries, "k", "weight")
+    x = _indexed(entries, "x", n, "x")
+    y = _indexed(entries, "y", m, "y")
+    if m == 0:
+        y = np.zeros((0,) + k.shape, dtype=complex)
+    return MatrixFactorization(x, y, k)
+
+
+def save_form_b(dirpath, fb: FormBFactorization) -> None:
+    n, m = fb.sizes
+    entries: list[tuple[dict, np.ndarray]] = []
+    for i in range(n):
+        entries.append(({"role": "a", "index": i + 1, "file": f"a_{i + 1:02d}.json"}, fb.a_mats[i]))
+    for j in range(m):
+        entries.append(({"role": "b", "index": j + 1, "file": f"b_{j + 1:02d}.json"}, fb.b_mats[j]))
+    _write_bundle(dirpath, "form_b_factorization", {"dim": fb.dim, "n_a": n, "n_b": m}, entries)
+
+
+def load_form_b(dirpath) -> FormBFactorization:
+    manifest, entries = _read_bundle(dirpath, "form_b_factorization")
+    n = int(manifest.get("n_a", 0))
+    m = int(manifest.get("n_b", 0))
+    a = _indexed(entries, "a", n, "a")
+    b = _indexed(entries, "b", m, "b")
+    if m == 0:
+        b = np.zeros((0,) + a.shape[1:], dtype=complex)
+    return FormBFactorization(a, b)
+
+
+def save_cpsd_factorization(dirpath, f: CpsdFactorization) -> None:
+    entries: list[tuple[dict, np.ndarray]] = []
+    for i in range(f.n):
+        for outcome, tag, slot in ((1, "p", 0), (-1, "m", 1)):
+            entries.append(
+                (
+                    {
+                        "role": "psd_factor",
+                        "index": i + 1,
+                        "outcome": outcome,
+                        "file": f"factor_{i + 1:02d}_{tag}.json",
+                    },
+                    f.mats[i, slot],
+                )
+            )
+    meta = {"n": f.n, "dim": f.dim, "block_order": BLOCK_ORDER_NOTE}
+    _write_bundle(dirpath, "cpsd_factorization", meta, entries)
+
+
+def load_cpsd_factorization(dirpath) -> CpsdFactorization:
+    manifest, entries = _read_bundle(dirpath, "cpsd_factorization")
+    n = int(manifest.get("n", 0))
+    if n < 1:
+        raise MatrixFormatError("cpsd manifest must declare n >= 1")
+    found: dict[tuple[int, int], np.ndarray] = {}
+    for info, matrix in entries:
+        if info["role"] != "psd_factor":
+            continue
+        idx, outcome = info.get("index"), info.get("outcome")
+        if not isinstance(idx, int) or outcome not in (1, -1):
+            raise MatrixFormatError(f"psd_factor entry needs index and outcome +-1: {info!r}")
+        found[(idx, outcome)] = matrix
+    expected = {(i, o) for i in range(1, n + 1) for o in (1, -1)}
+    if set(found) != expected:
+        raise MatrixFormatError("psd_factor entries must cover every (index, outcome) pair")
+    d = found[(1, 1)].shape[0]
+    mats = np.empty((n, 2, d, d), dtype=complex)
+    for i in range(1, n + 1):
+        mats[i - 1, 0] = found[(i, 1)]
+        mats[i - 1, 1] = found[(i, -1)]
+    return CpsdFactorization(mats)
+
+
+def save_tensor_rep(dirpath, rep: TensorProductRep) -> None:
+    n, m = rep.sizes
+    entries: list[tuple[dict, np.ndarray]] = []
+    for i in range(n):
+        entries.append(
+            ({"role": "alice_obs", "index": i + 1, "file": f"alice_obs_{i + 1:02d}.json"}, rep.alice_obs[i])
+        )
+    for j in range(m):
+        entries.append(
+            ({"role": "bob_obs", "index": j + 1, "file": f"bob_obs_{j + 1:02d}.json"}, rep.bob_obs[j])
+        )
+    if rep.psi is not None:
+        entries.append(({"role": "state_vector", "file": "state.json"}, rep.psi.reshape(-1, 1)))
+    else:
+        entries.append(({"role": "density", "file": "state.json"}, rep.rho))
+    meta = {"local_dim": rep.local_dim, "n_alice": n, "n_bob": m}
+    _write_bundle(dirpath, "tensor_product_rep", meta, entries)
+
+
+def load_tensor_rep(dirpath) -> TensorProductRep:
+    manifest, entries = _read_bundle(dirpath, "tensor_product_rep")
+    n = int(manifest.get("n_alice", 0))
+    m = int(manifest.get("n_bob", 0))
+    alice = _indexed(entries, "alice_obs", n, "alice_obs")
+    bob = _indexed(entries, "bob_obs", m, "bob_obs")
+    if m == 0:
+        bob = np.zeros((0,) + alice.shape[1:], dtype=complex)
+    vectors = [matrix for info, matrix in entries if info["role"] == "state_vector"]
+    densities = [matrix for info, matrix in entries if info["role"] == "density"]
+    if len(vectors) + len(densities) != 1:
+        raise MatrixFormatError("expected exactly one state entry")
+    if vectors:
+        return TensorProductRep(alice, bob, psi=vectors[0].reshape(-1))
+    return TensorProductRep(alice, bob, rho=densities[0])

@@ -237,3 +237,81 @@ def test_tolerance_flags_are_honored(tmp_path, capsys):
     assert run(["factorize", "verify", other, fdir]) == 1
     capsys.readouterr()
     assert run(["--eq-tol", "1e-5", "factorize", "verify", other, fdir]) == 0
+
+
+def _huge_integer_entry(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"rows": 1, "cols": 1, "complex": false, "data": [' + "9" * 400 + "]}")
+    return ["elliptope", "check-extreme", str(path)]
+
+
+def _boolean_rows(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"rows": true, "cols": 1, "complex": false, "data": [1.0]}')
+    return ["elliptope", "check-extreme", str(path)]
+
+
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"rows": 1, "cols": 1, "complex": false, "data": [1.0]}\xff\xfe')
+    return ["elliptope", "check-extreme", str(path)]
+
+
+def _form_c_bundle(tmp_path, edit=None):
+    """A form-c bundle of E3, optionally with its manifest edited; returns the verify argv."""
+    epath = _write(tmp_path, "E.json", E3)
+    fdir = tmp_path / "fact"
+    assert run(["--quiet", "factorize", epath, "-o", str(fdir)]) == 0
+    if edit is not None:
+        manifest = json.loads((fdir / "manifest.json").read_text())
+        edit(manifest)
+        (fdir / "manifest.json").write_text(json.dumps(manifest))
+    return ["factorize", "verify", epath, str(fdir)]
+
+
+def _count_not_integer(tmp_path):
+    return _form_c_bundle(tmp_path, lambda m: m.update(n_x="abc"))
+
+
+def _entries_not_list(tmp_path):
+    return _form_c_bundle(tmp_path, lambda m: m.update(entries=5))
+
+
+def _entry_file_not_string(tmp_path):
+    return _form_c_bundle(tmp_path, lambda m: m["entries"][0].update(file=7))
+
+
+def _member_of_wrong_shape(tmp_path):
+    argv = _form_c_bundle(tmp_path)
+    matio.write_matrix(tmp_path / "fact" / "x_02.json", np.eye(1))
+    return argv
+
+
+def _cpsd_factor_of_wrong_shape(tmp_path):
+    epath = _write(tmp_path, "E.json", E3)
+    pc, factors = str(tmp_path / "PC.json"), tmp_path / "factors"
+    assert run(["--quiet", "cpsd", "build-pc", epath, "-o", pc, "--factors", str(factors)]) == 0
+    matio.write_matrix(factors / "factor_02_m.json", np.array([[0.5]]))
+    return ["cpsd", "verify", pc, str(factors)]
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        _huge_integer_entry,
+        _boolean_rows,
+        _non_utf8_file,
+        _count_not_integer,
+        _entries_not_list,
+        _entry_file_not_string,
+        _member_of_wrong_shape,
+        _cpsd_factor_of_wrong_shape,
+    ],
+)
+def test_malformed_input_exits_two(tmp_path, capsys, make_input):
+    argv = make_input(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -17,6 +17,7 @@ from corrfact.cli import run
 from corrfact.clifford import gamma_generators, verify_clifford_relations
 from corrfact.cpsd import (
     CpsdFactorization,
+    _outcome_sum_check,
     build_cpsd_factorization,
     build_pc,
     certify_lower_bound,
@@ -247,6 +248,15 @@ def test_inconsistent_sums_raise_on_extraction_like_oracle():
             extract(family)
 
 
+def test_non_hermitian_common_sum_raises_on_extraction_like_oracle():
+    """Every sum carries the same non-Hermitian shift: the sums agree, but not with the Hermitized mean."""
+    mats = build_cpsd_factorization(_lex(3)).mats.copy()
+    mats[:, 0, 0, 1] += 1e-3
+    for extract in (extract_matrix_factorization, oracles.extract_matrix_factorization):
+        with pytest.raises(InconsistentSumsError):
+            extract(CpsdFactorization(mats))
+
+
 def test_wrong_witness_entry_fails_like_oracle():
     e = _lex(4)
     witness = build_pc(e)
@@ -431,3 +441,30 @@ def _without_deviations(report: dict) -> tuple[dict, list[float]]:
     rest = {k: v for k, v in report.items() if k != "max_deviation"}
     rest["details"] = [{k: v for k, v in d.items() if k != "deviation"} for d in report["details"]]
     return rest, devs
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 3 * 1024 + 5, linalg.CHUNK_BYTES])
+@pytest.mark.parametrize("where", [0, -1])
+def test_chunked_outcome_sums_match_oracle(monkeypatch, chunk_bytes, where):
+    """A drifting outcome sum is caught in any chunk, with the oracle's deviation."""
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    e = _lex(6)
+    mats = build_cpsd_factorization(e).mats.copy()
+    mats[where, 1] += 1e-6 * np.eye(mats.shape[-1])
+    family = CpsdFactorization(mats)
+    report = same_report(verify_cpsd_factorization, build_pc(e), family)
+    assert not report.check("outcome_sums_consistent").passed
+    for extract in (extract_matrix_factorization, oracles.extract_matrix_factorization):
+        with pytest.raises(InconsistentSumsError):
+            extract(family)
+
+
+@pytest.mark.parametrize("r", [2, 3, 8, 12])
+def test_mean_outcome_sum_is_bit_identical_to_stacked_mean(r):
+    """The mean outcome sum is accumulated in index order, as mean(axis=0) does,
+    so extraction writes the same bits as when it stacked every sum."""
+    mats = build_cpsd_factorization(_lex(r)).mats
+    noisy = mats + 1e-3 * np.random.default_rng(r).standard_normal(mats.shape)
+    for family in (mats, noisy):
+        want = CpsdFactorization(family).outcome_sums().mean(axis=0)
+        assert _outcome_sum_check(family, hermitize=False)[0].tobytes() == want.tobytes()
