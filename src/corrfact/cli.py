@@ -356,10 +356,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args, tol)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MatrixFormatError, OSError, UnicodeDecodeError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalContractError as exc:

@@ -23,6 +23,8 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     anticommutator_deviations,
+    as_stack,
+    hermitian_deviations,
     require_hermitian,
     square_deviations,
 )
@@ -114,15 +116,13 @@ def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Verif
     in chunked batched products; the notes name the first generator and the
     first pair, in (i, j) order, that attain the worst deviation.
     """
-    try:
-        arr = np.asarray(mats, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError("generators must be square matrices of equal size") from exc
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
-        raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
-    for idx in range(arr.shape[0]):
-        require_hermitian(arr[idx], tol, what=f"generator {idx + 1}")
+    arr = as_stack(mats, "generators")
     k = arr.shape[0]
+    if k == 0:
+        raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
+    bad = np.flatnonzero(~(hermitian_deviations(arr) <= tol.eq_tol))
+    if bad.size:  # the first failing generator raises as its own check would
+        require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
     sq_devs = square_deviations(arr)
     worst_sq = int(np.argmax(sq_devs))
     dev_sq = float(sq_devs[worst_sq])

@@ -18,11 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows, rep_dim
+from .clifford import gamma_generators, gamma_of_rows, irreducible_dim, rep_dim
 from .elliptope import check_extreme, require_correlation, resolve_gram_factors
 from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, chunks, hs_gram, sorted_eigh, square_deviations
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_matrix,
+    chunks,
+    eigenvalue_bounds,
+    hermitian_deviations,
+    hs_gram,
+    sorted_eigh,
+    square_deviations,
+)
 from .report import CheckResult, VerificationReport
 
 
@@ -113,23 +123,6 @@ def build_cpsd_factorization(
     return CpsdFactorization(mats)
 
 
-def _hermitian_psd_deviation(stack: np.ndarray) -> tuple[float, float]:
-    """Worst max|F - F^*| and least eigenvalue of (F + F^*)/2 over a (k, d, d) stack.
-
-    One deviation and one batched eigvalsh per chunk of the stack.
-    """
-    herm_dev = 0.0
-    min_eig = math.inf
-    for part in chunks(stack.shape[0], stack[0:1].nbytes):
-        block = stack[part]
-        adj = block.conj().swapaxes(-1, -2)
-        herm_dev = max(herm_dev, float(np.max(np.abs(block - adj))))
-        herm = block + adj
-        herm /= 2.0
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(herm)[:, 0])))
-    return herm_dev, min_eig
-
-
 def _outcome_sum_check(mats: np.ndarray, hermitize: bool) -> tuple[np.ndarray, float]:
     """Mean outcome sum K = mean_i (P^i_+ + P^i_-), Hermitized if asked, and max_i |P^i_+ + P^i_- - K|.
 
@@ -160,9 +153,10 @@ def verify_cpsd_factorization(
 
     With F = mats.reshape(2n, d*d) the vectorized factors in witness row
     order, the entry check is max|F F^* - p|, one GEMM (linalg.hs_gram).
-    Hermiticity and positivity are one deviation and one batched eigvalsh
-    per chunk of the (2n, d, d) stack, and the outcome sums are compared a
-    chunk at a time, so each temporary stays near linalg.CHUNK_BYTES.
+    Hermiticity and positivity are chunked passes over the (2n, d, d) stack
+    (linalg.hermitian_deviations, linalg.eigenvalue_bounds), and the outcome
+    sums are compared a chunk at a time, so each temporary stays near
+    linalg.CHUNK_BYTES.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -171,7 +165,8 @@ def verify_cpsd_factorization(
 
     d = f.dim
     stack = f.mats.reshape(2 * n, d, d)
-    herm_dev, min_eig = _hermitian_psd_deviation(stack)
+    herm_dev = float(np.max(hermitian_deviations(stack), initial=0.0))
+    min_eig = float(np.min(eigenvalue_bounds(stack)[0], initial=math.inf))
     entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
 
     mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=False)
@@ -206,7 +201,7 @@ def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertif
     """
     ext = check_extreme(c, tol)
     u = resolve_gram_factors(require_correlation(c, tol), tol=tol, unit=True)
-    lower = 2 ** (ext.rank // 2) if ext.is_extreme else None
+    lower = irreducible_dim(ext.rank) if ext.is_extreme else None
     return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, rep_dim(u.shape[1]))
 
 
@@ -221,10 +216,11 @@ def extract_matrix_factorization(
     (this is the size-optimality reduction, applied unconditionally); then
     conjugate by K^{-1/2} and take signed differences
     X_i = P~^i_{+1} - P~^i_{-1}.  Returns the X family used on both sides
-    together with the restricted diagonal weight, plus diagnostics: each
-    X_i^2 is at most I, with equality exactly when the source correlation
-    matrix forces unit factor norms (extreme sources do).  The restriction
-    and conjugation are batched matmuls over chunks of the factor stack.
+    (one array serves as X and as Y) together with the restricted diagonal
+    weight, plus diagnostics: each X_i^2 is at most I, with equality exactly
+    when the source correlation matrix forces unit factor norms (extreme
+    sources do).  The restriction and conjugation are batched matmuls over
+    chunks of the factor stack.
     """
     mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
     if sum_dev > tol.eq_tol:
@@ -279,5 +275,5 @@ def extract_matrix_factorization(
             value=s,
         ),
     )
-    mf = MatrixFactorization(x_mats, x_mats.copy(), k_restricted)
+    mf = MatrixFactorization(x_mats, x_mats, k_restricted)
     return mf, VerificationReport(checks)

@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, gram, sorted_eigh
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, eigenvalue_bounds, gram, hermitian_deviations, sorted_eigh
 from .report import CheckResult, VerificationReport
 
 
@@ -33,7 +33,7 @@ def _require_symmetric(m, tol: ToleranceConfig, what: str = "matrix") -> np.ndar
         if a.size and float(np.max(np.abs(a.imag))) > tol.eq_tol:
             raise NotSymmetricError(f"{what} must be real symmetric, has complex entries")
         a = a.real
-    dev = float(np.max(np.abs(a - a.T), initial=0.0))
+    dev = float(hermitian_deviations(a[None])[0])
     if dev > tol.eq_tol:
         raise NotSymmetricError(f"{what} deviates from symmetric by {dev:.3e}")
     return a
@@ -41,11 +41,11 @@ def _require_symmetric(m, tol: ToleranceConfig, what: str = "matrix") -> np.ndar
 
 def check_membership(e, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff e has unit diagonal within eq_tol and is psd within psd_tol."""
-    a = _require_symmetric(e, tol)
-    if float(np.max(np.abs(np.diag(a) - 1.0))) > tol.eq_tol:
+    try:
+        require_correlation(e, tol)
+    except (InvariantViolationError, NotPsdError):
         return False
-    w = np.linalg.eigvalsh((a + a.T) / 2.0)
-    return bool(w[0] >= -tol.psd_tol)
+    return True
 
 
 def require_correlation(e, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
@@ -54,9 +54,9 @@ def require_correlation(e, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matr
     diag_dev = float(np.max(np.abs(np.diag(a) - 1.0)))
     if diag_dev > tol.eq_tol:
         raise InvariantViolationError(f"{what} diagonal deviates from one by {diag_dev:.3e}")
-    w = np.linalg.eigvalsh((a + a.T) / 2.0)
-    if w[0] < -tol.psd_tol:
-        raise NotPsdError(f"{what} has eigenvalue {w[0]:.3e}")
+    least = eigenvalue_bounds(a[None])[0][0]
+    if least < -tol.psd_tol:
+        raise NotPsdError(f"{what} has eigenvalue {least:.3e}")
     return a.copy()
 
 
@@ -262,10 +262,10 @@ def solve_lambda(a, c, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, 
     mat_c = as_matrix(c, "target block")
     if mat_c.shape[0] != mat_a.shape[0]:
         raise ShapeError(f"row count mismatch: {mat_a.shape[0]} vs {mat_c.shape[0]}")
-    w = np.linalg.eigvalsh((mat_a + mat_a.T) / 2.0)
-    if w[0] < -tol.psd_tol:
-        raise NotPsdError(f"block has eigenvalue {w[0]:.3e}")
-    if w[0] <= tol.rank_tol * max(w[-1], 0.0):
+    (least,), (largest,) = eigenvalue_bounds(mat_a[None])
+    if least < -tol.psd_tol:
+        raise NotPsdError(f"block has eigenvalue {least:.3e}")
+    if least <= tol.rank_tol * max(largest, 0.0):
         raise SingularMatrixError("block is numerically singular")
     lam = np.linalg.solve(mat_a, mat_c)
     residual = float(np.max(np.abs(mat_a @ lam - mat_c), initial=0.0))

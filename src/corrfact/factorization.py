@@ -31,24 +31,17 @@ from .linalg import (
     ToleranceConfig,
     anticommutator_deviations,
     as_matrix,
+    as_stack,
     chunks,
+    eigenvalue_bounds,
     gram,
+    hermitian_deviations,
     hs_gram,
     identity_deviations,
     sorted_eigh,
     square_deviations,
 )
 from .report import CheckResult, VerificationReport
-
-
-def _mat_stack(mats, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(mats, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError(f"{what} must be square matrices of equal size") from exc
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ShapeError(f"{what} must form a (k, d, d) stack, got {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -82,12 +75,6 @@ class MatrixFactorization:
     @property
     def sizes(self) -> tuple[int, int]:
         return int(self.x_mats.shape[0]), int(self.y_mats.shape[0])
-
-
-def _as_stack(mats, d: int) -> np.ndarray:
-    """A family as a complex (k, d, d) array; an empty family of any shape is (0, d, d)."""
-    arr = np.asarray(mats, dtype=complex)
-    return arr.reshape(0, d, d) if arr.size == 0 else arr
 
 
 def factorize_clifford(
@@ -136,7 +123,7 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
-    x, y = _as_stack(mf.x_mats, d), _as_stack(mf.y_mats, d)
+    x, y = as_stack(mf.x_mats, "X family", d), as_stack(mf.y_mats, "Y family", d)
     n = x.shape[0]
     family = np.empty((n + y.shape[0], d, d), dtype=complex)
     np.matmul(k, x, out=family[:n])
@@ -193,7 +180,7 @@ def verify_factorization(
         if a.shape[0] != n + m:
             raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
         d = fact.dim
-        a_mats, b_mats = _as_stack(fact.a_mats, d), _as_stack(fact.b_mats, d)
+        a_mats, b_mats = as_stack(fact.a_mats, "A family", d), as_stack(fact.b_mats, "B family", d)
         gram_dev = _hs_gram_deviation(a_mats, b_mats, a)
         inv_dev = max(float(np.max(square_deviations(f, 1.0 / d), initial=0.0)) for f in (a_mats, b_mats))
         checks = (
@@ -208,14 +195,13 @@ def verify_factorization(
     if a.shape[0] != n + m:
         raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
     k = as_matrix(fact.k)
-    x, y = _as_stack(fact.x_mats, fact.dim), _as_stack(fact.y_mats, fact.dim)
+    x, y = as_stack(fact.x_mats, "X family", fact.dim), as_stack(fact.y_mats, "Y family", fact.dim)
     gram_dev = _hs_gram_deviation(k @ x, y @ k if mode == "i" else k @ y, a)
 
     inv_dev = max(float(np.max(square_deviations(f), initial=0.0)) for f in (x, y))
 
-    herm_dev = float(np.max(np.abs(k - k.conj().T), initial=0.0))
-    w = np.linalg.eigvalsh((k + k.conj().T) / 2.0)
-    min_eig = float(w[0])
+    herm_dev = float(hermitian_deviations(k[None])[0])
+    min_eig = float(eigenvalue_bounds(k[None])[0][0])
     trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
     checks = (
         CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
@@ -250,7 +236,7 @@ def verify_clifford_identity(
     pairs i <= j are formed in chunked batched products.
     """
     block = _require_symmetric(a, tol, "block")
-    mats = _mat_stack(x_mats, "involutions")
+    mats = as_stack(x_mats, "involutions")
     if mats.shape[0] != block.shape[0]:
         raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
     k = mats.shape[0]
@@ -283,7 +269,7 @@ def orthonormalize_generators(a, x_mats, tol: ToleranceConfig = DEFAULT_TOL) -> 
     X'_k = w_k^{-1/2} sum_i u_k(i) X_i anticommute exactly pairwise.
     """
     block = _require_symmetric(a, tol, "block")
-    mats = _mat_stack(x_mats, "involutions")
+    mats = as_stack(x_mats, "involutions")
     if mats.shape[0] != block.shape[0]:
         raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
     w, u = sorted_eigh(block)

@@ -43,9 +43,22 @@ def as_matrix(m, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))
+def as_stack(mats, what: str, d: int | None = None) -> np.ndarray:
+    """A family of square matrices as a complex (k, d, d) array.
+
+    With `d` given the members must be d x d, and an empty family of any
+    shape is (0, d, d).  Raises ShapeError otherwise.
+    """
+    try:
+        arr = np.asarray(mats, dtype=complex)
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"{what} must be square matrices of equal size") from exc
+    if d is not None and arr.size == 0:
+        return arr.reshape(0, d, d)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or d not in (None, arr.shape[1]):
+        want = "(k, d, d)" if d is None else f"(k, {d}, {d})"
+        raise ShapeError(f"{what} must form a {want} stack, got {arr.shape}")
+    return arr
 
 
 def vec(m) -> np.ndarray:
@@ -126,6 +139,34 @@ def identity_deviations(stack: np.ndarray, shift) -> np.ndarray:
     return np.max(np.abs(stack), axis=(1, 2), initial=0.0)
 
 
+def hermitian_deviations(stack: np.ndarray) -> np.ndarray:
+    """max|M_p - M_p^*| for each matrix of a (k, d, d) stack.
+
+    Real input is compared with its transpose in its own dtype.  One chunk
+    of the stack at a time; a non-finite matrix gives a non-finite deviation.
+    """
+    out = np.zeros(stack.shape[0])
+    for part in chunks(stack.shape[0], stack[0:1].nbytes):
+        block = stack[part]
+        out[part] = np.abs(block - block.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+    return out
+
+
+def eigenvalue_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and largest eigenvalue of (M_p + M_p^*)/2 for each matrix of a (k, d, d) stack.
+
+    One batched eigvalsh per chunk of the stack.  A 0 x 0 matrix has the
+    bounds (inf, -inf) of an empty spectrum.
+    """
+    bounds = np.full((2, stack.shape[0]), [[np.inf], [-np.inf]])
+    if stack.shape[-1]:
+        for part in chunks(stack.shape[0], stack[0:1].nbytes):
+            block = stack[part]
+            w = np.linalg.eigvalsh((block + block.conj().swapaxes(-1, -2)) / 2.0)
+            bounds[0, part], bounds[1, part] = w[:, 0], w[:, -1]
+    return bounds[0], bounds[1]
+
+
 def square_deviations(mats: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """max|M_p^2 - scale I| for each matrix of a (k, d, d) stack.
 
@@ -176,30 +217,14 @@ def numerical_rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol.rank_tol * s[0]))
 
 
-def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= tol.eq_tol)
-
-
 def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m, what)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    dev = float(hermitian_deviations(a[None])[0])
     if dev > tol.eq_tol:
         raise NotHermitianError(f"{what} deviates from Hermitian by {dev:.3e}")
     return a
-
-
-def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian input has no eigenvalue below -psd_tol."""
-    a = require_hermitian(m, tol)
-    if a.size == 0:
-        return True
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return bool(w[0] >= -tol.psd_tol)
 
 
 def sorted_eigh(m) -> tuple[np.ndarray, np.ndarray]:

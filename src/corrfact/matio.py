@@ -102,8 +102,18 @@ def write_matrix(path, m) -> None:
     Path(path).write_text(json.dumps(matrix_to_obj(m), allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _read_json(path, parse):
+    """``parse`` of the JSON value in a file; decoding and format errors start with the path."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise MatrixFormatError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, MatrixFormatError) as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
+
+
 def read_matrix(path) -> np.ndarray:
-    return matrix_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _read_json(path, matrix_from_obj)
 
 
 @dataclass(frozen=True)
@@ -225,12 +235,9 @@ def _save(dirpath, kind: str, stacks: dict[str, np.ndarray], **meta) -> None:
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
-    """Validate a bundle's manifest and read each role's matrices, keyed by role name in table order."""
-    directory = Path(dirpath)
-    if not (directory / MANIFEST_NAME).is_file():
-        raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
+def _role_files(kind: str, manifest) -> list[tuple[Role, str, tuple[int, ...], list[str]]]:
+    """Validate a manifest against ``BUNDLES[kind]``; per role in table order, the
+    role name used, the family shape (() for a single matrix) and the files in slot order."""
     if not isinstance(manifest, dict) or "kind" not in manifest or not isinstance(manifest.get("entries"), list):
         raise MatrixFormatError("manifest must carry 'kind' and a list of 'entries'")
     if manifest["kind"] != kind:
@@ -240,7 +247,7 @@ def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
         plain = isinstance(file, str) and file not in ("", "..") and Path(file).name == file
         if not (plain and isinstance(entry.get("role"), str)):
             raise MatrixFormatError(f"manifest entry needs a string role and a plain file name: {entry!r}")
-    out = {}
+    out = []
     for role in BUNDLES[kind][1]:
         mine = [entry for entry in manifest["entries"] if entry["role"] in role.names]
         count = manifest.get(role.count, 0) if role.count else len(mine)
@@ -252,16 +259,24 @@ def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
         if len(files) != len(mine) or set(files) != set(slots):
             what = "/".join(role.names)
             raise MatrixFormatError(f"{what} entries must fill {len(slots)} slots once each, got {sorted(files)}")
-        mats = [read_matrix(directory / files[slot]) for slot in slots]
-        shapes = sorted({m.shape for m in mats})
         family = () if "{i" not in role.file else (count, 2) if "{o}" in role.file else (count,)
-        if family and (len(shapes) > 1 or any(rows != cols for rows, cols in shapes)):
-            raise MatrixFormatError(f"{role.names[0]} matrices must be square and of one shape, got {shapes}")
-        name = mine[0]["role"] if mine else role.names[0]
-        if not family:
-            out[name] = mats[0]
-        else:
-            out[name] = np.stack(mats).reshape(family + shapes[0]) if mats else np.zeros((0, 0, 0))
+        out.append((role, mine[0]["role"] if mine else role.names[0], family, [files[slot] for slot in slots]))
+    return out
+
+
+def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
+    """Validate a bundle's manifest and read each role's matrices, keyed by role name in table order."""
+    directory = Path(dirpath)
+    if not (directory / MANIFEST_NAME).is_file():
+        raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
+    out = {}
+    for role, name, family, files in _read_json(directory / MANIFEST_NAME, lambda obj: _role_files(kind, obj)):
+        mats = [read_matrix(directory / file) for file in files]
+        odd = [file for file, m in zip(files, mats) if m.shape != mats[0].shape or m.shape[0] != m.shape[1]]
+        if family and odd:
+            shapes = sorted({m.shape for m in mats})
+            raise MatrixFormatError(f"{directory / odd[0]}: {role.names[0]} matrices must be square and of one shape, got {shapes}")
+        out[name] = np.stack(mats).reshape(family + mats[0].shape) if mats else np.zeros((0, 0, 0))
     for role in BUNDLES[kind][1]:
         if role.like and not len(out[role.names[0]]):
             out[role.names[0]] = np.zeros((0,) + out[role.like].shape[-2:], dtype=complex)

@@ -29,10 +29,11 @@ from .errors import (
 from .factorization import MatrixFactorization
 from .linalg import (
     DEFAULT_TOL,
-    SchmidtDecomposition,
     ToleranceConfig,
     as_matrix,
+    as_stack,
     chunks,
+    eigenvalue_bounds,
     numerical_rank,
     require_hermitian,
     schmidt,
@@ -56,13 +57,9 @@ class TensorProductRep:
     rho: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        alice = np.asarray(self.alice_obs, dtype=complex)
-        bob = np.asarray(self.bob_obs, dtype=complex)
-        if alice.ndim != 3 or bob.ndim != 3 or alice.shape[1:] != bob.shape[1:]:
-            raise ShapeError("observables must be stacks of equal-size square matrices")
-        if alice.shape[1] != alice.shape[2]:
-            raise ShapeError("observables must be square")
+        alice = as_stack(self.alice_obs, "Alice's observables")
         d = alice.shape[1]
+        bob = as_stack(self.bob_obs, "Bob's observables", d)
         if (self.psi is None) == (self.rho is None):
             raise ShapeError("exactly one of psi or rho must be provided")
         object.__setattr__(self, "alice_obs", alice)
@@ -90,15 +87,6 @@ class TensorProductRep:
         if self.rho is not None:
             return self.rho
         return np.outer(self.psi, self.psi.conj())
-
-
-@dataclass(frozen=True)
-class SchmidtState:
-    """Schmidt profile of a rank-one state: positive descending coefficients
-    with squares summing to one; local_dim counts the nonzero terms."""
-
-    local_dim: int
-    coefficients: np.ndarray
 
 
 def maximally_entangled(d: int) -> np.ndarray:
@@ -204,7 +192,7 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
     """
     phi = _rank_one_vector(rep, tol)
     d_in = rep.local_dim
-    sd: SchmidtDecomposition = schmidt(phi, d_in, tol)
+    sd = schmidt(phi, d_in, tol)
     if sd.coefficients.size == 0:
         raise NotRankOneError("state vector is numerically zero")
     left_iso = sd.left_vectors.conj()
@@ -215,19 +203,12 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
     return TensorProductRep(alice, bob, psi=psi)
 
 
-def schmidt_state(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtState:
-    """Schmidt profile of the representation's rank-one state."""
-    phi = _rank_one_vector(rep, tol)
-    sd = schmidt(phi, rep.local_dim, tol)
-    return SchmidtState(int(sd.coefficients.size), sd.coefficients)
-
-
 def check_observable(h, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether all eigenvalues lie in [-1, 1] up to psd_tol; also returns the
     largest eigenvalue magnitude."""
     a = require_hermitian(h, tol, what="observable")
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
+    (least,), (largest,) = eigenvalue_bounds(a[None])
+    top = max(0.0, float(largest), -float(least))
     return top <= 1.0 + tol.psd_tol, top
 
 
@@ -244,9 +225,9 @@ def to_matrix_factorization(rep: TensorProductRep, tol: ToleranceConfig = DEFAUL
         raise NotRankOneError("bridge needs a vector state; reduce the representation first")
     w = vec_inv(rep.psi, rep.local_dim)
     k = require_hermitian(w, tol, what="weight")
-    eigs = np.linalg.eigvalsh((k + k.conj().T) / 2.0)
-    if eigs[0] <= tol.psd_tol:
-        raise NotPsdError(f"weight must be positive definite, min eigenvalue {eigs[0]:.3e}")
+    least = eigenvalue_bounds(k[None])[0][0]
+    if least <= tol.psd_tol:
+        raise NotPsdError(f"weight must be positive definite, min eigenvalue {least:.3e}")
     trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
     if trace_dev > tol.eq_tol:
         raise InvariantViolationError(f"weight trace norm deviates from one by {trace_dev:.3e}")

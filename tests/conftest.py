@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from corrfact.linalg import DEFAULT_TOL, eigenvalue_bounds, require_hermitian
+
 S = 1.0 / np.sqrt(2.0)
 
 # Rank-2 extreme point of the 3-dimensional elliptope: Gram(e1, e2, (e1+e2)/sqrt(2)).
@@ -30,3 +32,8 @@ def chsh():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def is_psd(m, tol=DEFAULT_TOL):
+    """What the removed linalg.is_psd decided, through the helpers that replaced it."""
+    return bool(eigenvalue_bounds(require_hermitian(m, tol)[None])[0][0] >= -tol.psd_tol)

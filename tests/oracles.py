@@ -7,8 +7,10 @@ batched eigensolve, chunked batched products).  They are kept verbatim in
 behaviour: same checks, notes, tolerances and random draws.  The matio
 section is the per-entry JSON codec and the five hand-written save/load
 pairs that ``matio.BUNDLES`` replaced; the files it writes are the format's
-reference bytes.  Tests compare the library against them; nothing in
-``corrfact`` imports this module.
+reference bytes.  The contract section holds the inline Hermitian and
+eigenvalue checks, the stack coercions and the validators that the
+``linalg`` contract helpers replaced.  Tests compare the library against
+them; nothing in ``corrfact`` imports this module.
 """
 
 from __future__ import annotations
@@ -21,29 +23,116 @@ import numpy as np
 
 from corrfact.clifford import gamma_generators, gamma_of_vector
 from corrfact.cpsd import CpsdFactorization
-from corrfact.elliptope import _require_symmetric, gram_factors, require_correlation
+from corrfact.elliptope import gram_factors, require_correlation
 from corrfact.errors import (
     InconsistentSumsError,
     InvariantViolationError,
     MatrixFormatError,
     NonUnitVectorError,
+    NotHermitianError,
+    NotSymmetricError,
     ShapeError,
     ZeroSumError,
 )
-from corrfact.factorization import FormBFactorization, MatrixFactorization, _mat_stack
+from corrfact.factorization import FormBFactorization, MatrixFactorization
 from corrfact.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     gram,
     hs_inner,
-    require_hermitian,
     sorted_eigh,
     vec,
     vec_inv,
 )
 from corrfact.quantum import TensorProductRep, maximally_entangled
 from corrfact.report import CheckResult, VerificationReport
+
+
+# ------------------------------------------------------------ contracts
+
+
+def hermitian_deviation(a) -> float:
+    """The inline max|A - A^*| (max|A - A^T| for real A) of the validators."""
+    return float(np.max(np.abs(a - a.conj().T), initial=0.0))
+
+
+def eigenvalue_extremes(a) -> tuple[float, float]:
+    """The inline least and largest eigenvalue of (A + A^*)/2."""
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return float(w[0]), float(w[-1])
+
+
+def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+    a = as_matrix(m, what)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what} must be square, got shape {a.shape}")
+    dev = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    if dev > tol.eq_tol:
+        raise NotHermitianError(f"{what} deviates from Hermitian by {dev:.3e}")
+    return a
+
+
+def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    a = require_hermitian(m, tol)
+    if a.size == 0:
+        return True
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return bool(w[0] >= -tol.psd_tol)
+
+
+def check_observable(h, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
+    a = require_hermitian(h, tol, what="observable")
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    top = float(np.max(np.abs(w))) if w.size else 0.0
+    return top <= 1.0 + tol.psd_tol, top
+
+
+def check_membership(e, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    a = _require_symmetric(e, tol)
+    if float(np.max(np.abs(np.diag(a) - 1.0))) > tol.eq_tol:
+        return False
+    w = np.linalg.eigvalsh((a + a.T) / 2.0)
+    return bool(w[0] >= -tol.psd_tol)
+
+
+def _hermitian_psd_deviation(stack: np.ndarray) -> tuple[float, float]:
+    herm_dev = 0.0
+    min_eig = math.inf
+    for block in stack:
+        adj = block.conj().T
+        herm_dev = max(herm_dev, float(np.max(np.abs(block - adj))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh((block + adj) / 2.0)[0]))
+    return herm_dev, min_eig
+
+
+def _as_stack(mats, d: int) -> np.ndarray:
+    arr = np.asarray(mats, dtype=complex)
+    return arr.reshape(0, d, d) if arr.size == 0 else arr
+
+
+def _require_symmetric(m, tol: ToleranceConfig, what: str = "matrix") -> np.ndarray:
+    a = as_matrix(m, what)
+    if a.shape[0] != a.shape[1]:
+        raise NotSymmetricError(f"{what} must be square, got shape {a.shape}")
+    if np.iscomplexobj(a):
+        if a.size and float(np.max(np.abs(a.imag))) > tol.eq_tol:
+            raise NotSymmetricError(f"{what} must be real symmetric, has complex entries")
+        a = a.real
+    dev = float(np.max(np.abs(a - a.T), initial=0.0))
+    if dev > tol.eq_tol:
+        raise NotSymmetricError(f"{what} deviates from symmetric by {dev:.3e}")
+    return a
+
+
+def _mat_stack(mats, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(mats, dtype=complex)
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"{what} must be square matrices of equal size") from exc
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ShapeError(f"{what} must form a (k, d, d) stack, got {arr.shape}")
+    return arr
 
 
 def build_cpsd_factorization(c, *, factors=None, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdFactorization:

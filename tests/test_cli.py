@@ -202,6 +202,7 @@ def test_malformed_matrix_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": 2, "cols": 2, "complex": false, "data": [1splat')
     assert run(["elliptope", "check-extreme", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed JSON at line 1, column ")
 
 
 def test_missing_file_exits_two(tmp_path):
@@ -242,23 +243,23 @@ def test_tolerance_flags_are_honored(tmp_path, capsys):
 def _huge_integer_entry(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": 1, "cols": 1, "complex": false, "data": [' + "9" * 400 + "]}")
-    return ["elliptope", "check-extreme", str(path)]
+    return ["elliptope", "check-extreme", str(path)], path
 
 
 def _boolean_rows(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": true, "cols": 1, "complex": false, "data": [1.0]}')
-    return ["elliptope", "check-extreme", str(path)]
+    return ["elliptope", "check-extreme", str(path)], path
 
 
 def _non_utf8_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"rows": 1, "cols": 1, "complex": false, "data": [1.0]}\xff\xfe')
-    return ["elliptope", "check-extreme", str(path)]
+    return ["elliptope", "check-extreme", str(path)], path
 
 
 def _form_c_bundle(tmp_path, edit=None):
-    """A form-c bundle of E3, optionally with its manifest edited; returns the verify argv."""
+    """A form-c bundle of E3, optionally with its manifest edited; returns the verify argv and the manifest."""
     epath = _write(tmp_path, "E.json", E3)
     fdir = tmp_path / "fact"
     assert run(["--quiet", "factorize", epath, "-o", str(fdir)]) == 0
@@ -266,7 +267,7 @@ def _form_c_bundle(tmp_path, edit=None):
         manifest = json.loads((fdir / "manifest.json").read_text())
         edit(manifest)
         (fdir / "manifest.json").write_text(json.dumps(manifest))
-    return ["factorize", "verify", epath, str(fdir)]
+    return ["factorize", "verify", epath, str(fdir)], fdir / "manifest.json"
 
 
 def _count_not_integer(tmp_path):
@@ -282,9 +283,9 @@ def _entry_file_not_string(tmp_path):
 
 
 def _member_of_wrong_shape(tmp_path):
-    argv = _form_c_bundle(tmp_path)
+    argv, _ = _form_c_bundle(tmp_path)
     matio.write_matrix(tmp_path / "fact" / "x_02.json", np.eye(1))
-    return argv
+    return argv, tmp_path / "fact" / "x_02.json"
 
 
 def _cpsd_factor_of_wrong_shape(tmp_path):
@@ -292,7 +293,7 @@ def _cpsd_factor_of_wrong_shape(tmp_path):
     pc, factors = str(tmp_path / "PC.json"), tmp_path / "factors"
     assert run(["--quiet", "cpsd", "build-pc", epath, "-o", pc, "--factors", str(factors)]) == 0
     matio.write_matrix(factors / "factor_02_m.json", np.array([[0.5]]))
-    return ["cpsd", "verify", pc, str(factors)]
+    return ["cpsd", "verify", pc, str(factors)], factors / "factor_02_m.json"
 
 
 @pytest.mark.parametrize(
@@ -309,9 +310,9 @@ def _cpsd_factor_of_wrong_shape(tmp_path):
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, make_input):
-    argv = make_input(tmp_path)
+    argv, offending = make_input(tmp_path)
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {offending}: ") and err.count("\n") == 1
     assert "Traceback" not in err

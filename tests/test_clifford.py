@@ -14,7 +14,7 @@ from corrfact.clifford import (
     verify_clifford_relations,
 )
 from corrfact.errors import NotHermitianError, ShapeError
-from corrfact.linalg import hs_inner, kron
+from corrfact.linalg import hs_inner
 
 
 def test_rank_one_uses_z_in_dimension_two():
@@ -38,7 +38,7 @@ def test_rank_three_generators():
 def test_rank_four_generators_literal():
     rep = gamma_generators(4)
     eye = np.eye(2)
-    expected = [kron(PAULI_X, eye), kron(PAULI_Z, PAULI_X), kron(PAULI_Y, eye), kron(PAULI_Z, PAULI_Y)]
+    expected = [np.kron(PAULI_X, eye), np.kron(PAULI_Z, PAULI_X), np.kron(PAULI_Y, eye), np.kron(PAULI_Z, PAULI_Y)]
     assert rep.rep_dim == 4
     assert_allclose(rep.generators, expected)
 

@@ -13,7 +13,8 @@ from corrfact.cpsd import (
 )
 from corrfact.elliptope import check_membership, gen_extreme_lex, random_correlation
 from corrfact.errors import InconsistentSumsError, NumericalContractError, ShapeError
-from corrfact.factorization import recover_correlation
+from corrfact import matio
+from corrfact.factorization import MatrixFactorization, recover_correlation
 from corrfact.linalg import hs_inner
 
 from conftest import E3, E3_FACTORS
@@ -168,6 +169,18 @@ def test_extract_recovers_doubled_completion():
     doubled = np.block([[E3, E3], [E3, E3]])
     assert check_membership(doubled)
     assert np.max(np.abs(recover_correlation(mf) - doubled)) < 1e-9
+
+
+@pytest.mark.parametrize("r", [1, 4, 7])
+def test_extract_shares_one_stack_and_writes_the_same_bundle(tmp_path, r):
+    mf, _ = extract_matrix_factorization(build_cpsd_factorization(gen_extreme_lex(r)[0]))
+    assert np.shares_memory(mf.x_mats, mf.y_mats)
+    matio.save_matrix_factorization(tmp_path / "shared", mf)
+    matio.save_matrix_factorization(tmp_path / "copied", MatrixFactorization(mf.x_mats, mf.x_mats.copy(), mf.k))
+    names = sorted(path.name for path in (tmp_path / "copied").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "shared").iterdir())
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "copied" / name).read_bytes()
 
 
 def test_extract_restricts_zero_padding():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from corrfact.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from corrfact.linalg import gram
+from corrfact.linalg import DEFAULT_TOL, gram
 
 from conftest import CHSH, CHSH_COLS, CHSH_ROWS, E3, S
 
@@ -245,3 +247,42 @@ def test_random_correlation_is_member(rng):
         n = int(rng.integers(1, 8))
         dim = int(rng.integers(1, 5))
         assert check_membership(random_correlation(n, dim, rng))
+
+
+def _lifted_lex(r, eps):
+    """gen_extreme_lex(r) with its Gram vectors tilted by eps into one extra dimension.
+
+    The rows stay unit vectors, so the result is a correlation matrix of rank
+    r + 1 whose extra singular value grows like eps^2.
+    """
+    vectors = gen_extreme_lex(r)[1]
+    lifted = np.hstack([vectors, eps * np.linspace(1.0, 2.0, len(vectors))[:, None]])
+    lifted /= np.linalg.norm(lifted, axis=1, keepdims=True)
+    return gram(lifted)
+
+
+@pytest.mark.parametrize("r", [3, 4, 6])
+def test_rank_decision_flips_at_rank_tol(r):
+    cutoff = DEFAULT_TOL.rank_tol
+    below, above = _lifted_lex(r, 3e-5), _lifted_lex(r, 1e-4)
+    s_below = np.linalg.svd(below, compute_uv=False)
+    s_above = np.linalg.svd(above, compute_uv=False)
+    # the extra singular value sits a few times under, then over, the relative cutoff
+    assert s_below[r] < cutoff * s_below[0] / 3
+    assert s_above[r] > cutoff * s_above[0] * 1.5
+
+    exact, near, over = check_extreme(gen_extreme_lex(r)[0]), check_extreme(below), check_extreme(above)
+    n = r * (r + 1) // 2
+    assert (near.rank, near.hadamard_rank, near.required_rank, near.is_extreme) == (r, n, n, True)
+    assert (over.rank, over.hadamard_rank, over.is_extreme) == (r + 1, n, False)
+    assert over.required_rank == (r + 1) * (r + 2) // 2
+
+    # Below the cutoff the dropped singular value is the lifted one, so the
+    # gap falls from roundoff level to a visible near miss.
+    assert exact.sv_gap > 1e14
+    assert near.sv_gap < 1e-3 * exact.sv_gap
+    assert s_below[r - 1] / near.sv_gap == pytest.approx(s_below[r], rel=1e-6)
+    # Over the cutoff the lifted value is kept: the last kept one is above the cutoff.
+    assert s_above[over.rank - 1] > cutoff * s_above[0]
+    # E o E stays full rank on both sides; the flip is in the required rank.
+    assert near.hadamard_sv_gap == over.hadamard_sv_gap == math.inf

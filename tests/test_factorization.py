@@ -197,3 +197,13 @@ def test_orthonormalize_trivial_block():
 def test_orthonormalize_rejects_singular_block():
     with pytest.raises(SingularMatrixError):
         orthonormalize_generators(np.ones((2, 2)), [PAULI_X, PAULI_Y])
+
+
+@pytest.mark.parametrize("mode", ["i", "i-prime"])
+def test_verify_rejects_a_weight_of_another_size(mode):
+    mf = to_form_c(factorize_clifford(E3))
+    bad = MatrixFactorization(mf.x_mats, mf.y_mats, np.eye(3) / np.sqrt(3.0))
+    with pytest.raises(ShapeError, match=r"X family must form a \(k, 3, 3\) stack"):
+        verify_factorization(E3, bad, mode=mode)
+    with pytest.raises(ShapeError):
+        recover_correlation(bad)

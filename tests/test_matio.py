@@ -286,3 +286,22 @@ def test_entries_may_be_listed_in_any_order_under_any_file_name(tmp_path):
 
     _edit_manifest(directory, edit)
     _assert_same_bits(matio.load_tensor_rep(directory), oracles.load_tensor_rep(directory))
+
+
+def test_read_errors_start_with_the_path(tmp_path):
+    path = tmp_path / "E.json"
+    matio.write_matrix(path, np.eye(2))
+    path.write_text(path.read_text()[:30])
+    with pytest.raises(MatrixFormatError, match=re.escape(f"{path}: malformed JSON at line 1, column ")):
+        matio.read_matrix(path)
+    path.write_bytes(b"\xff")
+    with pytest.raises(MatrixFormatError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
+        matio.read_matrix(path)
+    path.write_text('{"rows": 1, "cols": 1, "complex": false, "data": [null]}')
+    with pytest.raises(MatrixFormatError, match=re.escape(f"{path}: data[0] must be a number, got None")):
+        matio.read_matrix(path)
+    directory = tmp_path / "gens"
+    matio.save_generators(directory, gamma_generators(3).generators, 3)
+    (directory / matio.MANIFEST_NAME).write_text("{")
+    with pytest.raises(MatrixFormatError, match=re.escape(f"{directory / matio.MANIFEST_NAME}: malformed JSON")):
+        matio.load_generators(directory)

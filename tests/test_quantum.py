@@ -9,9 +9,10 @@ from corrfact.errors import (
     InvariantViolationError,
     NonUnitVectorError,
     NotRankOneError,
+    ShapeError,
 )
 from corrfact.factorization import verify_factorization
-from corrfact.linalg import kron, vec_inv
+from corrfact.linalg import vec_inv
 from corrfact.quantum import (
     TensorProductRep,
     build_tensor_rep,
@@ -19,7 +20,6 @@ from corrfact.quantum import (
     eval_correlations,
     maximally_entangled,
     reduce_rank_one_rep,
-    schmidt_state,
     to_matrix_factorization,
 )
 
@@ -56,13 +56,13 @@ def test_maximally_entangled_two():
 def test_maximally_entangled_cross_identity(rng):
     # psi^* (A kron B) psi = Tr(A B^T) / d
     psi = maximally_entangled(2)
-    got = psi.conj() @ kron(PAULI_X, PAULI_X) @ psi
+    got = psi.conj() @ np.kron(PAULI_X, PAULI_X) @ psi
     assert got == pytest.approx(np.trace(PAULI_X @ PAULI_X.T).real / 2)
     for _ in range(20):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         psi3 = maximally_entangled(3)
-        lhs = psi3.conj() @ kron(a, b) @ psi3
+        lhs = psi3.conj() @ np.kron(a, b) @ psi3
         assert abs(lhs - np.trace(a @ b.T) / 3) < 1e-12
 
 
@@ -71,6 +71,17 @@ def test_build_tensor_rep_chsh():
     assert rep.local_dim == 2
     got = eval_correlations(rep)
     assert np.max(np.abs(got - CHSH)) < 1e-12
+
+
+def test_rep_coerces_observable_stacks():
+    rep = TensorProductRep([PAULI_X], [], psi=maximally_entangled(2))
+    assert rep.bob_obs.shape == (0, 2, 2) and rep.bob_obs.dtype == complex
+    with pytest.raises(ShapeError, match="Bob's observables"):
+        TensorProductRep([PAULI_X], np.zeros((1, 3, 3)), psi=maximally_entangled(2))
+    with pytest.raises(ShapeError, match="Alice's observables"):
+        TensorProductRep([[[1.0, 0.0], [0.0]]], [PAULI_X], psi=maximally_entangled(2))
+    with pytest.raises(ShapeError, match="Alice's observables"):
+        TensorProductRep(np.zeros((1, 2, 3)), [PAULI_X], psi=maximally_entangled(2))
 
 
 def test_build_tensor_rep_trivial_cases():
@@ -171,10 +182,11 @@ def test_reduce_accepts_rank_one_density():
 
 
 def test_schmidt_state_profile():
+    """The Schmidt profile of a rank-one state is the diagonal of the reduced state."""
     rep = build_tensor_rep(CHSH, CSystem(CHSH_ROWS, CHSH_COLS))
-    profile = schmidt_state(rep)
-    assert profile.local_dim == 2
-    assert_allclose(profile.coefficients, [S, S], atol=1e-14)
+    reduced = reduce_rank_one_rep(rep)
+    assert reduced.local_dim == 2
+    assert_allclose(np.diag(vec_inv(reduced.psi)), [S, S], atol=1e-14)
 
 
 def test_check_observable_literals():
