@@ -231,7 +231,7 @@ def _cmd_quantum_rep(args, tol: ToleranceConfig) -> int:
 def _cmd_quantum_eval(args, tol: ToleranceConfig) -> int:
     rep = matio.load_tensor_rep(args.directory)
     block = quantum.eval_correlations(rep, tol)
-    print(json.dumps(matio.matrix_to_obj(block), allow_nan=False))
+    print(matio.matrix_text(block))
     return EXIT_PASS
 
 

@@ -5,7 +5,9 @@ A matrix file is ``{"rows": R, "cols": C, "complex": BOOL, "data": [...]}``
 with row-major data; real entries are plain numbers, complex entries are
 ``[re, im]`` pairs.  Numbers are serialized in shortest round-trip decimal
 form, so a write/read cycle reproduces entries bit-exactly.  Non-finite
-numbers are rejected on both sides.
+numbers are rejected on both sides.  Files are written in one canonical
+layout (``matrix_text``, the text of ``json.dumps``); a file in that layout
+is read without the generic JSON parse, and any other valid JSON still reads.
 
 A factorization directory (a bundle) holds one matrix file per matrix plus a
 ``manifest.json`` declaring each file's role, so verifiers never infer roles
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -37,7 +40,19 @@ MANIFEST_NAME = "manifest.json"
 BLOCK_ORDER_NOTE = "row of pair (i, a) is 2*(i-1) + (0 if a == +1 else 1), 1-based i"
 
 
-def matrix_to_obj(m) -> dict:
+def _words(values: list, is_complex: bool) -> list[str]:
+    """The text of each value as an entry of ``data``: ``repr`` of a real, ``re, im`` of a complex."""
+    return [f"{z.real!r}, {z.imag!r}" for z in values] if is_complex else list(map(repr, values))
+
+
+def matrix_text(m) -> str:
+    """The canonical text of a matrix file, without the final newline.
+
+    It equals ``json.dumps`` of the matrix object, but each distinct entry is
+    formatted once: entries are grouped by bit pattern (an int64 view of a
+    real, a 16-byte key of a complex, so -0.0 and 0.0 stay apart) and
+    ``data`` is one fancy index into the distinct words and one join.
+    """
     a = np.asarray(m)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
@@ -47,8 +62,57 @@ def matrix_to_obj(m) -> dict:
         raise MatrixFormatError("matrix contains non-finite entries")
     is_complex = bool(np.iscomplexobj(a))
     flat = np.asarray(a, dtype=complex if is_complex else float).ravel()
-    data = flat.view(float).reshape(-1, 2).tolist() if is_complex else flat.tolist()
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "complex": is_complex, "data": data}
+    keys, inverse = np.unique(flat.view(np.dtype((np.void, 16)) if is_complex else np.int64), return_inverse=True)
+    words = _words(keys.view(flat.dtype).tolist(), is_complex)
+    chosen = np.array(words, dtype=object)[inverse].tolist()
+    data = f"[{'], ['.join(chosen)}]" if is_complex and chosen else ", ".join(chosen)
+    flag = "true" if is_complex else "false"
+    return f'{{"rows": {a.shape[0]}, "cols": {a.shape[1]}, "complex": {flag}, "data": [{data}]}}'
+
+
+# sizes as JSON writes them (no leading zero), and short enough that int() cannot fail
+_HEADER = re.compile(r'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "complex": (true|false), "data": \[')
+
+
+def _canonical_matrix(text: str) -> np.ndarray | None:
+    """The matrix of a file that ``write_matrix`` could have written, else None.
+
+    ``data`` is split into its entry words and each distinct word is parsed
+    once.  The result is kept only if each distinct word is the writer's
+    word for its finite value, that is if re-encoding the result gives the
+    text back; the JSON parse then returns the same bits.  Checking a word
+    costs about three JSON parses of it, so data in which more than one word
+    in eight is distinct (dense data) also gives None; for most dense files
+    the first 4 KiB of ``data`` decide that without splitting the rest.
+    """
+    head = _HEADER.match(text)
+    if head is None or not text.endswith("]}\n"):
+        return None
+    rows, cols, is_complex = int(head[1]), int(head[2]), head[3] == "true"
+    body, sep = text[head.end() : -3], ", "
+    if is_complex:
+        if not (body.startswith("[") and body.endswith("]")):
+            return None
+        body, sep = body[1:-1], "], ["
+    prefix = body[:4096].split(sep)
+    if 8 * len(set(prefix)) > len(prefix):
+        return None
+    words = body.split(sep)
+    distinct = list(set(words))
+    if len(words) != rows * cols or 8 * len(distinct) > len(words):
+        return None
+    try:
+        if is_complex:
+            pairs = [word.partition(", ") for word in distinct]
+            values = np.array([(float(re_), float(im)) for re_, _, im in pairs]).view(complex).ravel()
+        else:
+            values = np.array(list(map(float, distinct)))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or _words(values.tolist(), is_complex) != distinct:
+        return None
+    index = dict(zip(distinct, range(len(distinct))))
+    return values[np.fromiter(map(index.__getitem__, words), np.intp, len(words))].reshape(rows, cols)
 
 
 def _check_entries(data: list, is_complex: bool) -> None:
@@ -99,7 +163,7 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def write_matrix(path, m) -> None:
-    Path(path).write_text(json.dumps(matrix_to_obj(m), allow_nan=False) + "\n", encoding="utf-8")
+    Path(path).write_text(matrix_text(m) + "\n", encoding="utf-8")
 
 
 def _read_json(path, parse):
@@ -113,7 +177,13 @@ def _read_json(path, parse):
 
 
 def read_matrix(path) -> np.ndarray:
-    return _read_json(path, matrix_from_obj)
+    """A canonical file is read by ``_canonical_matrix``; any other file goes through
+    the JSON parse, which alone accepts other layouts and words the errors."""
+    try:
+        out = _canonical_matrix(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        out = None
+    return _read_json(path, matrix_from_obj) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -276,6 +346,10 @@ def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
         if family and odd:
             shapes = sorted({m.shape for m in mats})
             raise MatrixFormatError(f"{directory / odd[0]}: {role.names[0]} matrices must be square and of one shape, got {shapes}")
+        column = name == "state_vector"  # the one single-matrix role that is not square
+        if not family and mats[0].shape[1] != (1 if column else mats[0].shape[0]):
+            what = "a single column" if column else "square"
+            raise MatrixFormatError(f"{directory / files[0]}: {name} matrix must be {what}, got shape {mats[0].shape}")
         out[name] = np.stack(mats).reshape(family + mats[0].shape) if mats else np.zeros((0, 0, 0))
     for role in BUNDLES[kind][1]:
         if role.like and not len(out[role.names[0]]):

@@ -197,8 +197,8 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
         raise NotRankOneError("state vector is numerically zero")
     left_iso = sd.left_vectors.conj()
     right_iso = sd.right_vectors.conj()
-    alice = np.stack([left_iso @ m @ left_iso.conj().T for m in rep.alice_obs])
-    bob = np.stack([right_iso @ nmat @ right_iso.conj().T for nmat in rep.bob_obs])
+    alice = left_iso @ rep.alice_obs @ left_iso.conj().T
+    bob = right_iso @ rep.bob_obs @ right_iso.conj().T
     psi = np.diag(sd.coefficients.astype(complex)).reshape(-1)
     return TensorProductRep(alice, bob, psi=psi)
 

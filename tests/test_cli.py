@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from corrfact import matio
+from corrfact.clifford import PAULI_X
 from corrfact.cli import run
 from corrfact.errors import MatrixFormatError
+from corrfact.quantum import TensorProductRep, maximally_entangled
 
 from conftest import CHSH, CHSH_COLS, CHSH_ROWS, E3
 
@@ -46,7 +48,7 @@ def test_matrix_io_rejects_malformed():
     with pytest.raises(MatrixFormatError):
         matio.matrix_from_obj({"rows": 1, "cols": 1, "complex": True, "data": [1.0]})
     with pytest.raises(MatrixFormatError):
-        matio.matrix_to_obj(np.array([[np.inf]]))
+        matio.matrix_text(np.array([[np.inf]]))
 
 
 def test_gen_extreme_then_check_extreme(tmp_path, capsys):
@@ -194,6 +196,13 @@ def test_quantum_pipeline(tmp_path, capsys):
     assert_allclose(block2, CHSH, atol=1e-10)
 
 
+def test_quantum_reduce_keeps_an_empty_bob_family(tmp_path):
+    rdir, out = tmp_path / "rep", tmp_path / "reduced"
+    matio.save_tensor_rep(rdir, TensorProductRep([PAULI_X], [], psi=maximally_entangled(2)))
+    assert run(["--quiet", "quantum", "reduce", str(rdir), "-o", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["n_bob"] == 0
+
+
 def test_unknown_command_exits_two(capsys):
     assert run(["bogus"]) == 2
 
@@ -296,6 +305,28 @@ def _cpsd_factor_of_wrong_shape(tmp_path):
     return ["cpsd", "verify", pc, str(factors)], factors / "factor_02_m.json"
 
 
+def _weight_not_square(tmp_path):
+    argv, _ = _form_c_bundle(tmp_path)
+    matio.write_matrix(tmp_path / "fact" / "k.json", np.ones((2, 3)))
+    return argv, tmp_path / "fact" / "k.json"
+
+
+def _tensor_rep_with_state(tmp_path, state, stored):
+    """A d=2 representation bundle whose state file is replaced by ``stored``; returns the eval argv and that file."""
+    rdir = tmp_path / "rep"
+    matio.save_tensor_rep(rdir, TensorProductRep([PAULI_X], [PAULI_X], **state))
+    matio.write_matrix(rdir / "state.json", stored)
+    return ["quantum", "eval", str(rdir)], rdir / "state.json"
+
+
+def _density_not_square(tmp_path):
+    return _tensor_rep_with_state(tmp_path, {"rho": np.eye(4) / 4}, np.ones((4, 3)) / 4)
+
+
+def _state_not_a_column(tmp_path):
+    return _tensor_rep_with_state(tmp_path, {"psi": maximally_entangled(2)}, np.eye(2) / np.sqrt(2))
+
+
 @pytest.mark.parametrize(
     "make_input",
     [
@@ -307,6 +338,9 @@ def _cpsd_factor_of_wrong_shape(tmp_path):
         _entry_file_not_string,
         _member_of_wrong_shape,
         _cpsd_factor_of_wrong_shape,
+        _weight_not_square,
+        _density_not_square,
+        _state_not_a_column,
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, make_input):

@@ -3,6 +3,9 @@ five hand-written save/load pairs it replaced (kept in ``oracles.py``).
 
 Files must be byte-identical to the oracle's, loads must return the same
 dtype and bits, and every message naming a bad ``data[idx]`` is unchanged.
+Canonical files with repeated entries are read without the JSON parse, any
+other valid JSON reads like the oracle, and a file JSON rejects fails with the
+oracle's message.
 """
 
 import json
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from corrfact import matio
+from corrfact.cli import run
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization
 from corrfact.clifford import gamma_generators
 from corrfact.elliptope import CSystem, gen_extreme_lex, gram_factors
@@ -94,6 +98,21 @@ def test_bundle_files_and_loads_match_oracle(tmp_path, name, kind, obj, extra):
     _assert_same_bits(getattr(matio, load)(tmp_path / "old"), getattr(oracles, load)(tmp_path / "old"))
 
 
+# Few distinct entries, as in generator-built factors: these files take the canonical read.
+EXTREMES = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
+REPEATED = {
+    "repeated_psd_factor": build_cpsd_factorization(gen_extreme_lex(8)[0]).mats[3, 1],
+    "repeated_signed_zeros": np.resize([0.0, -0.0, 0.0, 1.0], (16, 16)),
+    "repeated_extremes": np.resize(EXTREMES, (16, 16)),
+    "repeated_integers": np.resize([-1, 0, 0, 2], (16, 16)),
+    "repeated_float32": np.resize(np.float32([0.1, 0.0, -2.5]), (16, 16)),
+    "repeated_complex64": np.resize(np.complex64([0.1 + 1j, 0.0, -1j]), (16, 16)),
+    "repeated_same_real_parts": np.resize([1 + 0j, 1 + 1j, 1 - 1j, complex(1, -0.0), complex(-0.0, 1)], (16, 16)),
+    "repeated_one_d": np.resize([0.0, 1.0, -0.5], 64),
+    "repeated_strided": np.resize([0.0, 0.5, -0.0, 1 - 1j], (48, 48))[::2, 1::3],
+}
+
+
 def _matrices():
     rng = np.random.default_rng(5)
     scaled = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-300, 300, size=(4, 3))
@@ -114,6 +133,8 @@ def _matrices():
         "fortran_order": np.asfortranarray(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))),
         "strided": rng.standard_normal((6, 6))[::2, 1::2],
         "empty_rows": np.zeros((0, 3)),
+        "empty_rows_complex": np.zeros((0, 3), dtype=complex),
+        **REPEATED,
     }
 
 
@@ -130,6 +151,81 @@ def test_matrix_files_and_reads_match_oracle(tmp_path, name):
     if obj["rows"] * obj["cols"] == 0:
         return  # neither side reads an empty matrix back
     _assert_same_bits(matio.read_matrix(tmp_path / "old.json"), oracles.read_matrix(tmp_path / "old.json"))
+
+
+@pytest.mark.parametrize("name", list(REPEATED))
+def test_canonical_files_are_read_without_the_json_parse(tmp_path, monkeypatch, name):
+    path = tmp_path / "m.json"
+    oracles.write_matrix(path, REPEATED[name])
+    want = oracles.read_matrix(path)
+
+    def no_json(path, parse):
+        raise AssertionError(f"{path} went through the JSON parse")
+
+    monkeypatch.setattr(matio, "_read_json", no_json)
+    _assert_same_bits(matio.read_matrix(path), want)
+
+
+# Canonical texts with known first entries: 100.0 then 2.0 (real), [100.0, 2.0] then [0.0, 0.0] (complex).
+REAL_TEXT = matio.matrix_text(np.resize([100.0, 2.0, -0.0, 0.0], (16, 16))) + "\n"
+COMPLEX_TEXT = matio.matrix_text(np.resize([100 + 2j, 0j, complex(-0.0, -1.0)], (16, 16))) + "\n"
+
+
+def _reordered(text):
+    obj = json.loads(text)
+    return json.dumps({key: obj[key] for key in ("data", "complex", "cols", "rows")}) + "\n"
+
+
+VALID_VARIANTS = {
+    "pretty": lambda text: json.dumps(json.loads(text), indent=2) + "\n",
+    "reordered_keys": _reordered,
+    "exponent": lambda text: text.replace("100.0", "1E+2", 1),
+    "integers": lambda text: text.replace("2.0", "2"),
+    "trailing_whitespace": lambda text: text[:-1] + "  \n\t\n",
+    "no_final_newline": lambda text: text[:-1],
+}
+
+
+@pytest.mark.parametrize("text", [REAL_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
+@pytest.mark.parametrize("variant", list(VALID_VARIANTS))
+def test_other_valid_json_reads_like_oracle(tmp_path, text, variant):
+    assert matio._canonical_matrix(text) is not None
+    path = tmp_path / "m.json"
+    path.write_text(VALID_VARIANTS[variant](text))
+    assert path.read_text() != text
+    _assert_same_bits(matio.read_matrix(path), oracles.read_matrix(path))
+
+
+BAD_FILES = {word: REAL_TEXT.replace("2.0", word, 1) for word in (".5", "01", "+1", "1.", "NaN", "Infinity", "nan", "-inf", "1_0", "0x10")}
+BAD_FILES["trailing_comma"] = REAL_TEXT.replace("]}", ", ]}")
+BAD_FILES["rows_too_many"] = REAL_TEXT.replace('"rows": 16', '"rows": 17', 1)
+BAD_FILES["rows_leading_zero"] = REAL_TEXT.replace('"rows": 16', '"rows": 016', 1)
+BAD_FILES["bracket_for_brace"] = REAL_TEXT[:-3] + "]]\n"
+BAD_FILES["parenthesis_for_bracket"] = COMPLEX_TEXT.replace('"data": [[', '"data": [(', 1)
+BAD_FILES["mis_paired"] = COMPLEX_TEXT.replace("[100.0, 2.0], [0.0, 0.0]", "[100.0, 2.0, 0.0], [0.0]", 1)
+BAD_FILES["mis_paired_integers"] = COMPLEX_TEXT.replace("[100.0, 2.0], [0.0, 0.0]", "[1, 2, 3], [4]", 1)
+
+
+def _oracle_message(path):
+    """The message the JSON-only reader gives for a file that fails to read."""
+    try:
+        oracles.read_matrix(path)
+    except json.JSONDecodeError as exc:
+        return f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    except MatrixFormatError as exc:
+        return str(exc)
+    raise AssertionError(f"the oracle read {path}")
+
+
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_files_json_rejects_still_exit_two(tmp_path, capsys, name):
+    text = BAD_FILES[name]
+    assert text not in (REAL_TEXT, COMPLEX_TEXT)
+    assert matio._canonical_matrix(text) is None
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["elliptope", "check-extreme", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {_oracle_message(path)}\n"
 
 
 def test_reader_accepts_integers_and_bit_exact_floats_like_oracle():
