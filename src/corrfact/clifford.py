@@ -13,8 +13,9 @@ certificate layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .linalg import (
     ToleranceConfig,
     anticommutator_deviations,
     as_stack,
+    chunks,
     hermitian_deviations,
     require_hermitian,
     square_deviations,
@@ -82,6 +84,73 @@ def gamma_generators(r: int) -> CliffordRep:
     if r % 2:
         gens.append(_chain(*([PAULI_Z] * ell)))
     return CliffordRep(r, rep_dim(r), np.stack(gens))
+
+
+@lru_cache(maxsize=None)
+def _pauli_tables(ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where I and the 2L+1 chains of gamma_generators(2L+1) are nonzero, and their entries there.
+
+    Returns the flat indices a*d + b (d = 2^L, ascending) at which some chain
+    is nonzero and a (2L+2, len) table of each chain's entries at them, the
+    identity first.  Each chain is monomial and chains of one slot share
+    their positions, so there are (L+1) d indices.  Read-only: the cache
+    hands the same arrays to every caller.
+    """
+    d = 2**ell
+    basis = np.concatenate([np.eye(d, dtype=complex)[None], gamma_generators(2 * ell + 1).generators])
+    basis = basis.reshape(2 * ell + 2, d * d)
+    pos = np.flatnonzero(np.any(basis, axis=0))
+    table = basis[:, pos]
+    pos.setflags(write=False)
+    table.setflags(write=False)
+    return pos, table
+
+
+def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Pauli coordinates of each matrix of a (k, d, d) stack, and how far the matrix lies from them.
+
+    For d = 2^L >= 2, with G_1..G_{2L+1} the chains of gamma_generators(2L+1),
+    returns three arrays over the stack:
+
+    - c, shape (k, 2L+2): the real parts of c_0 = Tr(M)/d and
+      c_j = Tr(G_j M)/d, each a gather of d entries;
+    - delta: ||M - M'||_F, where M' = c_0 I + sum_j c_j G_j is rebuilt from
+      the real parts, so imaginary parts count towards delta;
+    - resid: max|M - M'|.
+
+    I and the G_j are orthogonal with Tr(G_j G_l) = d delta_jl and
+    G(c)^2 = ||c||^2 I, so M' has the eigenvalues c_0 +- ||c|| and
+    Tr(M'_p M'_q) = d c_p . c_q.  The residual pass works a chunk of the
+    stack at a time.  Returns None when d is not a power of two >= 2.
+    """
+    k, d = stack.shape[0], stack.shape[-1]
+    ell = d.bit_length() - 1
+    if d < 2 or d != 1 << ell:
+        return None
+    pos, table = _pauli_tables(ell)
+    flat = stack.reshape(k, d * d)
+    coords = np.empty((k, table.shape[0]))
+    delta, resid = np.empty(k), np.empty(k)
+    for part in chunks(k, d * d * 16):
+        block = np.array(flat[part], dtype=complex)
+        coords[part] = (block[:, pos] @ table.conj().T).real / d
+        block[:, pos] -= coords[part] @ table
+        mags = np.abs(block)
+        delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        resid[part] = np.max(mags, axis=1, initial=0.0)
+    return coords, delta, resid
+
+
+def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix Tr(M'_p M'_q) = d c_p . c_q of the rebuilt matrices, and how far the
+    Gram matrix Tr(M_p M_q^*) of the matrices themselves may lie from it, entrywise.
+
+    With M = M' + R and ||R||_F = delta, |Tr(M_p M_q^*) - Tr(M'_p M'_q)| is at
+    most delta_p ||M_q||_F + ||M'_p||_F delta_q, and ||M_q||_F is at most
+    ||M'_q||_F + delta_q.
+    """
+    norms = math.sqrt(d) * np.linalg.norm(coords, axis=1)
+    return d * (coords @ coords.T), np.outer(delta, norms + delta) + np.outer(norms, delta)
 
 
 def gamma_of_vector(rep: CliffordRep, x) -> np.ndarray:

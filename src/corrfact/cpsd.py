@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows, irreducible_dim, rep_dim
+from .clifford import gamma_generators, gamma_of_rows, irreducible_dim, pauli_coordinates, pauli_gram, rep_dim
 from .elliptope import check_extreme, require_correlation, resolve_gram_factors
 from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
@@ -140,6 +140,39 @@ def _outcome_sum_check(mats: np.ndarray, hermitize: bool) -> tuple[np.ndarray, f
     return mean_sum, max(float(np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0)) for p in parts)
 
 
+def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float]:
+    """Hermitian deviation, least eigenvalue and entry deviation of a (2n, d, d) factor stack, densely.
+
+    The entry check is max|F F^* - p| for F the vectorized factors, one GEMM
+    (linalg.hs_gram); hermiticity and positivity are chunked passes
+    (linalg.hermitian_deviations, linalg.eigenvalue_bounds).
+    """
+    herm_dev = float(np.max(hermitian_deviations(stack), initial=0.0))
+    min_eig = float(np.min(eigenvalue_bounds(stack)[0], initial=math.inf))
+    entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
+    return herm_dev, min_eig, entry_dev
+
+
+def _pauli_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float] | None:
+    """Upper bounds on the Hermitian and entry deviations and a lower bound on the least
+    eigenvalue, from the Pauli coordinates of the factors (clifford.pauli_coordinates).
+
+    Each factor is M = M' + R with M' Hermitian, ||R||_F = delta and
+    max|R| = resid: max|M - M^*| <= 2 resid; by Weyl's inequality the least
+    eigenvalue of (M + M^*)/2 is at least c_0 - ||c|| - delta; entries are
+    bounded by clifford.pauli_gram.  None when d is not a power of two >= 2.
+    """
+    fit = pauli_coordinates(stack)
+    if fit is None:
+        return None
+    coords, delta, resid = fit
+    gram, slack = pauli_gram(coords, delta, stack.shape[-1])
+    herm_dev = 2.0 * float(np.max(resid, initial=0.0))
+    min_eig = float(np.min(coords[:, 0] - np.linalg.norm(coords[:, 1:], axis=1) - delta, initial=math.inf))
+    entry_dev = float(np.max(np.abs(gram - mat) + slack, initial=0.0))
+    return herm_dev, min_eig, entry_dev
+
+
 def verify_cpsd_factorization(
     p,
     f: CpsdFactorization,
@@ -151,12 +184,13 @@ def verify_cpsd_factorization(
     p[(i,a),(j,b)] = Tr(P^i_a P^j_b), consistency of the per-index outcome
     sums, and the normalization Tr(K^2) = 1 of the common sum K.
 
-    With F = mats.reshape(2n, d*d) the vectorized factors in witness row
-    order, the entry check is max|F F^* - p|, one GEMM (linalg.hs_gram).
-    Hermiticity and positivity are chunked passes over the (2n, d, d) stack
-    (linalg.hermitian_deviations, linalg.eigenvalue_bounds), and the outcome
-    sums are compared a chunk at a time, so each temporary stays near
-    linalg.CHUNK_BYTES.
+    Hermiticity, positivity and the entries are first judged from bounds
+    taken in Pauli coordinates (_pauli_deviations), which hold for every
+    family and are tight for a generator-built one.  That report stands only
+    when every check passes; otherwise the dense checks (_dense_deviations)
+    decide, so a pass is a proof and a failure is the dense report.  The
+    outcome sums are compared a chunk at a time, so each temporary stays
+    near linalg.CHUNK_BYTES.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -165,26 +199,28 @@ def verify_cpsd_factorization(
 
     d = f.dim
     stack = f.mats.reshape(2 * n, d, d)
-    herm_dev = float(np.max(hermitian_deviations(stack), initial=0.0))
-    min_eig = float(np.min(eigenvalue_bounds(stack)[0], initial=math.inf))
-    entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
-
     mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=False)
     trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
 
-    checks = (
-        CheckResult("factors_hermitian", herm_dev <= tol.eq_tol, herm_dev),
-        CheckResult(
-            "factors_psd",
-            min_eig >= -tol.psd_tol,
-            max(0.0, -min_eig),
-            note=f"min eigenvalue {min_eig:.6g}",
-        ),
-        CheckResult("entry_reconstruction", entry_dev <= tol.eq_tol, float(entry_dev)),
-        CheckResult("outcome_sums_consistent", sum_dev <= tol.eq_tol, sum_dev),
-        CheckResult("sum_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
-    )
-    return VerificationReport(checks)
+    def report(herm_dev: float, min_eig: float, entry_dev: float) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult("factors_hermitian", herm_dev <= tol.eq_tol, herm_dev),
+                CheckResult(
+                    "factors_psd",
+                    min_eig >= -tol.psd_tol,
+                    max(0.0, -min_eig),
+                    note=f"min eigenvalue {min_eig:.6g}",
+                ),
+                CheckResult("entry_reconstruction", entry_dev <= tol.eq_tol, float(entry_dev)),
+                CheckResult("outcome_sums_consistent", sum_dev <= tol.eq_tol, sum_dev),
+                CheckResult("sum_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+            )
+        )
+
+    bounds = _pauli_deviations(stack, mat)
+    fast = None if bounds is None else report(*bounds)
+    return fast if fast is not None and fast.passed else report(*_dense_deviations(stack, mat))
 
 
 def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertificate:
@@ -220,7 +256,8 @@ def extract_matrix_factorization(
     weight, plus diagnostics: each X_i^2 is at most I, with equality exactly
     when the source correlation matrix forces unit factor norms (extreme
     sources do).  The restriction and conjugation are batched matmuls over
-    chunks of the factor stack.
+    chunks of the factor stack; when K is already diagonal the support basis
+    is a column selection of I and the restriction is a gather instead.
     """
     mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
     if sum_dev > tol.eq_tol:
@@ -228,30 +265,40 @@ def extract_matrix_factorization(
 
     diag = np.diag(mean_sum)
     if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
-        # already diagonal: keep the coordinate basis so support restriction
-        # literally strips padded rows and columns
-        w = diag.real.copy()
-        u = np.eye(mean_sum.shape[0], dtype=complex)
-        order = np.argsort(-w, kind="stable")
-        w = w[order]
-        u = u[:, order]
+        # already diagonal, so finite: keep the coordinate basis, where the
+        # support basis is a column selection of I and restriction a gather
+        # that literally strips padded rows and columns
+        order = np.argsort(-diag.real, kind="stable")
+        w = diag.real[order]
     else:
+        order = None
         w, u = sorted_eigh(mean_sum)
     if w.size == 0 or w[0] <= 0.0:
         raise ZeroSumError("common outcome sum is numerically zero")
     keep = w > tol.rank_tol * w[0]
     lam = w[keep]
-    basis = u[:, keep]
+    if order is None:
+        basis = u[:, keep]
+        bh = basis.conj().T
+
+        def restrict(m: np.ndarray) -> np.ndarray:
+            return bh @ m @ basis
+
+    else:
+        idx = order[keep]
+
+        def restrict(m: np.ndarray) -> np.ndarray:
+            return m[:, idx[:, None], idx]
+
     inv_sqrt = 1.0 / np.sqrt(lam)
     scaling = np.outer(inv_sqrt, inv_sqrt)
 
     n = f.n
     s = lam.size
-    bh = basis.conj().T
     x_mats = np.empty((n, s, s), dtype=complex)
     for part in chunks(n, f.mats[0:1, 0].nbytes):
-        x = bh @ f.mats[part, 0] @ basis * scaling
-        x -= bh @ f.mats[part, 1] @ basis * scaling
+        x = restrict(f.mats[part, 0]) * scaling
+        x -= restrict(f.mats[part, 1]) * scaling
         np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
         x_mats[part] /= 2.0
     inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))

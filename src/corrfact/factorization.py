@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows
+from .clifford import gamma_generators, gamma_of_rows, pauli_coordinates, pauli_gram
 from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
 from .errors import (
     InvariantViolationError,
@@ -113,21 +113,34 @@ def to_form_c(fb: FormBFactorization) -> MatrixFactorization:
     return MatrixFactorization(fb.a_mats * scale, fb.b_mats * scale, k)
 
 
+def _weigh(k: np.ndarray, mats: np.ndarray, right: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """K M (M K with `right`) for each M of a (m, d, d) stack.
+
+    A square diagonal K scales the rows (columns) of each M, which gives the
+    entries of the matmul for finite M; any other K is multiplied in.
+    """
+    diag = np.diag(k)
+    if k.shape[0] == k.shape[1] and np.count_nonzero(k) == np.count_nonzero(diag):
+        return np.multiply(mats, diag if right else diag[:, None], out=out)
+    return np.matmul(mats, k, out=out) if right else np.matmul(k, mats, out=out)
+
+
 def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Correlation matrix realized by a factorization.
 
     Each K X_i (and Y_j K) is vectorized and split into real and imaginary
     parts, giving real unit vectors whose Gram matrix is returned.  The
-    family is formed by two batched matmuls into one stack, whose complex
-    rows viewed as interleaved real vectors go through one real GEMM.
+    family is formed by two batched matmuls (row or column scalings when K
+    is diagonal) into one stack, whose complex rows viewed as interleaved
+    real vectors go through one real GEMM.
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
     x, y = as_stack(mf.x_mats, "X family", d), as_stack(mf.y_mats, "Y family", d)
     n = x.shape[0]
     family = np.empty((n + y.shape[0], d, d), dtype=complex)
-    np.matmul(k, x, out=family[:n])
-    np.matmul(y, k, out=family[n:])
+    _weigh(k, x, out=family[:n])
+    _weigh(k, y, right=True, out=family[n:])
     g = gram(family.reshape(family.shape[0], d * d).view(float))
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > tol.eq_tol:
@@ -152,6 +165,29 @@ def _hs_gram_deviation(first: np.ndarray, second: np.ndarray, e: np.ndarray) -> 
     return max(float(np.max(np.abs(b), initial=0.0)) for b in blocks)
 
 
+def _pauli_deviations(
+    first: np.ndarray, second: np.ndarray, e: np.ndarray, weight: float, square: float
+) -> tuple[float, float] | None:
+    """Upper bounds on the Gram deviation of (w F_p) against e over p <= q, F being
+    `first` then `second`, and on max|F_p^2 - square I|, from Pauli coordinates.
+
+    With M = M' + R, M' = c_0 I + G(c) and ||R||_F = delta, M'^2 is
+    (c_0^2 + ||c||^2) I + 2 c_0 G(c) and ||M'||_2 = |c_0| + ||c||, so
+    max|M^2 - s I| <= |c_0^2 + ||c||^2 - s| + 2|c_0| ||c|| + 2 ||M'||_2 delta + delta^2.
+    The Gram bound is clifford.pauli_gram scaled by w^2.  None when d is not
+    a power of two >= 2.
+    """
+    fits = [pauli_coordinates(f) for f in (first, second)]
+    if None in fits:
+        return None
+    coords, delta, _ = (np.concatenate(parts) for parts in zip(*fits))
+    gram, slack = pauli_gram(coords, delta, first.shape[-1])
+    gram_dev = float(np.max(np.triu(np.abs(weight**2 * gram - e) + weight**2 * slack), initial=0.0))
+    c0, radius = np.abs(coords[:, 0]), np.linalg.norm(coords[:, 1:], axis=1)
+    sq = np.abs(c0**2 + radius**2 - square) + 2.0 * c0 * radius + 2.0 * (c0 + radius) * delta + delta**2
+    return gram_dev, float(np.max(sq, initial=0.0))
+
+
 def verify_factorization(
     e,
     fact,
@@ -165,58 +201,69 @@ def verify_factorization(
     factorization (families A_i, B_j with A_i^2 = I/d).  Involution and
     weight conditions are verified alongside the Gram reconstruction.
 
-    The Gram family is formed by batched matmuls (K X, Y K or K Y over the
-    stacks) and compared with e over p <= q through one GEMM per block of
-    the vectorized stacks; the involution checks square each stack in
-    chunked batched products.
+    The Gram and involution checks are first judged from bounds taken in
+    Pauli coordinates (_pauli_deviations), when K is a multiple w I of the
+    identity (always in mode "b-form", with w = 1).  That report stands only
+    when every check passes; otherwise the dense checks decide, so a pass is
+    a proof and a failure is the dense report.  Densely, the Gram family is
+    formed by batched matmuls (K X, Y K or K Y over the stacks; row or
+    column scalings for a diagonal K) and compared with e over p <= q
+    through one GEMM per block of the vectorized stacks; the involution
+    checks square each stack in chunked batched products.
     """
     a = _require_symmetric(e, tol, "target")
     if mode not in ("i", "i-prime", "b-form"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "b-form":
-        if not isinstance(fact, FormBFactorization):
-            raise ShapeError("mode 'b-form' verifies a form-b factorization")
-        n, m = fact.sizes
-        if a.shape[0] != n + m:
-            raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
-        d = fact.dim
-        a_mats, b_mats = as_stack(fact.a_mats, "A family", d), as_stack(fact.b_mats, "B family", d)
-        gram_dev = _hs_gram_deviation(a_mats, b_mats, a)
-        inv_dev = max(float(np.max(square_deviations(f, 1.0 / d), initial=0.0)) for f in (a_mats, b_mats))
-        checks = (
-            CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
-            CheckResult("scaled_involutions", inv_dev <= tol.eq_tol, inv_dev),
-        )
-        return VerificationReport(checks)
-
-    if not isinstance(fact, MatrixFactorization):
+    if mode == "b-form" and not isinstance(fact, FormBFactorization):
+        raise ShapeError("mode 'b-form' verifies a form-b factorization")
+    if mode != "b-form" and not isinstance(fact, MatrixFactorization):
         raise ShapeError(f"mode {mode!r} verifies a weighted factorization")
     n, m = fact.sizes
     if a.shape[0] != n + m:
         raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
-    k = as_matrix(fact.k)
-    x, y = as_stack(fact.x_mats, "X family", fact.dim), as_stack(fact.y_mats, "Y family", fact.dim)
-    gram_dev = _hs_gram_deviation(k @ x, y @ k if mode == "i" else k @ y, a)
+    if mode == "b-form":
+        d = fact.dim
+        first, second = as_stack(fact.a_mats, "A family", d), as_stack(fact.b_mats, "B family", d)
+        weight, square, inv_name, checks = 1.0, 1.0 / d, "scaled_involutions", ()
+    else:
+        k = as_matrix(fact.k)
+        first, second = as_stack(fact.x_mats, "X family", fact.dim), as_stack(fact.y_mats, "Y family", fact.dim)
+        scalar = k.size and np.array_equal(k, k[0, 0] * np.eye(k.shape[0]))
+        weight, square, inv_name = (abs(complex(k[0, 0])) if scalar else None), 1.0, "involutions"
+        herm_dev = float(hermitian_deviations(k[None])[0])
+        min_eig = float(eigenvalue_bounds(k[None])[0][0])
+        trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
+        checks = (
+            CheckResult("weight_hermitian", herm_dev <= tol.eq_tol, herm_dev),
+            CheckResult(
+                "weight_positive_definite",
+                min_eig > tol.psd_tol,
+                max(0.0, tol.psd_tol - min_eig),
+                note=f"min eigenvalue {min_eig:.6g}",
+                value=min_eig,
+            ),
+            CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+        )
 
-    inv_dev = max(float(np.max(square_deviations(f), initial=0.0)) for f in (x, y))
+    def report(gram_dev: float, inv_dev: float) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
+                CheckResult(inv_name, inv_dev <= tol.eq_tol, inv_dev),
+            )
+            + checks
+        )
 
-    herm_dev = float(hermitian_deviations(k[None])[0])
-    min_eig = float(eigenvalue_bounds(k[None])[0][0])
-    trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
-    checks = (
-        CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
-        CheckResult("involutions", inv_dev <= tol.eq_tol, inv_dev),
-        CheckResult("weight_hermitian", herm_dev <= tol.eq_tol, herm_dev),
-        CheckResult(
-            "weight_positive_definite",
-            min_eig > tol.psd_tol,
-            max(0.0, tol.psd_tol - min_eig),
-            note=f"min eigenvalue {min_eig:.6g}",
-            value=min_eig,
-        ),
-        CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
-    )
-    return VerificationReport(checks)
+    bounds = None if weight is None else _pauli_deviations(first, second, a, weight, square)
+    fast = None if bounds is None else report(*bounds)
+    if fast is not None and fast.passed:
+        return fast
+    if mode == "b-form":
+        gram_dev = _hs_gram_deviation(first, second, a)
+    else:
+        gram_dev = _hs_gram_deviation(_weigh(k, first), _weigh(k, second, right=mode == "i"), a)
+    inv_dev = max(float(np.max(square_deviations(f, square), initial=0.0)) for f in (first, second))
+    return report(gram_dev, inv_dev)
 
 
 def verify_clifford_identity(

@@ -245,13 +245,16 @@ class Role(NamedTuple):
     of one shape, indexed 1..count (a (count, d, d) stack); ``{o}`` pairs each
     index with outcome +1 (``p``) then -1 (``m``) (a (count, 2, d, d) stack).
     ``count`` is the manifest key of the family size (None: count the
-    entries); an empty family takes its matrix size from role ``like``.
+    entries); an empty family takes its matrix size from role ``like``.  A
+    single matrix has d**``power`` rows, d being the matrix size of the
+    bundle's first nonempty family.
     """
 
     names: tuple[str, ...]
     file: str
     count: str | None = None
     like: str | None = None
+    power: int = 1
 
 
 # kind -> (manifest keys after "kind", roles), both in file order
@@ -271,7 +274,7 @@ BUNDLES: dict[str, tuple[tuple[str, ...], tuple[Role, ...]]] = {
         (
             Role(("alice_obs",), "alice_obs_{i:02d}.json", "n_alice"),
             Role(("bob_obs",), "bob_obs_{i:02d}.json", "n_bob", "alice_obs"),
-            Role(("state_vector", "density"), "state.json"),
+            Role(("state_vector", "density"), "state.json", power=2),
         ),
     ),
 }
@@ -339,17 +342,23 @@ def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
     directory = Path(dirpath)
     if not (directory / MANIFEST_NAME).is_file():
         raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
-    out = {}
+    out, sized = {}, None
     for role, name, family, files in _read_json(directory / MANIFEST_NAME, lambda obj: _role_files(kind, obj)):
         mats = [read_matrix(directory / file) for file in files]
         odd = [file for file, m in zip(files, mats) if m.shape != mats[0].shape or m.shape[0] != m.shape[1]]
         if family and odd:
             shapes = sorted({m.shape for m in mats})
             raise MatrixFormatError(f"{directory / odd[0]}: {role.names[0]} matrices must be square and of one shape, got {shapes}")
-        column = name == "state_vector"  # the one single-matrix role that is not square
-        if not family and mats[0].shape[1] != (1 if column else mats[0].shape[0]):
-            what = "a single column" if column else "square"
-            raise MatrixFormatError(f"{directory / files[0]}: {name} matrix must be {what}, got shape {mats[0].shape}")
+        if family and mats and sized is None:
+            sized = name, mats[0].shape[0]
+        elif not family:
+            column = name == "state_vector"  # the one single-matrix role that is not square
+            rows = mats[0].shape[0] if sized is None else sized[1] ** role.power
+            if mats[0].shape != (rows, 1 if column else rows):
+                what = "a single column" if column else "square"
+                if sized is not None:
+                    what += f" of {rows} rows, as the {sized[0]} matrices are {sized[1]} x {sized[1]}"
+                raise MatrixFormatError(f"{directory / files[0]}: {name} matrix must be {what}, got shape {mats[0].shape}")
         out[name] = np.stack(mats).reshape(family + mats[0].shape) if mats else np.zeros((0, 0, 0))
     for role in BUNDLES[kind][1]:
         if role.like and not len(out[role.names[0]]):

@@ -9,8 +9,10 @@ section is the per-entry JSON codec and the five hand-written save/load
 pairs that ``matio.BUNDLES`` replaced; the files it writes are the format's
 reference bytes.  The contract section holds the inline Hermitian and
 eigenvalue checks, the stack coercions and the validators that the
-``linalg`` contract helpers replaced.  Tests compare the library against
-them; nothing in ``corrfact`` imports this module.
+``linalg`` contract helpers replaced.  The dense section holds the batched
+dense verifiers and extraction that the Pauli-coordinate fast path now
+precedes.  Tests compare the library against them; nothing in ``corrfact``
+imports this module.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from corrfact.clifford import gamma_generators, gamma_of_vector
-from corrfact.cpsd import CpsdFactorization
+from corrfact.cpsd import CpsdFactorization, _outcome_sum_check
 from corrfact.elliptope import gram_factors, require_correlation
 from corrfact.errors import (
     InconsistentSumsError,
@@ -39,9 +41,15 @@ from corrfact.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    as_stack,
+    chunks,
+    eigenvalue_bounds,
     gram,
+    hermitian_deviations,
+    hs_gram,
     hs_inner,
     sorted_eigh,
+    square_deviations,
     vec,
     vec_inv,
 )
@@ -700,3 +708,215 @@ def load_tensor_rep(dirpath) -> TensorProductRep:
     if vectors:
         return TensorProductRep(alice, bob, psi=vectors[0].reshape(-1))
     return TensorProductRep(alice, bob, rho=densities[0])
+
+
+# ------------------------------------------------------------ dense verifiers
+#
+# The dense verify_cpsd_factorization, verify_factorization and
+# extract_matrix_factorization that judged every family before the Pauli
+# coordinate bounds were added, verbatim but for their names, with the Gram helper they share: one GEMM of the
+# vectorized stacks, one batched eigensolve and the GEMM restriction.  The
+# library still falls back to this arithmetic; these copies pin it.
+
+
+def dense_verify_cpsd_factorization(
+    p,
+    f: CpsdFactorization,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> VerificationReport:
+    """Check a psd-factor family against a 2n x 2n witness entrywise.
+
+    Verifies hermiticity and positivity of every factor, the entry identity
+    p[(i,a),(j,b)] = Tr(P^i_a P^j_b), consistency of the per-index outcome
+    sums, and the normalization Tr(K^2) = 1 of the common sum K.
+
+    With F = mats.reshape(2n, d*d) the vectorized factors in witness row
+    order, the entry check is max|F F^* - p|, one GEMM (linalg.hs_gram).
+    Hermiticity and positivity are chunked passes over the (2n, d, d) stack
+    (linalg.hermitian_deviations, linalg.eigenvalue_bounds), and the outcome
+    sums are compared a chunk at a time, so each temporary stays near
+    linalg.CHUNK_BYTES.
+    """
+    mat = as_matrix(p, "witness")
+    n = f.n
+    if mat.shape != (2 * n, 2 * n):
+        raise ShapeError(f"witness shape {mat.shape} does not match family size {(2 * n, 2 * n)}")
+
+    d = f.dim
+    stack = f.mats.reshape(2 * n, d, d)
+    herm_dev = float(np.max(hermitian_deviations(stack), initial=0.0))
+    min_eig = float(np.min(eigenvalue_bounds(stack)[0], initial=math.inf))
+    entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
+
+    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=False)
+    trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
+
+    checks = (
+        CheckResult("factors_hermitian", herm_dev <= tol.eq_tol, herm_dev),
+        CheckResult(
+            "factors_psd",
+            min_eig >= -tol.psd_tol,
+            max(0.0, -min_eig),
+            note=f"min eigenvalue {min_eig:.6g}",
+        ),
+        CheckResult("entry_reconstruction", entry_dev <= tol.eq_tol, float(entry_dev)),
+        CheckResult("outcome_sums_consistent", sum_dev <= tol.eq_tol, sum_dev),
+        CheckResult("sum_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+    )
+    return VerificationReport(checks)
+
+
+def dense_extract_matrix_factorization(
+    f: CpsdFactorization,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[MatrixFactorization, VerificationReport]:
+    """Turn a psd-factor family into a weighted factorization of the doubled completion.
+
+    Procedure: form the common outcome sum K and check it is independent of
+    the row index; diagonalize K and restrict every factor to its support
+    (this is the size-optimality reduction, applied unconditionally); then
+    conjugate by K^{-1/2} and take signed differences
+    X_i = P~^i_{+1} - P~^i_{-1}.  Returns the X family used on both sides
+    (one array serves as X and as Y) together with the restricted diagonal
+    weight, plus diagnostics: each X_i^2 is at most I, with equality exactly
+    when the source correlation matrix forces unit factor norms (extreme
+    sources do).  The restriction and conjugation are batched matmuls over
+    chunks of the factor stack.
+    """
+    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
+    if sum_dev > tol.eq_tol:
+        raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
+
+    diag = np.diag(mean_sum)
+    if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
+        # already diagonal: keep the coordinate basis so support restriction
+        # literally strips padded rows and columns
+        w = diag.real.copy()
+        u = np.eye(mean_sum.shape[0], dtype=complex)
+        order = np.argsort(-w, kind="stable")
+        w = w[order]
+        u = u[:, order]
+    else:
+        w, u = sorted_eigh(mean_sum)
+    if w.size == 0 or w[0] <= 0.0:
+        raise ZeroSumError("common outcome sum is numerically zero")
+    keep = w > tol.rank_tol * w[0]
+    lam = w[keep]
+    basis = u[:, keep]
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    scaling = np.outer(inv_sqrt, inv_sqrt)
+
+    n = f.n
+    s = lam.size
+    bh = basis.conj().T
+    x_mats = np.empty((n, s, s), dtype=complex)
+    for part in chunks(n, f.mats[0:1, 0].nbytes):
+        x = bh @ f.mats[part, 0] @ basis * scaling
+        x -= bh @ f.mats[part, 1] @ basis * scaling
+        np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+        x_mats[part] /= 2.0
+    inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))
+
+    k_restricted = np.diag(lam.astype(complex))
+    trace_dev = abs(float(np.sum(lam**2)) - 1.0)
+    checks = (
+        CheckResult(
+            "involutions",
+            inv_dev <= tol.eq_tol,
+            inv_dev,
+            note="squares strictly below identity indicate a sub-unit factor system",
+        ),
+        CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+        CheckResult("outcome_sums_consistent", True, sum_dev),
+        CheckResult(
+            "support_dimension",
+            True,
+            0.0,
+            note=f"restricted {f.dim} -> {s}",
+            value=s,
+        ),
+    )
+    mf = MatrixFactorization(x_mats, x_mats, k_restricted)
+    return mf, VerificationReport(checks)
+
+
+def _dense_hs_gram_deviation(first: np.ndarray, second: np.ndarray, e: np.ndarray) -> float:
+    """Worst |Tr(F_p F_q^*) - e_pq| over p <= q, F being `first` then `second`.
+
+    The Gram matrix is built block by block, each block one GEMM of the
+    vectorized stacks (linalg.hs_gram), so the families are never joined.
+    """
+    n = first.shape[0]
+    blocks = (
+        np.triu(hs_gram(first) - e[:n, :n]),
+        hs_gram(first, second) - e[:n, n:],
+        np.triu(hs_gram(second) - e[n:, n:]),
+    )
+    return max(float(np.max(np.abs(b), initial=0.0)) for b in blocks)
+
+
+def dense_verify_factorization(
+    e,
+    fact,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    mode: str = "i",
+) -> VerificationReport:
+    """Verify a factorization against its target correlation matrix.
+
+    Modes select which Gram family is checked: "i" uses (K X_i, Y_j K),
+    "i-prime" uses (K X_i, K Y_j), and "b-form" checks a form-b
+    factorization (families A_i, B_j with A_i^2 = I/d).  Involution and
+    weight conditions are verified alongside the Gram reconstruction.
+
+    The Gram family is formed by batched matmuls (K X, Y K or K Y over the
+    stacks) and compared with e over p <= q through one GEMM per block of
+    the vectorized stacks; the involution checks square each stack in
+    chunked batched products.
+    """
+    a = _require_symmetric(e, tol, "target")
+    if mode not in ("i", "i-prime", "b-form"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "b-form":
+        if not isinstance(fact, FormBFactorization):
+            raise ShapeError("mode 'b-form' verifies a form-b factorization")
+        n, m = fact.sizes
+        if a.shape[0] != n + m:
+            raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
+        d = fact.dim
+        a_mats, b_mats = as_stack(fact.a_mats, "A family", d), as_stack(fact.b_mats, "B family", d)
+        gram_dev = _dense_hs_gram_deviation(a_mats, b_mats, a)
+        inv_dev = max(float(np.max(square_deviations(f, 1.0 / d), initial=0.0)) for f in (a_mats, b_mats))
+        checks = (
+            CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
+            CheckResult("scaled_involutions", inv_dev <= tol.eq_tol, inv_dev),
+        )
+        return VerificationReport(checks)
+
+    if not isinstance(fact, MatrixFactorization):
+        raise ShapeError(f"mode {mode!r} verifies a weighted factorization")
+    n, m = fact.sizes
+    if a.shape[0] != n + m:
+        raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
+    k = as_matrix(fact.k)
+    x, y = as_stack(fact.x_mats, "X family", fact.dim), as_stack(fact.y_mats, "Y family", fact.dim)
+    gram_dev = _dense_hs_gram_deviation(k @ x, y @ k if mode == "i" else k @ y, a)
+
+    inv_dev = max(float(np.max(square_deviations(f), initial=0.0)) for f in (x, y))
+
+    herm_dev = float(hermitian_deviations(k[None])[0])
+    min_eig = float(eigenvalue_bounds(k[None])[0][0])
+    trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
+    checks = (
+        CheckResult("gram_reconstruction", gram_dev <= tol.eq_tol, gram_dev),
+        CheckResult("involutions", inv_dev <= tol.eq_tol, inv_dev),
+        CheckResult("weight_hermitian", herm_dev <= tol.eq_tol, herm_dev),
+        CheckResult(
+            "weight_positive_definite",
+            min_eig > tol.psd_tol,
+            max(0.0, tol.psd_tol - min_eig),
+            note=f"min eigenvalue {min_eig:.6g}",
+            value=min_eig,
+        ),
+        CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+    )
+    return VerificationReport(checks)

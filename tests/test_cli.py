@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from corrfact import matio
 from corrfact.clifford import PAULI_X
 from corrfact.cli import run
+from corrfact.elliptope import gen_extreme_lex
 from corrfact.errors import MatrixFormatError
 from corrfact.quantum import TensorProductRep, maximally_entangled
 
@@ -267,9 +268,9 @@ def _non_utf8_file(tmp_path):
     return ["elliptope", "check-extreme", str(path)], path
 
 
-def _form_c_bundle(tmp_path, edit=None):
-    """A form-c bundle of E3, optionally with its manifest edited; returns the verify argv and the manifest."""
-    epath = _write(tmp_path, "E.json", E3)
+def _form_c_bundle(tmp_path, edit=None, e=E3):
+    """A form-c bundle of e, optionally with its manifest edited; returns the verify argv and the manifest."""
+    epath = _write(tmp_path, "E.json", e)
     fdir = tmp_path / "fact"
     assert run(["--quiet", "factorize", epath, "-o", str(fdir)]) == 0
     if edit is not None:
@@ -311,6 +312,13 @@ def _weight_not_square(tmp_path):
     return argv, tmp_path / "fact" / "k.json"
 
 
+def _weight_of_another_size(tmp_path):
+    """A 2 x 2 weight next to the 4 x 4 involutions of a rank-4 point."""
+    argv, _ = _form_c_bundle(tmp_path, e=gen_extreme_lex(4)[0])
+    matio.write_matrix(tmp_path / "fact" / "k.json", np.eye(2) / np.sqrt(2.0))
+    return argv, tmp_path / "fact" / "k.json"
+
+
 def _tensor_rep_with_state(tmp_path, state, stored):
     """A d=2 representation bundle whose state file is replaced by ``stored``; returns the eval argv and that file."""
     rdir = tmp_path / "rep"
@@ -327,6 +335,14 @@ def _state_not_a_column(tmp_path):
     return _tensor_rep_with_state(tmp_path, {"psi": maximally_entangled(2)}, np.eye(2) / np.sqrt(2))
 
 
+def _state_of_another_length(tmp_path):
+    return _tensor_rep_with_state(tmp_path, {"psi": maximally_entangled(2)}, np.ones((3, 1)) / np.sqrt(3))
+
+
+def _density_of_another_size(tmp_path):
+    return _tensor_rep_with_state(tmp_path, {"rho": np.eye(4) / 4}, np.eye(2) / 2)
+
+
 @pytest.mark.parametrize(
     "make_input",
     [
@@ -341,6 +357,9 @@ def _state_not_a_column(tmp_path):
         _weight_not_square,
         _density_not_square,
         _state_not_a_column,
+        _weight_of_another_size,
+        _state_of_another_length,
+        _density_of_another_size,
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, make_input):
