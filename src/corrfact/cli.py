@@ -9,6 +9,7 @@ print a report JSON object to stdout (or a one-line summary with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -339,11 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+"""The parser run() uses, built on first use; parsing leaves a parser unchanged, so one serves every call."""
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_normalize_argv(argv))
+        args = _parser().parse_args(_normalize_argv(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -59,8 +59,13 @@ def rep_dim(r: int) -> int:
     return 2 if r == 1 else irreducible_dim(r)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products a_ij b_kl, without its n-d bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
 def _chain(*factors: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, factors)
+    return reduce(_kron, factors)
 
 
 def gamma_generators(r: int) -> CliffordRep:
@@ -106,6 +111,25 @@ def _pauli_tables(ell: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, table
 
 
+@lru_cache(maxsize=None)
+def _chain_entries(ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where Re(M_ab conj(G_ab)) sits for the d nonzeros of I and each chain G of _pauli_tables(ell).
+
+    Every entry of a chain is +-1 or +-i, so that real part is one signed
+    component of M: returns its index in the float view of the flattened
+    matrix (twice the flat index, plus one for an imaginary part) and its
+    sign, each of shape (2L+2, d), rows ascending; read-only.
+    """
+    pos, table = _pauli_tables(ell)
+    where = np.nonzero(table)[1].reshape(table.shape[0], -1)
+    conj = np.take_along_axis(table, where, axis=1).conj()
+    idx = 2 * pos[where] + (conj.imag != 0)
+    sign = conj.real - conj.imag
+    idx.setflags(write=False)
+    sign.setflags(write=False)
+    return idx, sign
+
+
 def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Pauli coordinates of each matrix of a (k, d, d) stack, and how far the matrix lies from them.
 
@@ -113,7 +137,8 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     returns three arrays over the stack:
 
     - c, shape (k, 2L+2): the real parts of c_0 = Tr(M)/d and
-      c_j = Tr(G_j M)/d, each a gather of d entries;
+      c_j = Tr(G_j M)/d, each a gather of d entries summed in halves, so
+      that d terms equal up to sign add up exactly;
     - delta: ||M - M'||_F, where M' = c_0 I + sum_j c_j G_j is rebuilt from
       the real parts, so imaginary parts count towards delta;
     - resid: max|M - M'|.
@@ -128,12 +153,17 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     if d < 2 or d != 1 << ell:
         return None
     pos, table = _pauli_tables(ell)
+    idx, sign = _chain_entries(ell)
     flat = stack.reshape(k, d * d)
     coords = np.empty((k, table.shape[0]))
     delta, resid = np.empty(k), np.empty(k)
     for part in chunks(k, d * d * 16):
         block = np.array(flat[part], dtype=complex)
-        coords[part] = (block[:, pos] @ table.conj().T).real / d
+        terms = block.view(float)[:, idx] * sign
+        while terms.shape[-1] > 1:
+            half = terms.shape[-1] // 2
+            terms = terms[..., :half] + terms[..., half:]
+        coords[part] = terms[..., 0] / d
         block[:, pos] -= coords[part] @ table
         mags = np.abs(block)
         delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
@@ -151,6 +181,35 @@ def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarra
     """
     norms = math.sqrt(d) * np.linalg.norm(coords, axis=1)
     return d * (coords @ coords.T), np.outer(delta, norms + delta) + np.outer(norms, delta)
+
+
+def pauli_anticommutators(
+    coords: np.ndarray, delta: np.ndarray, resid: np.ndarray, rows, cols, shifts
+) -> np.ndarray:
+    """Upper bounds on max|M_i M_j + M_j M_i - s_p I| for each pair p = (rows[p], cols[p]) of
+    a family given by its Pauli coordinates (pauli_coordinates), without a matrix product.
+
+    With M = M' + R and M' = c_0 I + G(c), the closed form
+    M'_i M'_j + M'_j M'_i = 2 (c_0i c_0j + c_i . c_j) I + 2 c_0i G(c_j) + 2 c_0j G(c_i)
+    is evaluated at the (L+1) d places where I and the chains are nonzero
+    (every other entry is zero), and its largest entry is taken.  A row or
+    column of M' has at most L+1 nonzeros, so its l1 norm is at most
+    l = |c_0| + sqrt(L+1) ||c||, and every entry of M' R is at most
+    l max|R|.  The bound adds 2 (l_i max|R_j| + l_j max|R_i|) + 2 delta_i delta_j
+    for the terms that hold R.  A pair (i, i) bounds 2 M_i^2 - s I, twice the
+    deviation of M_i^2 from (s/2) I.
+    """
+    ell = (coords.shape[1] - 2) // 2
+    table = _pauli_tables(ell)[1]
+    vec = coords[:, 1:]
+    l1 = np.abs(coords[:, 0]) + math.sqrt(ell + 1) * np.sqrt(np.einsum("pk,pk->p", vec, vec))
+    ci, cj = coords[rows], coords[cols]
+    closed = 2.0 * (ci[:, :1] * cj + cj[:, :1] * ci)
+    closed[:, 0] = 2.0 * np.einsum("pk,pk->p", ci, cj) - shifts
+    out = np.empty(len(closed))
+    for part in chunks(len(closed), table.shape[1] * 16):
+        out[part] = np.abs(closed[part] @ table).max(axis=1, initial=0.0)
+    return out + 2.0 * (l1[rows] * resid[cols] + l1[cols] * resid[rows] + delta[rows] * delta[cols])
 
 
 def gamma_of_vector(rep: CliffordRep, x) -> np.ndarray:
@@ -176,27 +235,10 @@ def gamma_of_rows(rep: CliffordRep, rows) -> np.ndarray:
     return np.tensordot(coeffs, rep.generators, axes=1)
 
 
-def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
-    """Check that a family of Hermitian matrices anticommutes pairwise.
-
-    Reports the worst deviation of M_i M_j + M_j M_i - 2 delta_ij I over all
-    pairs; passes iff every deviation is within eq_tol.  The squares are one
-    batched matmul over the stack and the k(k-1)/2 distinct pairs are formed
-    in chunked batched products; the notes name the first generator and the
-    first pair, in (i, j) order, that attain the worst deviation.
-    """
-    arr = as_stack(mats, "generators")
-    k = arr.shape[0]
-    if k == 0:
-        raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
-    bad = np.flatnonzero(~(hermitian_deviations(arr) <= tol.eq_tol))
-    if bad.size:  # the first failing generator raises as its own check would
-        require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
-    sq_devs = square_deviations(arr)
+def _relations_report(sq_devs, anti_devs, rows, cols, tol: ToleranceConfig) -> VerificationReport:
+    """The two relation checks from the deviation of each square and each distinct pair."""
     worst_sq = int(np.argmax(sq_devs))
     dev_sq = float(sq_devs[worst_sq])
-    rows, cols = np.triu_indices(k, 1)
-    anti_devs = anticommutator_deviations(arr, rows, cols, np.zeros(rows.size))
     dev_anti = float(np.max(anti_devs, initial=0.0))
     worst_pair = None
     if dev_anti > 0.0:
@@ -217,3 +259,55 @@ def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Verif
         ),
     )
     return VerificationReport(checks)
+
+
+def _signed_chains(arr: np.ndarray) -> bool:
+    """Whether each matrix is + or - a distinct chain, or the family is the single matrix +-I.
+
+    Then its Pauli coordinates are integers without a residual and form
+    orthonormal rows, with no I component unless the family has one matrix.
+    By the closed form M_i M_j + M_j M_i = 2 (c_0i c_0j + c_i . c_j) I
+    + 2 c_0i G(c_j) + 2 c_0j G(c_i) every square is I and every distinct
+    pair anticommutes, exactly; the entries being 0, +-1 and +-i, the
+    batched products come out exactly zero too.
+    """
+    fit = pauli_coordinates(arr)
+    if fit is None:
+        return False
+    coords, _, resid = fit
+    if resid.any() or not np.array_equal(coords, np.round(coords)):
+        return False
+    if coords[:, 0].any() and len(coords) > 1:
+        return False
+    return np.array_equal(coords @ coords.T, np.eye(len(coords)))
+
+
+def _dense_relation_deviations(arr: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """max|M_i^2 - I| per generator and max|M_i M_j + M_j M_i| per pair, by batched products."""
+    return square_deviations(arr), anticommutator_deviations(arr, rows, cols, np.zeros(rows.size))
+
+
+def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+    """Check that a family of Hermitian matrices anticommutes pairwise.
+
+    Reports the worst deviation of M_i M_j + M_j M_i - 2 delta_ij I over all
+    pairs; passes iff every deviation is within eq_tol.  The notes name the
+    first generator and the first pair, in (i, j) order, that attain the
+    worst deviation.  A family of signed chains (_signed_chains), such as
+    the output of gamma_generators, is decided from its Pauli coordinates:
+    every deviation is exactly zero, as the batched products find.  Any
+    other family's worst generator and pair come from rounding that no
+    bound predicts, so its squares are one batched matmul over the stack
+    and the k(k-1)/2 distinct pairs are formed in chunked batched products.
+    """
+    arr = as_stack(mats, "generators")
+    k = arr.shape[0]
+    if k == 0:
+        raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
+    bad = np.flatnonzero(~(hermitian_deviations(arr) <= tol.eq_tol))
+    if bad.size:  # the first failing generator raises as its own check would
+        require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
+    rows, cols = np.triu_indices(k, 1)
+    if _signed_chains(arr):
+        return _relations_report(np.zeros(k), np.zeros(rows.size), rows, cols, tol)
+    return _relations_report(*_dense_relation_deviations(arr, rows, cols), rows, cols, tol)

@@ -257,10 +257,11 @@ def extract_matrix_factorization(
     when the source correlation matrix forces unit factor norms (extreme
     sources do).  The restriction and conjugation are batched matmuls over
     chunks of the factor stack; when K is already diagonal the support basis
-    is a column selection of I and the restriction is a gather instead.
+    is a column selection of I and the restriction is a gather instead, or
+    nothing at all when the selection keeps every column in place.
     """
     mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
-    if sum_dev > tol.eq_tol:
+    if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
 
     diag = np.diag(mean_sum)
@@ -283,6 +284,12 @@ def extract_matrix_factorization(
 
         def restrict(m: np.ndarray) -> np.ndarray:
             return bh @ m @ basis
+
+    elif np.array_equal(order[keep], np.arange(f.dim)):
+        # the support is every coordinate in place: restriction is the identity
+
+        def restrict(m: np.ndarray) -> np.ndarray:
+            return m
 
     else:
         idx = order[keep]

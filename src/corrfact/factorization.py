@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows, pauli_coordinates, pauli_gram
+from .clifford import gamma_generators, gamma_of_rows, pauli_anticommutators, pauli_coordinates, pauli_gram
 from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
 from .errors import (
     InvariantViolationError,
@@ -38,6 +38,7 @@ from .linalg import (
     hermitian_deviations,
     hs_gram,
     identity_deviations,
+    sandwich,
     sorted_eigh,
     square_deviations,
 )
@@ -116,13 +117,11 @@ def to_form_c(fb: FormBFactorization) -> MatrixFactorization:
 def _weigh(k: np.ndarray, mats: np.ndarray, right: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """K M (M K with `right`) for each M of a (m, d, d) stack.
 
-    A square diagonal K scales the rows (columns) of each M, which gives the
-    entries of the matmul for finite M; any other K is multiplied in.
+    A monomial K with real entries, such as a diagonal one, gathers and
+    scales rows (columns) of each M (linalg.sandwich); any other K is
+    multiplied in.
     """
-    diag = np.diag(k)
-    if k.shape[0] == k.shape[1] and np.count_nonzero(k) == np.count_nonzero(diag):
-        return np.multiply(mats, diag if right else diag[:, None], out=out)
-    return np.matmul(mats, k, out=out) if right else np.matmul(k, mats, out=out)
+    return sandwich(None, mats, k, out=out) if right else sandwich(k, mats, None, out=out)
 
 
 def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -206,8 +205,8 @@ def verify_factorization(
     identity (always in mode "b-form", with w = 1).  That report stands only
     when every check passes; otherwise the dense checks decide, so a pass is
     a proof and a failure is the dense report.  Densely, the Gram family is
-    formed by batched matmuls (K X, Y K or K Y over the stacks; row or
-    column scalings for a diagonal K) and compared with e over p <= q
+    formed by batched matmuls (K X, Y K or K Y over the stacks; gathers and
+    scalings for a monomial K, see _weigh) and compared with e over p <= q
     through one GEMM per block of the vectorized stacks; the involution
     checks square each stack in chunked batched products.
     """
@@ -266,6 +265,49 @@ def verify_factorization(
     return report(gram_dev, inv_dev)
 
 
+def _pauli_identity_deviations(
+    mats: np.ndarray, block: np.ndarray, mus: np.ndarray, rows, cols
+) -> tuple[float, float] | None:
+    """Upper bounds on the two identity checks from the Pauli coordinates of the family.
+
+    S = sum_i mu_i M_i has the coordinates sum_i mu_i c_i, and its residual
+    sum_i mu_i R_i has entries at most sum_i |mu_i| max|R_i| and Frobenius
+    norm at most sum_i |mu_i| delta_i; clifford.pauli_anticommutators bounds
+    max|S^2 - (mu^T A mu) I| (as the pair (S, S)) and each
+    max|M_i M_j + M_j M_i - 2 A_ij I|.  None when d is not a power of two >= 2.
+    """
+    fit = pauli_coordinates(mats)
+    if fit is None:
+        return None
+    coords, delta, resid = fit
+    # each sum S_t joins the family after its k members and is paired with itself
+    k, weights = len(coords), np.abs(mus)
+    trial = np.arange(k, k + len(mus))
+    bounds = pauli_anticommutators(
+        np.concatenate([coords, mus @ coords]),
+        np.concatenate([delta, weights @ delta]),
+        np.concatenate([resid, weights @ resid]),
+        np.concatenate([rows, trial]),
+        np.concatenate([cols, trial]),
+        2.0 * np.concatenate([block[rows, cols], np.einsum("ti,ij,tj->t", mus, block, mus)]),
+    )
+    return float(np.max(bounds[rows.size :], initial=0.0)) / 2.0, float(np.max(bounds[: rows.size], initial=0.0))
+
+
+def _dense_identity_deviations(
+    mats: np.ndarray, block: np.ndarray, mus: np.ndarray, rows, cols
+) -> tuple[float, float]:
+    """The two identity checks by batched products: the sums sum_i mu_i M_i are one
+    tensordot per chunk of trials, and the pairs are formed in chunked batched products."""
+    dev_rand = 0.0
+    for part in chunks(len(mus), mats[0:1].nbytes):
+        s = np.tensordot(mus[part], mats, axes=1)
+        shift = np.einsum("ti,ij,tj->t", mus[part], block, mus[part])
+        dev_rand = max(dev_rand, float(np.max(identity_deviations(s @ s, shift[:, None]), initial=0.0)))
+    pair_devs = anticommutator_deviations(mats, rows, cols, 2.0 * block[rows, cols])
+    return dev_rand, float(np.max(pair_devs, initial=0.0))
+
+
 def verify_clifford_identity(
     a,
     x_mats,
@@ -278,9 +320,11 @@ def verify_clifford_identity(
     Draws `trials` standard-normal direction vectors from a seeded
     generator and also runs the exhaustive pairwise check
     X_i X_j + X_j X_i = 2 A_ij I, which covers the identity exactly.  All
-    directions are drawn at once (the same stream as one draw per trial);
-    the sums sum_i mu_i X_i are one tensordot per chunk of trials and the
-    pairs i <= j are formed in chunked batched products.
+    directions are drawn at once (the same stream as one draw per trial).
+    Both checks are first judged from bounds taken in Pauli coordinates
+    (_pauli_identity_deviations); that report stands only when both pass,
+    and otherwise the batched products decide (_dense_identity_deviations),
+    so a pass is a proof and a failure is the dense report.
     """
     block = _require_symmetric(a, tol, "block")
     mats = as_stack(x_mats, "involutions")
@@ -289,24 +333,26 @@ def verify_clifford_identity(
     k = mats.shape[0]
     rng = np.random.default_rng(seed)
     mus = rng.standard_normal((max(trials, 0), k))
-    dev_rand = 0.0
-    for part in chunks(len(mus), mats[0:1].nbytes):
-        s = np.tensordot(mus[part], mats, axes=1)
-        shift = np.einsum("ti,ij,tj->t", mus[part], block, mus[part])
-        dev_rand = max(dev_rand, float(np.max(identity_deviations(s @ s, shift[:, None]), initial=0.0)))
     rows, cols = np.triu_indices(k)
-    pair_devs = anticommutator_deviations(mats, rows, cols, 2.0 * block[rows, cols])
-    dev_pair = float(np.max(pair_devs, initial=0.0))
-    checks = (
-        CheckResult(
-            "random_direction_identity",
-            dev_rand <= tol.eq_tol,
-            dev_rand,
-            note=f"{trials} trials",
-        ),
-        CheckResult("pairwise_anticommutators", dev_pair <= tol.eq_tol, dev_pair),
-    )
-    return VerificationReport(checks)
+
+    def report(dev_rand: float, dev_pair: float) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult(
+                    "random_direction_identity",
+                    dev_rand <= tol.eq_tol,
+                    dev_rand,
+                    note=f"{trials} trials",
+                ),
+                CheckResult("pairwise_anticommutators", dev_pair <= tol.eq_tol, dev_pair),
+            )
+        )
+
+    bounds = _pauli_identity_deviations(mats, block, mus, rows, cols)
+    fast = None if bounds is None else report(*bounds)
+    if fast is not None and fast.passed:
+        return fast
+    return report(*_dense_identity_deviations(mats, block, mus, rows, cols))
 
 
 def orthonormalize_generators(a, x_mats, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

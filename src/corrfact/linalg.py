@@ -156,14 +156,23 @@ def eigenvalue_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least and largest eigenvalue of (M_p + M_p^*)/2 for each matrix of a (k, d, d) stack.
 
     One batched eigvalsh per chunk of the stack.  A 0 x 0 matrix has the
-    bounds (inf, -inf) of an empty spectrum.
+    bounds (inf, -inf) of an empty spectrum, and a matrix with a non-finite
+    entry the bounds (-inf, inf): nothing bounds its spectrum.
     """
     bounds = np.full((2, stack.shape[0]), [[np.inf], [-np.inf]])
     if stack.shape[-1]:
         for part in chunks(stack.shape[0], stack[0:1].nbytes):
             block = stack[part]
-            w = np.linalg.eigvalsh((block + block.conj().swapaxes(-1, -2)) / 2.0)
-            bounds[0, part], bounds[1, part] = w[:, 0], w[:, -1]
+            herm = (block + block.conj().swapaxes(-1, -2)) / 2.0
+            if np.isfinite(herm.sum()):  # a finite sum has finite terms
+                w = np.linalg.eigvalsh(herm)
+                bounds[0, part], bounds[1, part] = w[:, 0], w[:, -1]
+                continue
+            finite = np.isfinite(herm).all(axis=(1, 2))
+            w = np.linalg.eigvalsh(herm[finite])
+            lo, hi = bounds[0, part], bounds[1, part]
+            lo[finite], hi[finite] = w[:, 0], w[:, -1]
+            lo[~finite], hi[~finite] = -np.inf, np.inf
     return bounds[0], bounds[1]
 
 
@@ -192,6 +201,78 @@ def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarra
         anti = left @ right
         anti += right @ left
         out[part] = identity_deviations(anti, coeffs[part, None])
+    return out
+
+
+GATHER_MIN_DIM = 16
+"""Least matrix size d at which sandwich looks for monomial factors.
+
+Below it a batched matmul costs less than telling whether a factor is
+monomial: W^* M W with a diagonal W takes 15 us by matmul and 29 us by
+gather for 10 matrices at d = 8, 51 us against 45 us for 18 at d = 16, and
+599 us against 100 us for 27 at d = 32 (numpy 2.4, one OpenBLAS thread,
+2-core x86 VM).
+"""
+
+
+def _monomial(m) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """Where the nonzeros of a monomial matrix with real entries sit, and their values.
+
+    For m square with exactly one nonzero in each row and each column, every
+    one finite with zero imaginary part, returns (cols, vals): row i holds
+    vals[i] in column cols[i], and cols is None when m is diagonal.  None for
+    any other matrix.
+    """
+    a = np.asarray(m)
+    d = a.shape[0]
+    if a.ndim != 2 or a.shape[1] != d or np.count_nonzero(a) != d:
+        return None
+    if np.count_nonzero(a.diagonal()) == d:
+        cols, vals = None, a.diagonal()
+    else:
+        rows, cols = np.nonzero(a)
+        if not (np.array_equal(rows, np.arange(d)) and a.any(axis=0).all()):
+            return None
+        vals = a[rows, cols]
+    if np.iscomplexobj(vals):
+        if vals.imag.any():
+            return None
+        vals = vals.real
+    return (cols, vals) if np.isfinite(vals).all() else None
+
+
+def sandwich(left, mats: np.ndarray, right=None, out: np.ndarray | None = None) -> np.ndarray:
+    """left @ mats @ right for a (k, d, d) stack; a factor given as None is left out.
+
+    When every given factor is monomial (one nonzero per row and per column)
+    with real entries, the product is a gather of rows and columns and a
+    real scaling: each entry is one entry of the stack times the same
+    factors, in the matmul's order.  For finite input that equals the matmul
+    but for the sign of a zero.  A diagonal factor gathers nothing and a
+    factor of ones scales nothing.  Any other factor, and every factor of
+    matrices smaller than GATHER_MIN_DIM, is multiplied in.
+    """
+    small = mats.shape[-1] < GATHER_MIN_DIM
+    lf = None if left is None or small else _monomial(left)
+    rf = None if right is None or small else _monomial(right)
+    if (left is not None and lf is None) or (right is not None and rf is None):
+        prod = mats if left is None else np.matmul(left, mats, out=out if right is None else None)
+        return prod if right is None else np.matmul(prod, right, out=out)
+    steps = [] if lf is None else [(-2, lf[0], lf[1][:, None])]
+    if rf is not None:
+        # column j of the product is column src[j] of the stack, scaled by that row's value
+        src = None if rf[0] is None else np.argsort(rf[0])
+        steps.append((-1, src, rf[1] if src is None else rf[1][src]))
+    prod = mats
+    for axis, src, scale in steps:
+        if src is not None:
+            prod = np.take(prod, src, axis=axis)
+        if not (scale == 1.0).all():
+            prod = np.multiply(prod, scale, out=out if prod is mats else prod)
+    if out is None:
+        return prod.copy() if prod is mats else prod
+    if prod is not out:
+        out[...] = prod
     return out
 
 

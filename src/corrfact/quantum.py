@@ -36,6 +36,7 @@ from .linalg import (
     eigenvalue_bounds,
     numerical_rank,
     require_hermitian,
+    sandwich,
     schmidt,
     sorted_eigh,
     vec_inv,
@@ -138,13 +139,14 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
 
     For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi),
     which equals sum_cb Z_i[c, b] N_j[c, b] for Z_i = W^* M_i W: the Z_i are
-    batched matmuls over chunks of Alice's observables and the block is one
-    GEMM per chunk against the vectorized N stack, vec(Z) vec(N)^T, so no
-    d^2 x d^2 product is formed.  For a density matrix the entry is
-    sum M_i[c, a] N_j[e, b] rho[(a, b), (c, e)]: two tensordots over
-    rho.reshape(d, d, d, d).  The real part is returned; an imaginary
-    residue above eq_tol raises, since Hermitian observables against a
-    Hermitian state give real values analytically.
+    batched matmuls over chunks of Alice's observables (a gather and real
+    scalings when W is monomial, as a diagonal W is: linalg.sandwich) and
+    the block is one GEMM per chunk against the vectorized N stack,
+    vec(Z) vec(N)^T, so no d^2 x d^2 product is formed.  For a density
+    matrix the entry is sum M_i[c, a] N_j[e, b] rho[(a, b), (c, e)]: two
+    tensordots over rho.reshape(d, d, d, d).  The real part is returned; an
+    imaginary residue above eq_tol raises, since Hermitian observables
+    against a Hermitian state give real values analytically.
     """
     n, m = rep.sizes
     d = rep.local_dim
@@ -157,7 +159,7 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
         bob = rep.bob_obs.reshape(m, d * d)
         vals = np.empty((n, m), dtype=complex)
         for part in chunks(n, w.nbytes):
-            vals[part] = (wh @ rep.alice_obs[part] @ w).reshape(-1, d * d) @ bob.T
+            vals[part] = sandwich(wh, rep.alice_obs[part], w).reshape(-1, d * d) @ bob.T
     else:
         rho = rep.rho
         trace_dev = abs(complex(np.trace(rho)).real - 1.0)
@@ -185,10 +187,11 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
     """Compress a rank-one representation to its diagonal Schmidt form.
 
     The state becomes sum_k c_k e_k (x) e_k with descending positive c_k and
-    the observables are conjugated by the isometries onto the Schmidt bases.
-    Correlations are unchanged and the local dimension never grows; spectra
-    stay within [-1, 1] because compressions of contractions are
-    contractions.
+    the observables are conjugated by the isometries onto the Schmidt bases
+    (linalg.sandwich: a gather when they are monomial, as the identity
+    isometries of the maximally entangled state are).  Correlations are
+    unchanged and the local dimension never grows; spectra stay within
+    [-1, 1] because compressions of contractions are contractions.
     """
     phi = _rank_one_vector(rep, tol)
     d_in = rep.local_dim
@@ -197,8 +200,8 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
         raise NotRankOneError("state vector is numerically zero")
     left_iso = sd.left_vectors.conj()
     right_iso = sd.right_vectors.conj()
-    alice = left_iso @ rep.alice_obs @ left_iso.conj().T
-    bob = right_iso @ rep.bob_obs @ right_iso.conj().T
+    alice = sandwich(left_iso, rep.alice_obs, left_iso.conj().T)
+    bob = sandwich(right_iso, rep.bob_obs, right_iso.conj().T)
     psi = np.diag(sd.coefficients.astype(complex)).reshape(-1)
     return TensorProductRep(alice, bob, psi=psi)
 

@@ -9,9 +9,9 @@ section is the per-entry JSON codec and the five hand-written save/load
 pairs that ``matio.BUNDLES`` replaced; the files it writes are the format's
 reference bytes.  The contract section holds the inline Hermitian and
 eigenvalue checks, the stack coercions and the validators that the
-``linalg`` contract helpers replaced.  The dense section holds the batched
-dense verifiers and extraction that the Pauli-coordinate fast path now
-precedes.  Tests compare the library against them; nothing in ``corrfact``
+``linalg`` contract helpers replaced.  The dense sections hold the batched
+dense verifiers, extraction and Clifford checks that the Pauli-coordinate
+fast paths now precede.  Tests compare the library against them; nothing in ``corrfact``
 imports this module.
 """
 
@@ -40,6 +40,7 @@ from corrfact.factorization import FormBFactorization, MatrixFactorization
 from corrfact.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    anticommutator_deviations,
     as_matrix,
     as_stack,
     chunks,
@@ -48,6 +49,7 @@ from corrfact.linalg import (
     hermitian_deviations,
     hs_gram,
     hs_inner,
+    identity_deviations,
     sorted_eigh,
     square_deviations,
     vec,
@@ -918,5 +920,82 @@ def dense_verify_factorization(
             value=min_eig,
         ),
         CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+    )
+    return VerificationReport(checks)
+
+
+# ------------------------------------------------------------ dense Clifford checks
+#
+# The batched verify_clifford_identity and verify_clifford_relations that
+# judged every family before the Pauli-coordinate closed forms were added,
+# verbatim but for their names.  The library still falls back to this
+# arithmetic; these copies pin it.
+
+
+def dense_verify_clifford_identity(
+    a,
+    x_mats,
+    trials: int = 100,
+    seed: int | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> VerificationReport:
+    block = _require_symmetric(a, tol, "block")
+    mats = as_stack(x_mats, "involutions")
+    if mats.shape[0] != block.shape[0]:
+        raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
+    k = mats.shape[0]
+    rng = np.random.default_rng(seed)
+    mus = rng.standard_normal((max(trials, 0), k))
+    dev_rand = 0.0
+    for part in chunks(len(mus), mats[0:1].nbytes):
+        s = np.tensordot(mus[part], mats, axes=1)
+        shift = np.einsum("ti,ij,tj->t", mus[part], block, mus[part])
+        dev_rand = max(dev_rand, float(np.max(identity_deviations(s @ s, shift[:, None]), initial=0.0)))
+    rows, cols = np.triu_indices(k)
+    pair_devs = anticommutator_deviations(mats, rows, cols, 2.0 * block[rows, cols])
+    dev_pair = float(np.max(pair_devs, initial=0.0))
+    checks = (
+        CheckResult(
+            "random_direction_identity",
+            dev_rand <= tol.eq_tol,
+            dev_rand,
+            note=f"{trials} trials",
+        ),
+        CheckResult("pairwise_anticommutators", dev_pair <= tol.eq_tol, dev_pair),
+    )
+    return VerificationReport(checks)
+
+
+def dense_verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+    arr = as_stack(mats, "generators")
+    k = arr.shape[0]
+    if k == 0:
+        raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
+    bad = np.flatnonzero(~(hermitian_deviations(arr) <= tol.eq_tol))
+    if bad.size:  # the first failing generator raises as its own check would
+        require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
+    sq_devs = square_deviations(arr)
+    worst_sq = int(np.argmax(sq_devs))
+    dev_sq = float(sq_devs[worst_sq])
+    rows, cols = np.triu_indices(k, 1)
+    anti_devs = anticommutator_deviations(arr, rows, cols, np.zeros(rows.size))
+    dev_anti = float(np.max(anti_devs, initial=0.0))
+    worst_pair = None
+    if dev_anti > 0.0:
+        p = int(np.argmax(anti_devs))
+        worst_pair = (int(rows[p]) + 1, int(cols[p]) + 1)
+    checks = (
+        CheckResult(
+            "generators_square_to_identity",
+            dev_sq <= tol.eq_tol,
+            dev_sq,
+            note=f"worst generator {worst_sq + 1}",
+        ),
+        CheckResult(
+            "distinct_pairs_anticommute",
+            dev_anti <= tol.eq_tol,
+            dev_anti,
+            note=f"worst pair {worst_pair}" if worst_pair else "no distinct pairs",
+        ),
     )
     return VerificationReport(checks)

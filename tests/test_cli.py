@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from corrfact import matio
+from corrfact import cli, matio
 from corrfact.clifford import PAULI_X
 from corrfact.cli import run
 from corrfact.elliptope import gen_extreme_lex
@@ -369,3 +369,30 @@ def test_malformed_input_exits_two(tmp_path, capsys, make_input):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {offending}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cached_parser_answers_like_fresh_ones(tmp_path, capsys, monkeypatch):
+    """run() keeps one parser; calls in a row print and exit as with a parser built per call."""
+    epath = _write(tmp_path, "E.json", E3)
+    commands = [
+        ["elliptope", "check-extreme", epath],
+        ["--quiet", "elliptope", "check-extreme", epath],
+        ["bogus"],
+        ["elliptope", "check-extreme"],
+        ["--eq-tol", "-1", "elliptope", "check-extreme", epath],
+        ["factorize", "clifford-identity", epath, str(tmp_path)],
+        ["clifford", "--help"],
+        ["elliptope", "rmax", "-n", "10"],
+    ]
+
+    def answers():
+        got = []
+        for argv in commands + commands:
+            code = run(list(argv))
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    cached = answers()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == answers()
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,3 +146,14 @@ def test_verify_relations_rejects_non_hermitian():
 def test_verify_relations_rejects_mixed_sizes():
     with pytest.raises(ShapeError):
         verify_clifford_relations([np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_generators_equal_the_np_kron_chains_bit_for_bit(r):
+    """The chains are built with a two-matrix kron; they keep np.kron's bits, signed zeros included."""
+    ell = r // 2
+    chains = [[PAULI_Z] * i + [PAULI_X] + [np.eye(2, dtype=complex)] * (ell - 1 - i) for i in range(ell)]
+    chains += [[PAULI_Z] * i + [PAULI_Y] + [np.eye(2, dtype=complex)] * (ell - 1 - i) for i in range(ell)]
+    chains += [[PAULI_Z] * ell] if r % 2 else []
+    want = PAULI_Z[None] if r == 1 else np.stack([reduce(np.kron, c) for c in chains])
+    assert gamma_generators(r).generators.tobytes() == want.tobytes()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from corrfact.clifford import PAULI_X, PAULI_Y, PAULI_Z
+from corrfact import linalg
 from corrfact.errors import NotHermitianError, ShapeError
 from corrfact.linalg import (
     ToleranceConfig,
@@ -212,3 +213,70 @@ def test_gram_is_psd_with_span_rank(n, dim, seed):
     g = gram(vecs)
     assert is_psd(g)
     assert numerical_rank(g) == np.linalg.matrix_rank(vecs)
+
+
+# ------------------------------------------------------------ monomial gathers
+
+
+def _monomials(d, rng):
+    """Identity, a permutation, a signed permutation with real scales, and a positive diagonal."""
+    perm = np.eye(d)[rng.permutation(d)]
+    signed = perm * rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], d)[:, None]
+    return {
+        "identity": np.eye(d, dtype=complex),
+        "permutation": perm.astype(complex),
+        "signed_permutation": signed.astype(complex),
+        "diagonal": np.diag(rng.uniform(0.5, 1.5, d)),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 3, 16, 32])
+def test_sandwich_gathers_equal_the_matmul(monkeypatch, d):
+    """Every side and both: np.array_equal with the matmul, and the same bits when no entry is zero."""
+    monkeypatch.setattr(linalg, "GATHER_MIN_DIM", 1)
+    rng = np.random.default_rng(d)
+    mats = _random_complex(rng, 5, d, d)
+    sparse = mats.copy()
+    sparse[rng.random(mats.shape) < 0.3] = 0.0
+    for name, m in _monomials(d, rng).items():
+        assert linalg._monomial(m) is not None, name
+        for stack in (mats, sparse):
+            for left, right, want in ((m, None, m @ stack), (None, m, stack @ m), (m, m.conj().T, m @ stack @ m.conj().T)):
+                got = linalg.sandwich(left, stack, right)
+                assert np.array_equal(got, want), name
+                if stack is mats:
+                    assert got.tobytes() == want.tobytes(), name
+                out = np.empty_like(want)
+                assert linalg.sandwich(left, stack, right, out=out) is out and np.array_equal(out, want)
+                assert got is not stack
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_sandwich_multiplies_phases_and_non_monomial_factors(monkeypatch, d):
+    monkeypatch.setattr(linalg, "GATHER_MIN_DIM", 1)
+    rng = np.random.default_rng(d)
+    mats = _random_complex(rng, 4, d, d)
+    phase = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
+    dense = np.eye(d) + 0.1 * rng.standard_normal((d, d))
+    zero_row = np.eye(d)
+    zero_row[0, 0] = 0.0
+    twice = np.eye(d)
+    twice[0, -1] = 1.0
+    for m in (phase, dense, zero_row, twice, np.eye(d)[:, : d - 1]):
+        assert linalg._monomial(m) is None
+    for m in (phase, dense, zero_row, twice):
+        assert linalg.sandwich(m, mats, m.conj().T).tobytes() == (m @ mats @ m.conj().T).tobytes()
+        assert linalg.sandwich(None, mats, m).tobytes() == (mats @ m).tobytes()
+
+
+def test_sandwich_multiplies_small_matrices_in(monkeypatch):
+    """Below GATHER_MIN_DIM even a monomial factor is multiplied in, without looking at it."""
+
+    def refuse(m):
+        raise AssertionError("a factor of a small stack was examined")
+
+    monkeypatch.setattr(linalg, "_monomial", refuse)
+    d = linalg.GATHER_MIN_DIM - 1
+    mats = _random_complex(np.random.default_rng(d), 2, d, d)
+    eye = np.eye(d, dtype=complex)
+    assert linalg.sandwich(eye, mats, eye).tobytes() == (eye @ mats @ eye).tobytes()

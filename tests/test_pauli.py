@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from corrfact import cpsd, factorization, linalg
-from corrfact.clifford import _pauli_tables, gamma_generators, pauli_coordinates, pauli_gram
+from corrfact import clifford, cpsd, factorization, linalg
+from corrfact.clifford import _pauli_tables, gamma_generators, pauli_coordinates, pauli_gram, verify_clifford_relations
 from corrfact.cpsd import (
     CpsdFactorization,
     build_cpsd_factorization,
@@ -33,8 +33,10 @@ from corrfact.factorization import (
     factorize_clifford,
     recover_correlation,
     to_form_c,
+    verify_clifford_identity,
     verify_factorization,
 )
+from corrfact.errors import InconsistentSumsError
 
 import oracles
 from test_oracles import assert_reports_match
@@ -115,6 +117,20 @@ def test_coordinates_match_dense_projection(monkeypatch, chunk_bytes, d):
     assert np.all(np.abs(exact - gram) <= slack + 1e-13)
 
 
+@pytest.mark.parametrize("r", [2, 5, 8, 11])
+def test_built_families_have_exact_coordinates(r):
+    """Summed in halves, d terms equal up to sign give a coordinate exactly: a built involution,
+    and at even rank a built psd factor, is its own rebuilt matrix, with no residual.  (At odd
+    rank the diagonal of a psd factor holds c_0 + c_Z and c_0 - c_Z, two values.)"""
+    e = _random_extreme(r, 500 + r)
+    stacks = [to_form_c(factorize_clifford(e)).x_mats]
+    if r % 2 == 0:
+        stacks.append(build_cpsd_factorization(e).mats.reshape((-1,) + stacks[0].shape[1:]))
+    for stack in stacks:
+        coords, delta, resid = pauli_coordinates(stack)
+        assert not delta.any() and not resid.any()
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1e-9, 1e-12])
 @pytest.mark.parametrize("r", [4, 7])
 def test_bounds_hold_off_the_pauli_span(scale, r):
@@ -191,16 +207,14 @@ def test_tampered_cpsd_family_falls_back(monkeypatch, dense_calls, chunk_bytes, 
     e = gen_extreme_lex(r)[0]
     witness = build_pc(e)
     family = CpsdFactorization(_tamper(build_cpsd_factorization(e).mats, kind, np.random.default_rng(r)))
-    if kind == "nan":  # the dense eigensolve refuses a NaN factor, as it always did
-        for verify in (verify_cpsd_factorization, oracles.dense_verify_cpsd_factorization):
-            with pytest.raises(np.linalg.LinAlgError):
-                verify(witness, family)
-        assert dense_calls["cpsd"] == 1
-        return
     report = verify_cpsd_factorization(witness, family)
     assert dense_calls["cpsd"] == 1
     _same_exactly(report, oracles.dense_verify_cpsd_factorization(witness, family))
     assert report.passed == (kind == "rotate")
+    if kind == "nan":  # a failed report, not an eigensolver error
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed[:3] == ["factors_hermitian", "factors_psd", "entry_reconstruction"]
+        assert report.check("factors_psd").deviation == math.inf
 
 
 def test_family_of_size_three_falls_back(dense_calls):
@@ -273,6 +287,20 @@ def test_diagonal_weight_scales_like_matmul(r):
         assert np.array_equal(recover_correlation(MatrixFactorization(x, x, k), linalg.ToleranceConfig(eq_tol=1.0)), want)
 
 
+@pytest.mark.parametrize("r", [8, 10])
+def test_weight_gathers_write_the_matmul_bits(r):
+    """From d = 16 a diagonal or permuted weight is applied by gather (linalg.sandwich)."""
+    x = to_form_c(factorize_clifford(gen_extreme_lex(r)[0])).x_mats
+    d = x.shape[-1]
+    assert d >= linalg.GATHER_MIN_DIM
+    rng = np.random.default_rng(r)
+    diagonal = np.diag(rng.uniform(0.5, 1.5, d)).astype(complex)
+    for k in (np.eye(d) / math.sqrt(d), diagonal, diagonal[rng.permutation(d)]):
+        assert linalg._monomial(k) is not None
+        assert _weigh(k, x).tobytes() == np.matmul(k, x).tobytes()
+        assert _weigh(k, x, right=True).tobytes() == np.matmul(x, k).tobytes()
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_extraction_is_bit_identical_to_dense_oracle(r):
     """The gather of a diagonal sum's support writes the GEMM restriction's bits, padded or permuted."""
@@ -301,3 +329,175 @@ def test_fast_path_residual_pass_stays_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 4 * linalg.CHUNK_BYTES < family.mats.nbytes / 2, (peak, family.mats.nbytes)
+
+
+# ------------------------------------------------------------ Clifford checks
+
+
+@pytest.fixture
+def dense_clifford_calls(monkeypatch):
+    """Count the calls of the two Clifford checks' batched products."""
+    calls = {"identity": 0, "relations": 0}
+
+    def spy(module, name, key):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(factorization, "_dense_identity_deviations", "identity")
+    spy(clifford, "_dense_relation_deviations", "relations")
+    return calls
+
+
+def _involutions(r, seed):
+    """The leading r x r block of a random extreme point and its first r involutions."""
+    e = _random_extreme(r, seed)
+    return e[:r, :r], to_form_c(factorize_clifford(e)).x_mats[:r]
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNKS)
+@pytest.mark.parametrize("r", range(1, 9))
+def test_clifford_checks_decided_by_closed_forms(monkeypatch, dense_clifford_calls, chunk_bytes, r):
+    """Random extreme points and built generators: the closed forms decide, with the dense outcome."""
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    block, x = _involutions(r, 300 + r)
+    for trials, seed in ((100, r), (0, 1), (7, 2)):
+        report = verify_clifford_identity(block, x, trials=trials, seed=seed)
+        assert_reports_match(report, oracles.verify_clifford_identity(block, x, trials=trials, seed=seed))
+        assert_reports_match(report, oracles.dense_verify_clifford_identity(block, x, trials=trials, seed=seed))
+        assert report.passed
+    gens = gamma_generators(r).generators
+    report = verify_clifford_relations(gens)
+    _same_exactly(report, oracles.dense_verify_clifford_relations(gens))
+    assert_reports_match(report, oracles.verify_clifford_relations(gens))
+    assert dense_clifford_calls == {"identity": 0, "relations": 0}
+
+
+@pytest.mark.parametrize("r", [3, 6, 9])
+def test_signed_permuted_chains_are_decided_exactly(dense_clifford_calls, r):
+    """Signed chains in any order are exact in both paths: the same report bit for bit, notes included."""
+    rng = np.random.default_rng(r)
+    gens = gamma_generators(r).generators
+    family = gens[rng.permutation(r)] * rng.choice([-1.0, 1.0], r)[:, None, None]
+    report = verify_clifford_relations(family)
+    _same_exactly(report, oracles.dense_verify_clifford_relations(family))
+    assert report.passed and report.max_deviation == 0.0
+    assert [c.note for c in report.checks] == ["worst generator 1", "no distinct pairs"]
+    assert dense_clifford_calls["relations"] == 0
+
+
+def test_identity_counts_as_a_chain_only_alone(dense_clifford_calls):
+    """+-I squares to I: alone it is decided from its coordinates; beside a chain, {I, G} = 2G."""
+    eye, x = np.eye(4, dtype=complex), gamma_generators(4).generators[0]
+    for family, calls, passed in (([-eye], 0, True), ([eye, x], 1, False)):
+        report = verify_clifford_relations(family)
+        _same_exactly(report, oracles.dense_verify_clifford_relations(family))
+        assert dense_clifford_calls["relations"] == calls and report.passed == passed
+
+
+def test_exact_family_that_fails_falls_back(dense_clifford_calls):
+    """Integer coordinates without a residual, but a repeated and a doubled chain: the dense report."""
+    gens = gamma_generators(5).generators.copy()
+    gens[3] = gens[1]
+    gens[4] = 2.0 * gens[4]
+    report = verify_clifford_relations(gens)
+    assert dense_clifford_calls["relations"] == 1
+    _same_exactly(report, oracles.dense_verify_clifford_relations(gens))
+    assert [c.note for c in report.checks] == ["worst generator 5", "worst pair (2, 4)"]
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNKS)
+@pytest.mark.parametrize("kind", ["entry", "sign", "nan", "rotate"])
+@pytest.mark.parametrize("r", [4, 5])
+def test_tampered_involutions_fall_back(monkeypatch, dense_clifford_calls, chunk_bytes, kind, r):
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    block, x = _involutions(r, 400 + r)
+    tampered = _tamper(x, kind, np.random.default_rng(r))
+    report = verify_clifford_identity(block, tampered, trials=30, seed=r)
+    assert dense_clifford_calls["identity"] == 1
+    _same_exactly(report, oracles.dense_verify_clifford_identity(block, tampered, trials=30, seed=r))
+    assert report.passed == (kind == "rotate")
+
+
+@pytest.mark.parametrize("kind", ["entry", "sign", "nan", "rotate"])
+@pytest.mark.parametrize("r", [4, 5])
+def test_tampered_generators_fall_back(dense_clifford_calls, kind, r):
+    """A Hermitian entry off by 1e-6 or a rotation go to the dense path; a flipped sign stays
+    exact and passes; a NaN is refused before either path, as the dense check always did."""
+    gens = gamma_generators(r).generators
+    if kind == "entry":
+        tampered = gens.copy()
+        tampered[1, 0, 0] += 1e-6
+    else:
+        tampered = _tamper(gens, kind, np.random.default_rng(r))
+    if kind == "nan":
+        with pytest.raises(ValueError) as want:
+            oracles.dense_verify_clifford_relations(tampered)
+        with pytest.raises(ValueError, match=str(want.value)):
+            verify_clifford_relations(tampered)
+        return
+    report = verify_clifford_relations(tampered)
+    assert dense_clifford_calls["relations"] == (kind in ("entry", "rotate"))
+    _same_exactly(report, oracles.dense_verify_clifford_relations(tampered))
+    assert report.passed == (kind != "entry")
+
+
+def test_closed_form_bounds_hold_off_the_pauli_span():
+    """Noise of every size: each bound is at least the dense deviation it stands for."""
+    rng = np.random.default_rng(11)
+    block, x = _involutions(6, 11)
+    mus = rng.standard_normal((40, 6))
+    rows, cols = np.triu_indices(6)
+    for scale in (1e-3, 1e-9, 1e-13):
+        noisy = x + scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+        bound_rand, bound_pair = factorization._pauli_identity_deviations(noisy, block, mus, rows, cols)
+        dense_rand, dense_pair = factorization._dense_identity_deviations(noisy, block, mus, rows, cols)
+        assert bound_rand >= dense_rand and bound_pair >= dense_pair
+        fit = pauli_coordinates(noisy)
+        idx = np.arange(6)
+        squares = clifford.pauli_anticommutators(*fit, idx, idx, np.full(6, 2.0)) / 2.0
+        assert np.all(squares >= linalg.square_deviations(noisy))
+
+
+def test_identity_bound_stays_within_dev_tol_at_rank_twelve():
+    """The max-entry slack keeps the bound near the dense value where a Frobenius slack would not."""
+    block, x = _involutions(12, 12)
+    report = verify_clifford_identity(block, x, trials=100, seed=12)
+    dense = oracles.dense_verify_clifford_identity(block, x, trials=100, seed=12)
+    assert report.passed
+    for got, want in zip(report.checks, dense.checks):
+        assert got.deviation >= 0.0 and abs(got.deviation - want.deviation) < 1e-13
+
+
+# ------------------------------------------------------------ non-finite factors
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_factor_fails_the_cpsd_report(value):
+    e = gen_extreme_lex(4)[0]
+    mats = build_cpsd_factorization(e).mats.copy()
+    mats[2, 1, 1, 1] = value
+    report = verify_cpsd_factorization(build_pc(e), CpsdFactorization(mats))
+    assert not report.check("factors_hermitian").passed and not report.check("factors_psd").passed
+    assert report.check("factors_psd").note == "min eigenvalue -inf"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_factor_raises_inconsistent_sums_on_extraction(value):
+    mats = build_cpsd_factorization(gen_extreme_lex(4)[0]).mats.copy()
+    mats[1, 0, 0, 0] = value
+    with pytest.raises(InconsistentSumsError):
+        extract_matrix_factorization(CpsdFactorization(mats))
+
+
+def test_eigenvalue_bounds_of_a_non_finite_matrix_are_unbounded():
+    stack = np.stack([np.eye(3), np.eye(3), 2.0 * np.eye(3)]).astype(complex)
+    stack[1, 0, 2] = np.nan
+    least, largest = linalg.eigenvalue_bounds(stack)
+    assert least.tolist() == [1.0, -np.inf, 2.0] and largest.tolist() == [1.0, np.inf, 2.0]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from corrfact import linalg
 from corrfact.clifford import PAULI_X, PAULI_Y, PAULI_Z
-from corrfact.elliptope import CSystem, complete
+from corrfact.elliptope import CSystem, complete, gen_extreme_lex, gram_factors
 from corrfact.errors import (
     CSystemMismatchError,
     InvariantViolationError,
@@ -216,3 +217,27 @@ def test_bridge_requires_vector_state():
     dense = TensorProductRep(rep.alice_obs, rep.bob_obs, rho=rep.density())
     with pytest.raises(NotRankOneError):
         to_matrix_factorization(dense)
+
+
+@pytest.mark.parametrize("r", [8, 9, 10])
+def test_gathered_reduction_and_evaluation_are_bit_identical_to_matmul(r):
+    """d >= 16: the Schmidt isometries of the maximally entangled state and its diagonal W are
+    applied by gather (linalg.sandwich), writing the bits of the batched matmuls."""
+    e = gen_extreme_lex(r)[0]
+    h = e.shape[0] // 2
+    u = gram_factors(e)
+    rep = build_tensor_rep(e[:h, h:], CSystem(u[:h], u[h:]))
+    assert rep.local_dim >= linalg.GATHER_MIN_DIM
+    sd = linalg.schmidt(rep.psi, rep.local_dim)
+    left, right = sd.left_vectors.conj(), sd.right_vectors.conj()
+    assert linalg._monomial(left) is not None and linalg._monomial(right) is not None
+    reduced = reduce_rank_one_rep(rep)
+    assert reduced.alice_obs.tobytes() == (left @ rep.alice_obs @ left.conj().T).tobytes()
+    assert reduced.bob_obs.tobytes() == (right @ rep.bob_obs @ right.conj().T).tobytes()
+    assert reduced.alice_obs is not rep.alice_obs
+    for state in (rep, reduced):
+        d = state.local_dim
+        w = vec_inv(state.psi, d)
+        z = w.conj().T @ state.alice_obs @ w
+        want = (z.reshape(-1, d * d) @ state.bob_obs.reshape(-1, d * d).T).real
+        assert eval_correlations(state).tobytes() == want.tobytes()
