@@ -158,17 +158,48 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     coords = np.empty((k, table.shape[0]))
     delta, resid = np.empty(k), np.empty(k)
     for part in chunks(k, d * d * 16):
-        block = np.array(flat[part], dtype=complex)
+        block = np.ascontiguousarray(flat[part], dtype=complex)
         terms = block.view(float)[:, idx] * sign
         while terms.shape[-1] > 1:
             half = terms.shape[-1] // 2
             terms = terms[..., :half] + terms[..., half:]
         coords[part] = terms[..., 0] / d
-        block[:, pos] -= coords[part] @ table
         mags = np.abs(block)
+        mags[:, pos] = np.abs(block[:, pos] - coords[part] @ table)
         delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
         resid[part] = np.max(mags, axis=1, initial=0.0)
     return coords, delta, resid
+
+
+def write_combinations(rows, out: np.ndarray, c0: float = 0.0, scale: float = 1.0) -> None:
+    """Write scale (c0 I + sum_i u_i G_i) for each row u of an (m, r) array into out, a zeroed
+    (m, d, d) stack, G_1..G_r being gamma_generators(r) at d = rep_dim(r).
+
+    The inverse of pauli_coordinates: the rows are laid out as coordinates
+    over I and the chains of gamma_generators(2L+1) (rank 1 is the Z chain
+    at d = 2), and only the (L+1) d places where those are nonzero are
+    written, with the values c @ table of _pauli_tables.  X_i and Y_i share
+    their places and every other chain is zero there, so each value off the
+    diagonal is one signed product; the rest of out stays zero.  out may be
+    any view, such as a transposed one.
+    """
+    coeffs = np.asarray(rows, dtype=float)
+    r = coeffs.shape[1]
+    ell = max(r // 2, 1)
+    d = 2**ell
+    if out.shape != (len(coeffs), d, d):
+        raise ShapeError(f"expected a ({len(coeffs)}, {d}, {d}) stack, got {out.shape}")
+    pos, table = _pauli_tables(ell)
+    coords = np.zeros((len(coeffs), table.shape[0]))
+    coords[:, 0] = c0
+    if r == 1:
+        coords[:, 3] = coeffs[:, 0]
+    else:
+        coords[:, 1 : r + 1] = coeffs
+    values = coords @ table
+    if scale != 1.0:
+        values *= scale
+    out[:, pos // d, pos % d] = values
 
 
 def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +212,17 @@ def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarra
     """
     norms = math.sqrt(d) * np.linalg.norm(coords, axis=1)
     return d * (coords @ coords.T), np.outer(delta, norms + delta) + np.outer(norms, delta)
+
+
+def pauli_square_bounds(coords: np.ndarray, delta: np.ndarray, square: float) -> np.ndarray:
+    """Upper bounds on max|M^2 - square I| for each matrix, from its Pauli coordinates and residual.
+
+    With M = M' + R, M' = c_0 I + G(c) and ||R||_F = delta, M'^2 is
+    (c_0^2 + ||c||^2) I + 2 c_0 G(c) and ||M'||_2 = |c_0| + ||c||, so
+    max|M^2 - s I| <= |c_0^2 + ||c||^2 - s| + 2|c_0| ||c|| + 2 ||M'||_2 delta + delta^2.
+    """
+    c0, radius = np.abs(coords[:, 0]), np.linalg.norm(coords[:, 1:], axis=1)
+    return np.abs(c0**2 + radius**2 - square) + 2.0 * c0 * radius + 2.0 * (c0 + radius) * delta + delta**2
 
 
 def pauli_anticommutators(
@@ -221,17 +263,6 @@ def gamma_of_vector(rep: CliffordRep, x) -> np.ndarray:
     coeffs = np.asarray(x, dtype=float).reshape(-1)
     if coeffs.size != rep.rank:
         raise ShapeError(f"expected a vector of length {rep.rank}, got {coeffs.size}")
-    return np.tensordot(coeffs, rep.generators, axes=1)
-
-
-def gamma_of_rows(rep: CliffordRep, rows) -> np.ndarray:
-    """Evaluate x -> sum_i x_i G_i on every row of an (m, rank) array.
-
-    One tensordot of the rows with the generator stack; returns (m, d, d).
-    """
-    coeffs = np.asarray(rows, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[1] != rep.rank:
-        raise ShapeError(f"expected rows of length {rep.rank}, got shape {coeffs.shape}")
     return np.tensordot(coeffs, rep.generators, axes=1)
 
 

@@ -18,12 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows, irreducible_dim, pauli_coordinates, pauli_gram, rep_dim
+from .clifford import (
+    irreducible_dim,
+    pauli_coordinates,
+    pauli_gram,
+    pauli_square_bounds,
+    rep_dim,
+    write_combinations,
+)
 from .elliptope import check_extreme, require_correlation, resolve_gram_factors
 from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
 from .linalg import (
     DEFAULT_TOL,
+    GATHER_MIN_DIM,
     ToleranceConfig,
     as_matrix,
     chunks,
@@ -107,37 +115,79 @@ def build_cpsd_factorization(
 
     With unit Gram factors u_i of rank r, the factors are
     (I + a G(u_i)) / (2 sqrt(d)) at d = 2^floor(r/2) (d = 2 for r = 1); their
-    trace inner products equal (1 + a b c_ij) / 4 entrywise.
+    trace inner products equal (1 + a b c_ij) / 4 entrywise.  Each factor is
+    written on the chain support alone (clifford.write_combinations), the
+    outcome -1 from the coefficients -u_i.
     """
     a = require_correlation(c, tol)
     u = resolve_gram_factors(a, factors, tol, unit=True)
-    rep = gamma_generators(u.shape[1])
-    d = rep.rep_dim
-    eye = np.eye(d, dtype=complex)
-    mats = np.empty((a.shape[0], 2, d, d), dtype=complex)
-    for part in chunks(a.shape[0], eye.nbytes):
-        g = gamma_of_rows(rep, u[part])
-        np.add(eye, g, out=mats[part, 0])
-        np.subtract(eye, g, out=mats[part, 1])
-    mats *= 1.0 / (2.0 * math.sqrt(d))
+    d = rep_dim(u.shape[1])
+    mats = np.zeros((a.shape[0], 2, d, d), dtype=complex)
+    scale = 1.0 / (2.0 * math.sqrt(d))
+    write_combinations(u, mats[:, 0], c0=1.0, scale=scale)
+    write_combinations(-u, mats[:, 1], c0=1.0, scale=scale)
     return CpsdFactorization(mats)
 
 
-def _outcome_sum_check(mats: np.ndarray, hermitize: bool) -> tuple[np.ndarray, float]:
-    """Mean outcome sum K = mean_i (P^i_+ + P^i_-), Hermitized if asked, and max_i |P^i_+ + P^i_- - K|.
+def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """Mean outcome sum K = mean_i (P^i_+ + P^i_-) and max_i |P^i_+ + P^i_- - K| of an (n, 2, m)
+    family of flattened factors: the m = d^2 entries of each, or the places _flat_family keeps.
 
-    No (n, d, d) stack of sums is built: K accumulates in index order, so it
-    is bit-identical to sums.mean(axis=0) for d >= 2, and the deviation is
-    taken a chunk of indices at a time.
+    With `mirror`, the place of each place's transpose, K is Hermitized first,
+    (K + K^*)/2.  No (n, m) stack of sums is built: each chunk of sums is
+    added up in index order by np.add.reduce, its first member having taken
+    the running total, so K is bit-identical to sums.mean(axis=0) for d >= 2.
+    (numpy reduces the leading axis of a C-ordered array member by member; in
+    another layout it may sum pairwise, so the chunk is made C-ordered.)  The
+    deviation takes a second pass, a chunk of indices at a time.
     """
-    total = mats[0, 0] + mats[0, 1]
-    for pair in mats[1:]:
-        total += pair[0] + pair[1]
-    mean_sum = total / len(mats)
-    if hermitize:
-        mean_sum = (mean_sum + mean_sum.conj().T) / 2.0
     parts = chunks(len(mats), mats[0:1, 0].nbytes)
-    return mean_sum, max(float(np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0)) for p in parts)
+    total = None
+    for p in parts:
+        sums = np.add(mats[p, 0], mats[p, 1], order="C")
+        if total is not None:
+            sums[0] += total
+        total = np.add.reduce(sums, axis=0)
+    mean_sum = total / len(mats)
+    if mirror is not None:
+        mean_sum = (mean_sum + mean_sum[mirror].conj()) / 2.0
+    devs = [np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0) for p in parts]
+    return mean_sum, float(np.max(devs))
+
+
+def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2)
+    and the position within them of each place's transpose.
+
+    From d = GATHER_MIN_DIM, when at most half of the d^2 places hold a
+    nonzero bit in some factor (so -0.0 counts) or are the transpose of one
+    that does, only those places are kept: every factor is +0.0 at every
+    other place, and so are its sums, means, scaled differences and
+    Hermitian parts, so work on the places alone loses nothing.  A
+    chain-built family keeps the (L+1) d places of clifford._pauli_tables.
+    """
+    n, d = f.n, f.dim
+    flat = f.mats.reshape(n, 2, d * d)
+    mirror = np.arange(d * d).reshape(d, d).T.ravel()
+    if d < GATHER_MIN_DIM:
+        return flat, None, mirror
+    words = np.ascontiguousarray(flat).reshape(-1, d * d)
+    hit = words.view(np.int64).any(axis=0).reshape(d, d, -1).any(axis=2)
+    places = np.flatnonzero(hit | hit.T)
+    if 2 * places.size > d * d:
+        return flat, None, mirror
+    index = np.empty(d * d, dtype=np.intp)
+    index[places] = np.arange(places.size)
+    return np.take(flat, places, axis=2), places, index[mirror[places]]
+
+
+def _unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
+    """The d x d matrix holding a flattened one's entries at its places (None: all d^2), +0.0 elsewhere."""
+    if places is None:
+        return values.reshape(d, d)
+    out = np.zeros(d * d, dtype=values.dtype)
+    out[places] = values
+    return out.reshape(d, d)
 
 
 def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float]:
@@ -189,8 +239,8 @@ def verify_cpsd_factorization(
     family and are tight for a generator-built one.  That report stands only
     when every check passes; otherwise the dense checks (_dense_deviations)
     decide, so a pass is a proof and a failure is the dense report.  The
-    outcome sums are compared a chunk at a time, so each temporary stays
-    near linalg.CHUNK_BYTES.
+    outcome sums are compared a chunk at a time, at the places _flat_family
+    keeps, so each temporary stays near linalg.CHUNK_BYTES.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -199,8 +249,11 @@ def verify_cpsd_factorization(
 
     d = f.dim
     stack = f.mats.reshape(2 * n, d, d)
-    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=False)
-    trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
+    work, places, _ = _flat_family(f)
+    with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
+        mean_sum, sum_dev = _outcome_sum_check(work, None)
+        mean_sum = _unflatten(mean_sum, places, d)
+        trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
 
     def report(herm_dev: float, min_eig: float, entry_dev: float) -> VerificationReport:
         return VerificationReport(
@@ -218,9 +271,10 @@ def verify_cpsd_factorization(
             )
         )
 
-    bounds = _pauli_deviations(stack, mat)
-    fast = None if bounds is None else report(*bounds)
-    return fast if fast is not None and fast.passed else report(*_dense_deviations(stack, mat))
+    with np.errstate(invalid="ignore"):
+        bounds = _pauli_deviations(stack, mat)
+        fast = None if bounds is None else report(*bounds)
+        return fast if fast is not None and fast.passed else report(*_dense_deviations(stack, mat))
 
 
 def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertificate:
@@ -258,11 +312,21 @@ def extract_matrix_factorization(
     sources do).  The restriction and conjugation are batched matmuls over
     chunks of the factor stack; when K is already diagonal the support basis
     is a column selection of I and the restriction is a gather instead, or
-    nothing at all when the selection keeps every column in place.
+    nothing at all when the selection keeps every column in place.  K and
+    its check take the places _flat_family keeps alone (a chain-built family
+    keeps (L+1)/d of them), and so does X when the restriction is the
+    identity: the result has the same bits.  The involutions check is
+    decided by the bound clifford.pauli_square_bounds when that passes;
+    otherwise, or when the size is not a power of two >= 2, the batched
+    squares (linalg.square_deviations) decide.
     """
-    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
+    n, d = f.n, f.dim
+    work, places, mirror = _flat_family(f)
+    with np.errstate(invalid="ignore"):  # a non-finite factor raises below, without warnings
+        mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
+    mean_sum = _unflatten(mean_sum, places, d)
 
     diag = np.diag(mean_sum)
     if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
@@ -278,37 +342,54 @@ def extract_matrix_factorization(
         raise ZeroSumError("common outcome sum is numerically zero")
     keep = w > tol.rank_tol * w[0]
     lam = w[keep]
-    if order is None:
-        basis = u[:, keep]
-        bh = basis.conj().T
-
-        def restrict(m: np.ndarray) -> np.ndarray:
-            return bh @ m @ basis
-
-    elif np.array_equal(order[keep], np.arange(f.dim)):
-        # the support is every coordinate in place: restriction is the identity
-
-        def restrict(m: np.ndarray) -> np.ndarray:
-            return m
-
-    else:
-        idx = order[keep]
-
-        def restrict(m: np.ndarray) -> np.ndarray:
-            return m[:, idx[:, None], idx]
-
     inv_sqrt = 1.0 / np.sqrt(lam)
     scaling = np.outer(inv_sqrt, inv_sqrt)
-
-    n = f.n
     s = lam.size
-    x_mats = np.empty((n, s, s), dtype=complex)
-    for part in chunks(n, f.mats[0:1, 0].nbytes):
-        x = restrict(f.mats[part, 0]) * scaling
-        x -= restrict(f.mats[part, 1]) * scaling
-        np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
-        x_mats[part] /= 2.0
-    inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))
+    in_place = order is not None and np.array_equal(order[keep], np.arange(d))
+
+    if in_place and places is not None:
+        # every coordinate stays in place: X is formed at the kept places alone, into an
+        # output allocated before the temporaries, so that they are freed above it
+        x_mats = np.zeros((n, d, d), dtype=complex)
+        x_flat = x_mats.reshape(n, d * d)
+        scale = scaling.ravel()[places]
+        for part in chunks(n, work[0:1, 0].nbytes):
+            x = work[part, 0] * scale
+            x -= work[part, 1] * scale
+            hermitian = x[:, mirror]
+            np.conjugate(hermitian, out=hermitian)
+            hermitian += x
+            hermitian /= 2.0
+            x_flat[part, places] = hermitian
+    else:
+        if order is None:
+            basis = u[:, keep]
+            bh = basis.conj().T
+
+            def restrict(m: np.ndarray) -> np.ndarray:
+                return bh @ m @ basis
+
+        elif in_place:
+
+            def restrict(m: np.ndarray) -> np.ndarray:
+                return m
+
+        else:
+            idx = order[keep]
+
+            def restrict(m: np.ndarray) -> np.ndarray:
+                return m[:, idx[:, None], idx]
+
+        x_mats = np.empty((n, s, s), dtype=complex)
+        for part in chunks(n, f.mats[0:1, 0].nbytes):
+            x = restrict(f.mats[part, 0]) * scaling
+            x -= restrict(f.mats[part, 1]) * scaling
+            np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+            x_mats[part] /= 2.0
+    fit = pauli_coordinates(x_mats)
+    inv_dev = math.nan if fit is None else float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0))
+    if not inv_dev <= tol.eq_tol:
+        inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))
 
     k_restricted = np.diag(lam.astype(complex))
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows, pauli_anticommutators, pauli_coordinates, pauli_gram
+from .clifford import (
+    pauli_anticommutators,
+    pauli_coordinates,
+    pauli_gram,
+    pauli_square_bounds,
+    rep_dim,
+    write_combinations,
+)
 from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
 from .errors import (
     InvariantViolationError,
@@ -28,7 +35,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    GATHER_MIN_DIM,
     ToleranceConfig,
+    _monomial,
     anticommutator_deviations,
     as_matrix,
     as_stack,
@@ -91,7 +100,8 @@ def factorize_clifford(
     the B family (default: all rows to A).  `factors` optionally supplies
     precomputed unit Gram factors; by default the deterministic
     eigendecomposition factors are used.  The output dimension is
-    2^floor(r/2) for rank r >= 2 and 2 for rank 1.
+    2^floor(r/2) for rank r >= 2 and 2 for rank 1.  Each matrix is written
+    on the chain support alone (clifford.write_combinations).
     """
     a = require_correlation(e, tol)
     n = a.shape[0]
@@ -100,9 +110,9 @@ def factorize_clifford(
     if not 0 <= split <= n:
         raise ShapeError(f"split must lie in [0, {n}], got {split}")
     u = resolve_gram_factors(a, factors, tol)
-    rep = gamma_generators(u.shape[1])
-    mats = gamma_of_rows(rep, u)
-    mats *= 1.0 / math.sqrt(rep.rep_dim)
+    d = rep_dim(u.shape[1])
+    mats = np.zeros((n, d, d), dtype=complex)
+    write_combinations(u, mats, scale=1.0 / math.sqrt(d))
     return FormBFactorization(mats[:split], mats[split:])
 
 
@@ -131,16 +141,36 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     parts, giving real unit vectors whose Gram matrix is returned.  The
     family is formed by two batched matmuls (row or column scalings when K
     is diagonal) into one stack, whose complex rows viewed as interleaved
-    real vectors go through one real GEMM.
+    real vectors go through one real GEMM.  Zero columns add nothing to it:
+    from d = GATHER_MIN_DIM, when at most half of the columns hold a nonzero
+    (a family on the chain support keeps (L+1)/d of them), the GEMM runs
+    over those columns alone.  A diagonal K then scales the places where
+    some X_i or Y_j is nonzero alone, as linalg.sandwich would, and the rest
+    of the family is never formed.
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
     x, y = as_stack(mf.x_mats, "X family", d), as_stack(mf.y_mats, "Y family", d)
     n = x.shape[0]
-    family = np.empty((n + y.shape[0], d, d), dtype=complex)
-    _weigh(k, x, out=family[:n])
-    _weigh(k, y, right=True, out=family[n:])
-    g = gram(family.reshape(family.shape[0], d * d).view(float))
+    flat = None
+    weight = _monomial(k) if d >= GATHER_MIN_DIM else None
+    if weight is not None and weight[0] is None:
+        xf, yf = x.reshape(n, d * d), y.reshape(len(y), d * d)
+        places = np.flatnonzero(xf.any(axis=0) | yf.any(axis=0))
+        if 2 * places.size <= d * d:
+            rows, cols = np.divmod(places, d)
+            scaled = (np.take(xf, places, axis=1) * weight[1][rows], np.take(yf, places, axis=1) * weight[1][cols])
+            flat = np.concatenate(scaled).view(float)
+    if flat is None:
+        family = np.empty((n + y.shape[0], d, d), dtype=complex)
+        _weigh(k, x, out=family[:n])
+        _weigh(k, y, right=True, out=family[n:])
+        flat = family.reshape(family.shape[0], d * d).view(float)
+    if d >= GATHER_MIN_DIM:
+        cols = np.flatnonzero(flat.any(axis=0))
+        if cols.size <= d * d:
+            flat = flat[:, cols]
+    g = gram(flat)
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > tol.eq_tol:
         raise InvariantViolationError(
@@ -170,11 +200,8 @@ def _pauli_deviations(
     """Upper bounds on the Gram deviation of (w F_p) against e over p <= q, F being
     `first` then `second`, and on max|F_p^2 - square I|, from Pauli coordinates.
 
-    With M = M' + R, M' = c_0 I + G(c) and ||R||_F = delta, M'^2 is
-    (c_0^2 + ||c||^2) I + 2 c_0 G(c) and ||M'||_2 = |c_0| + ||c||, so
-    max|M^2 - s I| <= |c_0^2 + ||c||^2 - s| + 2|c_0| ||c|| + 2 ||M'||_2 delta + delta^2.
-    The Gram bound is clifford.pauli_gram scaled by w^2.  None when d is not
-    a power of two >= 2.
+    The Gram bound is clifford.pauli_gram scaled by w^2, the square bound
+    clifford.pauli_square_bounds.  None when d is not a power of two >= 2.
     """
     fits = [pauli_coordinates(f) for f in (first, second)]
     if None in fits:
@@ -182,9 +209,7 @@ def _pauli_deviations(
     coords, delta, _ = (np.concatenate(parts) for parts in zip(*fits))
     gram, slack = pauli_gram(coords, delta, first.shape[-1])
     gram_dev = float(np.max(np.triu(np.abs(weight**2 * gram - e) + weight**2 * slack), initial=0.0))
-    c0, radius = np.abs(coords[:, 0]), np.linalg.norm(coords[:, 1:], axis=1)
-    sq = np.abs(c0**2 + radius**2 - square) + 2.0 * c0 * radius + 2.0 * (c0 + radius) * delta + delta**2
-    return gram_dev, float(np.max(sq, initial=0.0))
+    return gram_dev, float(np.max(pauli_square_bounds(coords, delta, square), initial=0.0))
 
 
 def verify_factorization(
@@ -298,14 +323,15 @@ def _dense_identity_deviations(
     mats: np.ndarray, block: np.ndarray, mus: np.ndarray, rows, cols
 ) -> tuple[float, float]:
     """The two identity checks by batched products: the sums sum_i mu_i M_i are one
-    tensordot per chunk of trials, and the pairs are formed in chunked batched products."""
-    dev_rand = 0.0
+    tensordot per chunk of trials, and the pairs are formed in chunked batched products.
+    The worst deviation is one np.max over all of them, so a NaN is reported, not dropped."""
+    rand_devs = np.zeros(len(mus))
     for part in chunks(len(mus), mats[0:1].nbytes):
         s = np.tensordot(mus[part], mats, axes=1)
         shift = np.einsum("ti,ij,tj->t", mus[part], block, mus[part])
-        dev_rand = max(dev_rand, float(np.max(identity_deviations(s @ s, shift[:, None]), initial=0.0)))
+        rand_devs[part] = identity_deviations(s @ s, shift[:, None])
     pair_devs = anticommutator_deviations(mats, rows, cols, 2.0 * block[rows, cols])
-    return dev_rand, float(np.max(pair_devs, initial=0.0))
+    return float(np.max(rand_devs, initial=0.0)), float(np.max(pair_devs, initial=0.0))
 
 
 def verify_clifford_identity(

@@ -205,7 +205,9 @@ def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarra
 
 
 GATHER_MIN_DIM = 16
-"""Least matrix size d at which sandwich looks for monomial factors.
+"""Least matrix size d at which sandwich looks for monomial factors, and at which
+recover_correlation and the outcome-sum checks of cpsd look for the places
+where a family is zero.
 
 Below it a batched matmul costs less than telling whether a factor is
 monomial: W^* M W with a diagonal W takes 15 us by matmul and 29 us by
@@ -312,8 +314,9 @@ def sorted_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with a deterministic output convention.
 
     Eigenvalues come out descending; each eigenvector is rotated so its
-    largest-magnitude component is real positive, making repeated calls
-    reproduce identical factors.
+    largest-magnitude component (the first one, among equals) is real
+    positive, making repeated calls reproduce identical factors.  All
+    columns are rotated at once; a zero column is left as it is.
     """
     a = as_matrix(m)
     w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
@@ -321,12 +324,17 @@ def sorted_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-w, kind="stable")
     w = w[order].copy()
     u = u[:, order].copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0.0:
-            u[:, k] = col * (abs(pivot) / pivot)
+    if u.size:
+        pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        nonzero = np.flatnonzero(pivot)
+        pivot = pivot[nonzero]
+        if np.iscomplexobj(pivot):
+            # numpy's scalar abs and division, whose bits its array loops do
+            # not reproduce in every version
+            phase = np.array([abs(p) / p for p in pivot], dtype=complex)
+        else:
+            phase = np.abs(pivot) / pivot
+        u[:, nonzero] *= phase
     if not np.iscomplexobj(a):
         u = u.real
     return w, u

@@ -288,20 +288,29 @@ def _slots(role: Role, count: int) -> list[tuple]:
 
 
 def _save(dirpath, kind: str, stacks: dict[str, np.ndarray], **meta) -> None:
-    """Write the matrices of each role, found in ``stacks`` by role name, then the manifest."""
+    """Write the matrices of each role, found in ``stacks`` by role name, then the manifest.
+
+    A role whose stack is the very array of an earlier role (an extracted
+    factorization's Y family is its X family) writes that role's texts again
+    without encoding them a second time.
+    """
     keys, roles = BUNDLES[kind]
     directory = Path(dirpath)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
+    entries, encoded = [], []
     for role in roles:
         name = next(name for name in role.names if name in stacks)
         stack = stacks[name]
         slots = _slots(role, len(stack))
         if role.count:
             meta[role.count] = len(stack)
-        for (index, outcome), matrix in zip(slots, np.reshape(stack, (len(slots),) + np.shape(stack)[-2:])):
+        texts = next((texts for earlier, texts in encoded if earlier is stack), None)
+        if texts is None:
+            texts = [matrix_text(m) for m in np.reshape(stack, (len(slots),) + np.shape(stack)[-2:])]
+            encoded.append((stack, texts))
+        for (index, outcome), text in zip(slots, texts):
             file = role.file.format(i=index, o={1: "p", -1: "m"}.get(outcome))
-            write_matrix(directory / file, matrix)
+            (directory / file).write_text(text + "\n", encoding="utf-8")
             entry = {"role": name, "index": index, "outcome": outcome, "file": file}
             entries.append({key: value for key, value in entry.items() if value is not None})
     manifest = {"kind": kind, **{key: meta[key] for key in keys}, "entries": entries}

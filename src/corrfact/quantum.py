@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma_generators, gamma_of_rows
+from .clifford import rep_dim, write_combinations
 from .elliptope import CSystem
 from .errors import (
     CSystemMismatchError,
@@ -106,7 +106,9 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     The system's vectors are expressed in an orthonormal basis of their
     common span (dimension r); the observables are G(u_i) and G(v_j)^T for
     the rank-r generator family, and the state is the maximally entangled
-    vector at local dimension 2^floor(r/2).
+    vector at local dimension 2^floor(r/2).  The observables are written on
+    the chain support alone (clifford.write_combinations), Bob's through a
+    transposed view.
     """
     block = as_matrix(c, "bipartite block")
     rows, cols = sys.row_vectors, sys.col_vectors
@@ -128,10 +130,12 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     row_coords = rows @ basis.T
     col_coords = cols @ basis.T
 
-    rep = gamma_generators(r)
-    alice = gamma_of_rows(rep, row_coords)
-    bob = gamma_of_rows(rep, col_coords).transpose(0, 2, 1).copy()
-    return TensorProductRep(alice, bob, psi=maximally_entangled(rep.rep_dim))
+    d = rep_dim(r)
+    alice = np.zeros((rows.shape[0], d, d), dtype=complex)
+    bob = np.zeros((cols.shape[0], d, d), dtype=complex)
+    write_combinations(row_coords, alice)
+    write_combinations(col_coords, bob.transpose(0, 2, 1))
+    return TensorProductRep(alice, bob, psi=maximally_entangled(d))
 
 
 def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -11,8 +11,11 @@ reference bytes.  The contract section holds the inline Hermitian and
 eigenvalue checks, the stack coercions and the validators that the
 ``linalg`` contract helpers replaced.  The dense sections hold the batched
 dense verifiers, extraction and Clifford checks that the Pauli-coordinate
-fast paths now precede.  Tests compare the library against them; nothing in ``corrfact``
-imports this module.
+fast paths now precede.  The tensordot section holds the builders that formed
+every generator combination densely before they were written on the chain
+support, with the loops of ``sorted_eigh`` and of the mean outcome sum.
+Tests compare the library against them; nothing in ``corrfact`` imports
+this module.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from corrfact.clifford import gamma_generators, gamma_of_vector
-from corrfact.cpsd import CpsdFactorization, _outcome_sum_check
-from corrfact.elliptope import gram_factors, require_correlation
+from corrfact.clifford import CliffordRep, gamma_generators, gamma_of_vector
+from corrfact.cpsd import CpsdFactorization
+from corrfact.elliptope import gram_factors, require_correlation, resolve_gram_factors
 from corrfact.errors import (
     InconsistentSumsError,
     InvariantViolationError,
@@ -712,6 +715,94 @@ def load_tensor_rep(dirpath) -> TensorProductRep:
     return TensorProductRep(alice, bob, rho=densities[0])
 
 
+# ------------------------------------------------------------ tensordot builders
+#
+# The builders that formed each generator combination by one tensordot of the
+# coefficient rows with the r dense generators, the per-column phase loop of
+# sorted_eigh and the index loop of the mean outcome sum, verbatim but for
+# their names.  The library writes combinations on the chain support, rotates
+# all eigenvectors at once and sums outcome sums a chunk at a time, to the
+# same bits.
+
+
+def _gamma_of_rows(rep: CliffordRep, rows) -> np.ndarray:
+    coeffs = np.asarray(rows, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[1] != rep.rank:
+        raise ShapeError(f"expected rows of length {rep.rank}, got shape {coeffs.shape}")
+    return np.tensordot(coeffs, rep.generators, axes=1)
+
+
+def tensordot_factorize_clifford(e, split: int | None = None, *, factors=None, tol: ToleranceConfig = DEFAULT_TOL):
+    a = require_correlation(e, tol)
+    n = a.shape[0]
+    if split is None:
+        split = n
+    if not 0 <= split <= n:
+        raise ShapeError(f"split must lie in [0, {n}], got {split}")
+    u = resolve_gram_factors(a, factors, tol)
+    rep = gamma_generators(u.shape[1])
+    mats = _gamma_of_rows(rep, u)
+    mats *= 1.0 / math.sqrt(rep.rep_dim)
+    return FormBFactorization(mats[:split], mats[split:])
+
+
+def tensordot_build_cpsd_factorization(c, *, factors=None, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdFactorization:
+    a = require_correlation(c, tol)
+    u = resolve_gram_factors(a, factors, tol, unit=True)
+    rep = gamma_generators(u.shape[1])
+    d = rep.rep_dim
+    eye = np.eye(d, dtype=complex)
+    mats = np.empty((a.shape[0], 2, d, d), dtype=complex)
+    for part in chunks(a.shape[0], eye.nbytes):
+        g = _gamma_of_rows(rep, u[part])
+        np.add(eye, g, out=mats[part, 0])
+        np.subtract(eye, g, out=mats[part, 1])
+    mats *= 1.0 / (2.0 * math.sqrt(d))
+    return CpsdFactorization(mats)
+
+
+def tensordot_build_tensor_rep(c, sys, tol: ToleranceConfig = DEFAULT_TOL) -> TensorProductRep:
+    rows, cols = sys.row_vectors, sys.col_vectors
+    stacked = np.vstack([rows, cols])
+    _, svals, vh = np.linalg.svd(stacked)
+    r = int(np.count_nonzero(svals > tol.rank_tol * svals[0]))
+    basis = vh[:r]
+    row_coords = rows @ basis.T
+    col_coords = cols @ basis.T
+    rep = gamma_generators(r)
+    alice = _gamma_of_rows(rep, row_coords)
+    bob = _gamma_of_rows(rep, col_coords).transpose(0, 2, 1).copy()
+    return TensorProductRep(alice, bob, psi=maximally_entangled(rep.rep_dim))
+
+
+def sorted_eigh_loop(m) -> tuple[np.ndarray, np.ndarray]:
+    a = as_matrix(m)
+    w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    w = w[order].copy()
+    u = u[:, order].copy()
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        pivot = col[idx]
+        if abs(pivot) > 0.0:
+            u[:, k] = col * (abs(pivot) / pivot)
+    if not np.iscomplexobj(a):
+        u = u.real
+    return w, u
+
+
+def outcome_sum_check(mats: np.ndarray, hermitize: bool) -> tuple[np.ndarray, float]:
+    total = mats[0, 0] + mats[0, 1]
+    for pair in mats[1:]:
+        total += pair[0] + pair[1]
+    mean_sum = total / len(mats)
+    if hermitize:
+        mean_sum = (mean_sum + mean_sum.conj().T) / 2.0
+    parts = chunks(len(mats), mats[0:1, 0].nbytes)
+    return mean_sum, max(float(np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0)) for p in parts)
+
+
 # ------------------------------------------------------------ dense verifiers
 #
 # The dense verify_cpsd_factorization, verify_factorization and
@@ -750,7 +841,7 @@ def dense_verify_cpsd_factorization(
     min_eig = float(np.min(eigenvalue_bounds(stack)[0], initial=math.inf))
     entry_dev = float(np.max(np.abs(hs_gram(stack) - mat), initial=0.0))
 
-    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=False)
+    mean_sum, sum_dev = outcome_sum_check(f.mats, hermitize=False)
     trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
 
     checks = (
@@ -785,7 +876,7 @@ def dense_extract_matrix_factorization(
     sources do).  The restriction and conjugation are batched matmuls over
     chunks of the factor stack.
     """
-    mean_sum, sum_dev = _outcome_sum_check(f.mats, hermitize=True)
+    mean_sum, sum_dev = outcome_sum_check(f.mats, hermitize=True)
     if sum_dev > tol.eq_tol:
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
 

@@ -16,7 +16,7 @@ import pytest
 
 from corrfact import matio
 from corrfact.cli import run
-from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization
+from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, extract_matrix_factorization
 from corrfact.clifford import gamma_generators
 from corrfact.elliptope import CSystem, gen_extreme_lex, gram_factors
 from corrfact.errors import MatrixFormatError
@@ -64,6 +64,7 @@ def _bundles():
     out.append(("tensor_psi", "tensor_product_rep", rep, ()))
     out.append(("tensor_density", "tensor_product_rep", TensorProductRep(rep.alice_obs, rep.bob_obs, rho=rep.density()), ()))
     out.append(("tensor_empty_bob", "tensor_product_rep", TensorProductRep(rep.alice_obs, rep.bob_obs[:0], psi=rep.psi), ()))
+    out.append(("extracted_r5", "matrix_factorization", extract_matrix_factorization(build_cpsd_factorization(_lex(5)))[0], ()))
     real = CpsdFactorization(build_cpsd_factorization(_lex(2)).mats.real.copy())
     out.append(("cpsd_real_files", "cpsd_factorization", real, ()))
     return out
@@ -96,6 +97,19 @@ def test_bundle_files_and_loads_match_oracle(tmp_path, name, kind, obj, extra):
     assert _files(tmp_path / "new") == _files(tmp_path / "old")
     assert json.loads((tmp_path / "new" / matio.MANIFEST_NAME).read_text())["kind"] == kind
     _assert_same_bits(getattr(matio, load)(tmp_path / "old"), getattr(oracles, load)(tmp_path / "old"))
+
+
+def test_family_shared_by_two_roles_is_encoded_once(tmp_path, monkeypatch):
+    """Extraction returns X as Y: the y files are the x texts, encoded once, n_x + 1 encodings with k."""
+    mf = extract_matrix_factorization(build_cpsd_factorization(_lex(5)))[0]
+    assert mf.y_mats is mf.x_mats
+    matio.save_matrix_factorization(tmp_path / "copy", MatrixFactorization(mf.x_mats, mf.x_mats.copy(), mf.k))
+    calls = []
+    encode = matio.matrix_text
+    monkeypatch.setattr(matio, "matrix_text", lambda m: calls.append(1) or encode(m))
+    matio.save_matrix_factorization(tmp_path / "shared", mf)
+    assert len(calls) == mf.sizes[0] + 1
+    assert _files(tmp_path / "shared") == _files(tmp_path / "copy")
 
 
 # Few distinct entries, as in generator-built factors: these files take the canonical read.

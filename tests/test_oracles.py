@@ -481,4 +481,5 @@ def test_mean_outcome_sum_is_bit_identical_to_stacked_mean(r):
     noisy = mats + 1e-3 * np.random.default_rng(r).standard_normal(mats.shape)
     for family in (mats, noisy):
         want = CpsdFactorization(family).outcome_sums().mean(axis=0)
-        assert _outcome_sum_check(family, hermitize=False)[0].tobytes() == want.tobytes()
+        flat = family.reshape(len(family), 2, -1)
+        assert _outcome_sum_check(flat, None)[0].tobytes() == want.tobytes()
