@@ -22,12 +22,15 @@ import numpy as np
 from .errors import ShapeError
 from .linalg import (
     DEFAULT_TOL,
+    GATHER_MIN_DIM,
     ToleranceConfig,
     anticommutator_deviations,
     as_stack,
     chunks,
     hermitian_deviations,
+    nonzero_places,
     require_hermitian,
+    scatter_columns,
     square_deviations,
 )
 from .report import CheckResult, VerificationReport
@@ -112,22 +115,96 @@ def _pauli_tables(ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _chain_entries(ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where Re(M_ab conj(G_ab)) sits for the d nonzeros of I and each chain G of _pauli_tables(ell).
+def _support_tables(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float tables over the row of a matrix's values at the places of _pauli_tables(ell).
 
-    Every entry of a chain is +-1 or +-i, so that real part is one signed
-    component of M: returns its index in the float view of the flattened
-    matrix (twice the flat index, plus one for an imaginary part) and its
-    sign, each of shape (2L+2, d), rows ascending; read-only.
+    Every entry of a chain is +-1 or +-i, so Re(M_ab conj(G_ab)) is one
+    signed component of M: returns, for the d nonzeros of I and each chain
+    G, that component's index in the float view of the row (twice the
+    place's position, plus one for an imaginary part) and its sign, each of
+    shape (2L+2, d), rows ascending; and the float view of the table, whose
+    product with real coordinates is the float view of the rebuilt row.
+    Read-only.
     """
-    pos, table = _pauli_tables(ell)
+    table = np.ascontiguousarray(_pauli_tables(ell)[1])
     where = np.nonzero(table)[1].reshape(table.shape[0], -1)
     conj = np.take_along_axis(table, where, axis=1).conj()
-    idx = 2 * pos[where] + (conj.imag != 0)
+    idx = 2 * where + (conj.imag != 0)
     sign = conj.real - conj.imag
-    idx.setflags(write=False)
-    sign.setflags(write=False)
-    return idx, sign
+    floats = table.view(float)
+    for a in (idx, sign, floats):
+        a.setflags(write=False)
+    return idx, sign, floats
+
+
+def chain_support(hit: np.ndarray) -> np.ndarray | None:
+    """The (L+1) d places of _pauli_tables when the d^2 flags `hit` (linalg.nonzero_places of
+    a flattened family) are False at every other place, at d = 2^L >= 2; None otherwise."""
+    d = math.isqrt(hit.size)
+    ell = d.bit_length() - 1
+    if d < 2 or d != 1 << ell or d * d != hit.size:
+        return None
+    pos = _pauli_tables(ell)[0]
+    return pos if np.count_nonzero(hit) == np.count_nonzero(hit[pos]) else None
+
+
+def support_values(stack: np.ndarray) -> np.ndarray | None:
+    """The entries of a (k, d, d) stack at the (L+1) d places of _pauli_tables, as a complex
+    (k, (L+1) d) array, when one bitwise-OR pass over the stack's 64-bit words
+    (linalg.nonzero_places) proves every other entry +0.0.
+
+    None when some other entry holds a set bit (-0.0, a NaN or a nonzero),
+    when d is not a power of two >= GATHER_MIN_DIM (below it the dense pass
+    costs less than the scan) or when the stack is neither float64 nor
+    complex128.
+    """
+    k, d = stack.shape[0], stack.shape[-1]
+    if d < GATHER_MIN_DIM or stack.dtype not in (np.float64, np.complex128):
+        return None
+    flat = stack.reshape(k, d * d)
+    pos = chain_support(nonzero_places(flat))
+    return None if pos is None else np.take(flat, pos, axis=1).astype(complex, copy=False)
+
+
+def _support_fit(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli coordinates of matrices from their C-ordered complex values at the places of
+    _pauli_tables(ell), and |M - M'| there, with M' rebuilt from the coordinates.
+
+    Each coordinate gathers d signed components of the float view and sums
+    them in halves; M' is one real GEMM of the coordinates with the float
+    view of the table.  At most two chains are nonzero at a place, so each
+    rebuilt value is one rounding of exact products, as in the complex GEMM.
+    """
+    idx, sign, table = _support_tables(ell)
+    floats = values.view(float)
+    terms = floats[:, idx] * sign
+    while terms.shape[-1] > 1:
+        half = terms.shape[-1] // 2
+        terms = terms[..., :half] + terms[..., half:]
+    coords = terms[..., 0] / 2**ell
+    rest = floats - coords @ table
+    return coords, np.abs(rest.view(complex))
+
+
+def support_coordinates(values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pauli_coordinates of a stack that is +0.0 off the chain support, from its (k, (L+1) d)
+    complex values there (support_values): the same coords and resid, and delta
+    summed over the support alone.
+
+    Works a chunk of rows at a time; a chunk's temporaries (the gathered
+    terms, the rebuilt values and their magnitudes) come to about twice its
+    values, so the chunks hold a quarter of linalg.CHUNK_BYTES of them.
+    """
+    ell = d.bit_length() - 1
+    values = np.ascontiguousarray(values, dtype=complex)
+    k = len(values)
+    coords = np.empty((k, 2 * ell + 2))
+    delta, resid = np.empty(k), np.empty(k)
+    for part in chunks(k, 4 * values[0:1].nbytes):
+        coords[part], mags = _support_fit(values[part], ell)
+        delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        resid[part] = np.max(mags, axis=1, initial=0.0)
+    return coords, delta, resid
 
 
 def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -145,50 +222,57 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     I and the G_j are orthogonal with Tr(G_j G_l) = d delta_jl and
     G(c)^2 = ||c||^2 I, so M' has the eigenvalues c_0 +- ||c|| and
-    Tr(M'_p M'_q) = d c_p . c_q.  The residual pass works a chunk of the
-    stack at a time.  Returns None when d is not a power of two >= 2.
+    Tr(M'_p M'_q) = d c_p . c_q.  When support_values proves the stack zero
+    off the (L+1) d places of the chains, everything is computed from its
+    values there (support_coordinates).  Otherwise, and below
+    GATHER_MIN_DIM, the residual takes every entry, a chunk of the stack at
+    a time.  Returns None when d is not a power of two >= 2.
     """
     k, d = stack.shape[0], stack.shape[-1]
     ell = d.bit_length() - 1
     if d < 2 or d != 1 << ell:
         return None
-    pos, table = _pauli_tables(ell)
-    idx, sign = _chain_entries(ell)
+    values = support_values(stack)
+    if values is not None:
+        return support_coordinates(values, d)
+    pos = _pauli_tables(ell)[0]
     flat = stack.reshape(k, d * d)
-    coords = np.empty((k, table.shape[0]))
+    coords = np.empty((k, 2 * ell + 2))
     delta, resid = np.empty(k), np.empty(k)
     for part in chunks(k, d * d * 16):
         block = np.ascontiguousarray(flat[part], dtype=complex)
-        terms = block.view(float)[:, idx] * sign
-        while terms.shape[-1] > 1:
-            half = terms.shape[-1] // 2
-            terms = terms[..., :half] + terms[..., half:]
-        coords[part] = terms[..., 0] / d
         mags = np.abs(block)
-        mags[:, pos] = np.abs(block[:, pos] - coords[part] @ table)
+        coords[part], mags[:, pos] = _support_fit(np.take(block, pos, axis=1), ell)
         delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
         resid[part] = np.max(mags, axis=1, initial=0.0)
     return coords, delta, resid
 
 
-def write_combinations(rows, out: np.ndarray, c0: float = 0.0, scale: float = 1.0) -> None:
+def write_combinations(
+    rows, out: np.ndarray, c0: float = 0.0, scale: float = 1.0, transpose: bool = False
+) -> None:
     """Write scale (c0 I + sum_i u_i G_i) for each row u of an (m, r) array into out, a zeroed
-    (m, d, d) stack, G_1..G_r being gamma_generators(r) at d = rep_dim(r).
+    (m, d, d) stack, G_1..G_r being gamma_generators(r) at d = rep_dim(r); with
+    `transpose`, the transposes of those matrices.
 
     The inverse of pauli_coordinates: the rows are laid out as coordinates
     over I and the chains of gamma_generators(2L+1) (rank 1 is the Z chain
     at d = 2), and only the (L+1) d places where those are nonzero are
     written, with the values c @ table of _pauli_tables.  X_i and Y_i share
     their places and every other chain is zero there, so each value off the
-    diagonal is one signed product; the rest of out stays zero.  out may be
-    any view, such as a transposed one.
+    diagonal is one signed product; the rest of out stays zero.  A transpose
+    is written as G(u') for u' with the Y-type coordinates negated (Y^T = -Y,
+    and the X-type and Z chains are symmetric).  out must be C-ordered: the
+    values are formed for a chunk of rows at a time, a quarter of
+    linalg.CHUNK_BYTES of them, and each chunk is written by one flat
+    scatter (linalg.scatter_columns).
     """
     coeffs = np.asarray(rows, dtype=float)
     r = coeffs.shape[1]
     ell = max(r // 2, 1)
     d = 2**ell
-    if out.shape != (len(coeffs), d, d):
-        raise ShapeError(f"expected a ({len(coeffs)}, {d}, {d}) stack, got {out.shape}")
+    if out.shape != (len(coeffs), d, d) or not out.flags.c_contiguous:
+        raise ShapeError(f"expected a C-ordered ({len(coeffs)}, {d}, {d}) stack, got {out.shape}")
     pos, table = _pauli_tables(ell)
     coords = np.zeros((len(coeffs), table.shape[0]))
     coords[:, 0] = c0
@@ -196,10 +280,14 @@ def write_combinations(rows, out: np.ndarray, c0: float = 0.0, scale: float = 1.
         coords[:, 3] = coeffs[:, 0]
     else:
         coords[:, 1 : r + 1] = coeffs
-    values = coords @ table
-    if scale != 1.0:
-        values *= scale
-    out[:, pos // d, pos % d] = values
+        if transpose:
+            coords[:, ell + 1 : 2 * ell + 1] *= -1.0
+    flat = out.reshape(len(out), d * d)
+    for part in chunks(len(coords), 4 * table[0].nbytes):
+        values = coords[part] @ table
+        if scale != 1.0:
+            values *= scale
+        scatter_columns(flat[part], pos, values)
 
 
 def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

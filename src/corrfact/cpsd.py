@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
+    chain_support,
     irreducible_dim,
     pauli_coordinates,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
+    support_coordinates,
     write_combinations,
 )
 from .elliptope import check_extreme, require_correlation, resolve_gram_factors
@@ -38,6 +40,8 @@ from .linalg import (
     eigenvalue_bounds,
     hermitian_deviations,
     hs_gram,
+    nonzero_places,
+    scatter_columns,
     sorted_eigh,
     square_deviations,
 )
@@ -115,17 +119,17 @@ def build_cpsd_factorization(
 
     With unit Gram factors u_i of rank r, the factors are
     (I + a G(u_i)) / (2 sqrt(d)) at d = 2^floor(r/2) (d = 2 for r = 1); their
-    trace inner products equal (1 + a b c_ij) / 4 entrywise.  Each factor is
-    written on the chain support alone (clifford.write_combinations), the
-    outcome -1 from the coefficients -u_i.
+    trace inner products equal (1 + a b c_ij) / 4 entrywise.  The factors are
+    written on the chain support alone (clifford.write_combinations), in one
+    pass over the (2n, d, d) stack from the interleaved rows (u_i, -u_i).
     """
     a = require_correlation(c, tol)
     u = resolve_gram_factors(a, factors, tol, unit=True)
-    d = rep_dim(u.shape[1])
-    mats = np.zeros((a.shape[0], 2, d, d), dtype=complex)
-    scale = 1.0 / (2.0 * math.sqrt(d))
-    write_combinations(u, mats[:, 0], c0=1.0, scale=scale)
-    write_combinations(-u, mats[:, 1], c0=1.0, scale=scale)
+    n, d = a.shape[0], rep_dim(u.shape[1])
+    rows = np.empty((2 * n, u.shape[1]))
+    rows[0::2], rows[1::2] = u, -u
+    mats = np.zeros((n, 2, d, d), dtype=complex)
+    write_combinations(rows, mats.reshape(2 * n, d, d), c0=1.0, scale=1.0 / (2.0 * math.sqrt(d)))
     return CpsdFactorization(mats)
 
 
@@ -155,30 +159,38 @@ def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.
     return mean_sum, float(np.max(devs))
 
 
-def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2)
-    and the position within them of each place's transpose.
+def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, bool]:
+    """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2),
+    the position within them of each place's transpose, and whether the places
+    are the chain support.
 
-    From d = GATHER_MIN_DIM, when at most half of the d^2 places hold a
-    nonzero bit in some factor (so -0.0 counts) or are the transpose of one
-    that does, only those places are kept: every factor is +0.0 at every
-    other place, and so are its sums, means, scaled differences and
-    Hermitian parts, so work on the places alone loses nothing.  A
-    chain-built family keeps the (L+1) d places of clifford._pauli_tables.
+    From d = GATHER_MIN_DIM, one bitwise-OR pass (linalg.nonzero_places)
+    finds the places where some factor holds a nonzero bit (so -0.0
+    counts).  When none lies off the (L+1) d places of
+    clifford._pauli_tables, as for a chain-built family, those are kept, and
+    the values there serve the Pauli coordinates too
+    (clifford.support_coordinates).  Otherwise the places found and their
+    transposes are kept when they are at most half of the d^2.  Every factor
+    is +0.0 at every other place, and so are its sums, means, scaled
+    differences and Hermitian parts, so work on the places alone loses
+    nothing.
     """
     n, d = f.n, f.dim
     flat = f.mats.reshape(n, 2, d * d)
     mirror = np.arange(d * d).reshape(d, d).T.ravel()
     if d < GATHER_MIN_DIM:
-        return flat, None, mirror
-    words = np.ascontiguousarray(flat).reshape(-1, d * d)
-    hit = words.view(np.int64).any(axis=0).reshape(d, d, -1).any(axis=2)
-    places = np.flatnonzero(hit | hit.T)
-    if 2 * places.size > d * d:
-        return flat, None, mirror
+        return flat, None, mirror, False
+    hit = nonzero_places(flat.reshape(2 * n, d * d))
+    places = chain_support(hit)
+    chain = places is not None
+    if not chain:
+        hit = hit.reshape(d, d)
+        places = np.flatnonzero(hit | hit.T)
+        if 2 * places.size > d * d:
+            return flat, None, mirror, False
     index = np.empty(d * d, dtype=np.intp)
     index[places] = np.arange(places.size)
-    return np.take(flat, places, axis=2), places, index[mirror[places]]
+    return np.take(flat, places, axis=2), places, index[mirror[places]], chain
 
 
 def _unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
@@ -203,16 +215,18 @@ def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float,
     return herm_dev, min_eig, entry_dev
 
 
-def _pauli_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float] | None:
+def _pauli_deviations(stack: np.ndarray, mat: np.ndarray, fit=None) -> tuple[float, float, float] | None:
     """Upper bounds on the Hermitian and entry deviations and a lower bound on the least
-    eigenvalue, from the Pauli coordinates of the factors (clifford.pauli_coordinates).
+    eigenvalue, from the Pauli coordinates of the factors (clifford.pauli_coordinates,
+    unless their `fit` is given).
 
     Each factor is M = M' + R with M' Hermitian, ||R||_F = delta and
     max|R| = resid: max|M - M^*| <= 2 resid; by Weyl's inequality the least
     eigenvalue of (M + M^*)/2 is at least c_0 - ||c|| - delta; entries are
     bounded by clifford.pauli_gram.  None when d is not a power of two >= 2.
     """
-    fit = pauli_coordinates(stack)
+    if fit is None:
+        fit = pauli_coordinates(stack)
     if fit is None:
         return None
     coords, delta, resid = fit
@@ -240,7 +254,9 @@ def verify_cpsd_factorization(
     when every check passes; otherwise the dense checks (_dense_deviations)
     decide, so a pass is a proof and a failure is the dense report.  The
     outcome sums are compared a chunk at a time, at the places _flat_family
-    keeps, so each temporary stays near linalg.CHUNK_BYTES.
+    keeps, so each temporary stays near linalg.CHUNK_BYTES; when those are
+    the chain support, the Pauli coordinates are taken from the same values,
+    so the family is scanned and gathered once.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -249,7 +265,7 @@ def verify_cpsd_factorization(
 
     d = f.dim
     stack = f.mats.reshape(2 * n, d, d)
-    work, places, _ = _flat_family(f)
+    work, places, _, chain = _flat_family(f)
     with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
         mean_sum, sum_dev = _outcome_sum_check(work, None)
         mean_sum = _unflatten(mean_sum, places, d)
@@ -272,7 +288,8 @@ def verify_cpsd_factorization(
         )
 
     with np.errstate(invalid="ignore"):
-        bounds = _pauli_deviations(stack, mat)
+        fit = support_coordinates(work.reshape(2 * n, -1), d) if chain else None
+        bounds = _pauli_deviations(stack, mat, fit)
         fast = None if bounds is None else report(*bounds)
         return fast if fast is not None and fast.passed else report(*_dense_deviations(stack, mat))
 
@@ -315,13 +332,15 @@ def extract_matrix_factorization(
     nothing at all when the selection keeps every column in place.  K and
     its check take the places _flat_family keeps alone (a chain-built family
     keeps (L+1)/d of them), and so does X when the restriction is the
-    identity: the result has the same bits.  The involutions check is
-    decided by the bound clifford.pauli_square_bounds when that passes;
-    otherwise, or when the size is not a power of two >= 2, the batched
-    squares (linalg.square_deviations) decide.
+    identity: the result has the same bits.  X's Pauli coordinates then come
+    from those values (clifford.support_coordinates) when the places are the
+    chain support.  The involutions check is decided by the bound
+    clifford.pauli_square_bounds when that passes; otherwise, or when the
+    size is not a power of two >= 2, the batched squares
+    (linalg.square_deviations) decide.
     """
     n, d = f.n, f.dim
-    work, places, mirror = _flat_family(f)
+    work, places, mirror, chain = _flat_family(f)
     with np.errstate(invalid="ignore"):  # a non-finite factor raises below, without warnings
         mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
@@ -347,20 +366,23 @@ def extract_matrix_factorization(
     s = lam.size
     in_place = order is not None and np.array_equal(order[keep], np.arange(d))
 
+    fit = None
     if in_place and places is not None:
-        # every coordinate stays in place: X is formed at the kept places alone, into an
-        # output allocated before the temporaries, so that they are freed above it
+        # every coordinate stays in place: X is formed at the kept places alone, into
+        # outputs allocated before the temporaries, so that they are freed above them
         x_mats = np.zeros((n, d, d), dtype=complex)
-        x_flat = x_mats.reshape(n, d * d)
         scale = scaling.ravel()[places]
+        values = np.empty((n, places.size), dtype=np.result_type(work, scale))
         for part in chunks(n, work[0:1, 0].nbytes):
             x = work[part, 0] * scale
             x -= work[part, 1] * scale
-            hermitian = x[:, mirror]
+            hermitian = np.take(x, mirror, axis=1, out=values[part])
             np.conjugate(hermitian, out=hermitian)
             hermitian += x
             hermitian /= 2.0
-            x_flat[part, places] = hermitian
+        scatter_columns(x_mats.reshape(n, d * d), places, values)
+        if chain:
+            fit = support_coordinates(values, d)
     else:
         if order is None:
             basis = u[:, keep]
@@ -386,7 +408,8 @@ def extract_matrix_factorization(
             x -= restrict(f.mats[part, 1]) * scaling
             np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
             x_mats[part] /= 2.0
-    fit = pauli_coordinates(x_mats)
+    if fit is None:
+        fit = pauli_coordinates(x_mats)
     inv_dev = math.nan if fit is None else float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0))
     if not inv_dev <= tol.eq_tol:
         inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))

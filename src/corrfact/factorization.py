@@ -47,6 +47,7 @@ from .linalg import (
     hermitian_deviations,
     hs_gram,
     identity_deviations,
+    nonzero_places,
     sandwich,
     sorted_eigh,
     square_deviations,
@@ -145,8 +146,10 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     from d = GATHER_MIN_DIM, when at most half of the columns hold a nonzero
     (a family on the chain support keeps (L+1)/d of them), the GEMM runs
     over those columns alone.  A diagonal K then scales the places where
-    some X_i or Y_j is nonzero alone, as linalg.sandwich would, and the rest
-    of the family is never formed.
+    some X_i or Y_j holds a nonzero bit alone (one bitwise-OR pass,
+    linalg.nonzero_places), as linalg.sandwich would, and the rest of the
+    family is never formed.  When X and Y are one array, as extraction
+    returns them, it is scanned and gathered once.
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
@@ -156,11 +159,15 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     weight = _monomial(k) if d >= GATHER_MIN_DIM else None
     if weight is not None and weight[0] is None:
         xf, yf = x.reshape(n, d * d), y.reshape(len(y), d * d)
-        places = np.flatnonzero(xf.any(axis=0) | yf.any(axis=0))
+        hit = nonzero_places(xf)
+        if y is not x:
+            hit |= nonzero_places(yf)
+        places = np.flatnonzero(hit)
         if 2 * places.size <= d * d:
             rows, cols = np.divmod(places, d)
-            scaled = (np.take(xf, places, axis=1) * weight[1][rows], np.take(yf, places, axis=1) * weight[1][cols])
-            flat = np.concatenate(scaled).view(float)
+            xs = np.take(xf, places, axis=1)
+            ys = xs if y is x else np.take(yf, places, axis=1)
+            flat = np.concatenate((xs * weight[1][rows], ys * weight[1][cols])).view(float)
     if flat is None:
         family = np.empty((n + y.shape[0], d, d), dtype=complex)
         _weigh(k, x, out=family[:n])

@@ -217,6 +217,31 @@ gather for 10 matrices at d = 8, 51 us against 45 us for 18 at d = 16, and
 """
 
 
+def nonzero_places(flat: np.ndarray) -> np.ndarray:
+    """Which of the m columns of a (k, m) array hold a set bit in some row, so that -0.0 and a
+    NaN count as nonzero: one bitwise-OR pass over the array's 64-bit words
+    (bytes for an item size that is not a multiple of 8).
+
+    Rows may be strided; a column stride other than the item size takes a copy.
+    """
+    if flat.strides[-1] != flat.itemsize:
+        flat = np.ascontiguousarray(flat)
+    unit = np.int64 if flat.itemsize % 8 == 0 else np.uint8
+    words = np.bitwise_or.reduce(flat.view(unit), axis=0)
+    return words.reshape(flat.shape[1], -1).any(axis=1)
+
+
+def scatter_columns(out: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """out[:, cols] = values for a C-ordered (k, m) out, by one scatter into its flat view.
+
+    numpy assigns through a slice and an index array several times slower
+    than through one flat index (2.2 ms against 0.4 ms for 156 rows of 448
+    of 4096 complex entries; numpy 2.4, 2-core x86 VM).
+    """
+    flat_idx = (np.arange(out.shape[0]) * out.shape[1])[:, None] + cols
+    out.reshape(-1)[flat_idx] = values
+
+
 def _monomial(m) -> tuple[np.ndarray | None, np.ndarray] | None:
     """Where the nonzeros of a monomial matrix with real entries sit, and their values.
 
@@ -251,8 +276,10 @@ def sandwich(left, mats: np.ndarray, right=None, out: np.ndarray | None = None) 
     real scaling: each entry is one entry of the stack times the same
     factors, in the matmul's order.  For finite input that equals the matmul
     but for the sign of a zero.  A diagonal factor gathers nothing and a
-    factor of ones scales nothing.  Any other factor, and every factor of
-    matrices smaller than GATHER_MIN_DIM, is multiplied in.
+    factor of ones scales nothing; when nothing is left to do and no `out`
+    is given, the result is a read-only view of `mats`, not a copy.  Any
+    other factor, and every factor of matrices smaller than GATHER_MIN_DIM,
+    is multiplied in.
     """
     small = mats.shape[-1] < GATHER_MIN_DIM
     lf = None if left is None or small else _monomial(left)
@@ -272,7 +299,10 @@ def sandwich(left, mats: np.ndarray, right=None, out: np.ndarray | None = None) 
         if not (scale == 1.0).all():
             prod = np.multiply(prod, scale, out=out if prod is mats else prod)
     if out is None:
-        return prod.copy() if prod is mats else prod
+        if prod is mats:
+            prod = mats.view()
+            prod.flags.writeable = False
+        return prod
     if prod is not out:
         out[...] = prod
     return out

@@ -107,8 +107,8 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     common span (dimension r); the observables are G(u_i) and G(v_j)^T for
     the rank-r generator family, and the state is the maximally entangled
     vector at local dimension 2^floor(r/2).  The observables are written on
-    the chain support alone (clifford.write_combinations), Bob's through a
-    transposed view.
+    the chain support alone (clifford.write_combinations), Bob's G(v_j)^T as
+    G(v'_j) with the Y-type coordinates of v_j negated.
     """
     block = as_matrix(c, "bipartite block")
     rows, cols = sys.row_vectors, sys.col_vectors
@@ -134,7 +134,7 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     alice = np.zeros((rows.shape[0], d, d), dtype=complex)
     bob = np.zeros((cols.shape[0], d, d), dtype=complex)
     write_combinations(row_coords, alice)
-    write_combinations(col_coords, bob.transpose(0, 2, 1))
+    write_combinations(col_coords, bob, transpose=True)
     return TensorProductRep(alice, bob, psi=maximally_entangled(d))
 
 
@@ -195,7 +195,9 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
     (linalg.sandwich: a gather when they are monomial, as the identity
     isometries of the maximally entangled state are).  Correlations are
     unchanged and the local dimension never grows; spectra stay within
-    [-1, 1] because compressions of contractions are contractions.
+    [-1, 1] because compressions of contractions are contractions.  When an
+    isometry is the identity, its side's observables are not copied: the
+    result holds a read-only view of the input's stack, with the same bits.
     """
     phi = _rank_one_vector(rep, tol)
     d_in = rep.local_dim

@@ -13,7 +13,8 @@ eigenvalue checks, the stack coercions and the validators that the
 dense verifiers, extraction and Clifford checks that the Pauli-coordinate
 fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
-support, with the loops of ``sorted_eigh`` and of the mean outcome sum.
+support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
+the Pauli projection with a residual pass over every entry.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from corrfact.clifford import CliffordRep, gamma_generators, gamma_of_vector
+from corrfact.clifford import CliffordRep, _pauli_tables, gamma_generators, gamma_of_vector
 from corrfact.cpsd import CpsdFactorization
 from corrfact.elliptope import gram_factors, require_correlation, resolve_gram_factors
 from corrfact.errors import (
@@ -719,10 +720,12 @@ def load_tensor_rep(dirpath) -> TensorProductRep:
 #
 # The builders that formed each generator combination by one tensordot of the
 # coefficient rows with the r dense generators, the per-column phase loop of
-# sorted_eigh and the index loop of the mean outcome sum, verbatim but for
-# their names.  The library writes combinations on the chain support, rotates
-# all eigenvectors at once and sums outcome sums a chunk at a time, to the
-# same bits.
+# sorted_eigh, the index loop of the mean outcome sum and the Pauli projection
+# whose residual took every entry of the stack, verbatim but for their names.
+# The library writes combinations on the chain support, rotates all
+# eigenvectors at once, sums outcome sums a chunk at a time and projects a
+# family proven zero off the chain support from its values there, to the same
+# bits (the residual norm delta within 1e-15: it is summed over fewer terms).
 
 
 def _gamma_of_rows(rep: CliffordRep, rows) -> np.ndarray:
@@ -773,6 +776,39 @@ def tensordot_build_tensor_rep(c, sys, tol: ToleranceConfig = DEFAULT_TOL) -> Te
     alice = _gamma_of_rows(rep, row_coords)
     bob = _gamma_of_rows(rep, col_coords).transpose(0, 2, 1).copy()
     return TensorProductRep(alice, bob, psi=maximally_entangled(rep.rep_dim))
+
+
+def _full_chain_entries(ell: int) -> tuple[np.ndarray, np.ndarray]:
+    pos, table = _pauli_tables(ell)
+    where = np.nonzero(table)[1].reshape(table.shape[0], -1)
+    conj = np.take_along_axis(table, where, axis=1).conj()
+    idx = 2 * pos[where] + (conj.imag != 0)
+    sign = conj.real - conj.imag
+    return idx, sign
+
+
+def dense_pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    k, d = stack.shape[0], stack.shape[-1]
+    ell = d.bit_length() - 1
+    if d < 2 or d != 1 << ell:
+        return None
+    pos, table = _pauli_tables(ell)
+    idx, sign = _full_chain_entries(ell)
+    flat = stack.reshape(k, d * d)
+    coords = np.empty((k, table.shape[0]))
+    delta, resid = np.empty(k), np.empty(k)
+    for part in chunks(k, d * d * 16):
+        block = np.ascontiguousarray(flat[part], dtype=complex)
+        terms = block.view(float)[:, idx] * sign
+        while terms.shape[-1] > 1:
+            half = terms.shape[-1] // 2
+            terms = terms[..., :half] + terms[..., half:]
+        coords[part] = terms[..., 0] / d
+        mags = np.abs(block)
+        mags[:, pos] = np.abs(block[:, pos] - coords[part] @ table)
+        delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        resid[part] = np.max(mags, axis=1, initial=0.0)
+    return coords, delta, resid
 
 
 def sorted_eigh_loop(m) -> tuple[np.ndarray, np.ndarray]:

@@ -48,16 +48,30 @@ def _bipartite(e):
     return e[:h, h:], CSystem(u[:h], u[h:])
 
 
+def _embedded_system(r):
+    """Unit vectors spanning r dimensions of R^(r+2): at r = 1 every vector is +-w."""
+    rng = np.random.default_rng(700 + r)
+    basis, _ = np.linalg.qr(rng.standard_normal((r + 2, r)))
+    m = r + 4
+    v = rng.standard_normal((m, r)) if r > 1 else rng.choice([-1.0, 1.0], (m, 1))
+    v = (v / np.linalg.norm(v, axis=1, keepdims=True)) @ basis.T
+    h = m // 2
+    return v[:h] @ v[h:].T, CSystem(v[:h], v[h:])
+
+
 @pytest.mark.parametrize("r", range(1, 13))
 def test_builders_write_the_tensordot_bits(r):
+    """Bob's G(v)^T is written as G(v') with the Y-type coordinates of v negated: the transposed
+    tensordot bits too, on the split of each point and on a system embedded in r + 2 dimensions."""
     for e in _points(r):
         n = e.shape[0]
         got, want = factorize_clifford(e, n // 2), oracles.tensordot_factorize_clifford(e, n // 2)
         assert got.a_mats.tobytes() == want.a_mats.tobytes() and got.b_mats.tobytes() == want.b_mats.tobytes()
         got, want = build_cpsd_factorization(e), oracles.tensordot_build_cpsd_factorization(e)
         assert got.mats.tobytes() == want.mats.tobytes()
-        block, system = _bipartite(e)
+    for block, system in [_bipartite(e) for e in _points(r)] + [_embedded_system(r)]:
         got, want = build_tensor_rep(block, system), oracles.tensordot_build_tensor_rep(block, system)
+        assert got.local_dim == (2 if r == 1 else 2 ** (r // 2))
         for field in ("alice_obs", "bob_obs", "psi"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
@@ -65,7 +79,8 @@ def test_builders_write_the_tensordot_bits(r):
 @pytest.mark.parametrize("ell", range(1, 6))
 def test_combinations_invert_pauli_coordinates(ell):
     """Written at full rank 2L+1 with an I part and a scale, a stack has the coordinates it was
-    written from, no residual, and nothing off the chain support; a transposed view takes the transpose."""
+    written from, no residual, and nothing off the chain support; with `transpose` it holds the
+    transposes, bit for bit."""
     d = 2**ell
     rng = np.random.default_rng(ell)
     rows = rng.standard_normal((5, 2 * ell + 1))
@@ -80,13 +95,15 @@ def test_combinations_invert_pauli_coordinates(ell):
     want = np.tensordot(rows, gamma_generators(2 * ell + 1).generators, axes=1)
     assert np.allclose(out, 0.5 * (0.75 * np.eye(d) + want), rtol=0, atol=1e-15)
     flipped = np.zeros_like(out)
-    write_combinations(rows, flipped.transpose(0, 2, 1), c0=0.75, scale=0.5)
+    write_combinations(rows, flipped, c0=0.75, scale=0.5, transpose=True)
     assert flipped.tobytes() == out.transpose(0, 2, 1).copy().tobytes()
 
 
 def test_combinations_need_a_stack_of_their_size():
     with pytest.raises(ShapeError):
         write_combinations(np.ones((2, 4)), np.zeros((2, 8, 8), dtype=complex))
+    with pytest.raises(ShapeError):
+        write_combinations(np.ones((2, 4)), np.zeros((2, 4, 4), dtype=complex).transpose(0, 2, 1))
 
 
 # ------------------------------------------------------------ recovery
