@@ -250,6 +250,21 @@ def _cmd_quantum_reduce(args, tol: ToleranceConfig) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no less than `low`; others exit 2 with argparse's message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrfact",
@@ -265,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_clifford = groups.add_parser("clifford", help="generator families")
     sub = g_clifford.add_subparsers(dest="action", required=True)
     p = sub.add_parser("gen", help="emit generators plus a manifest")
-    p.add_argument("-r", "--rank", type=int, required=True)
+    p.add_argument("-r", "--rank", type=_int_at_least(1), required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_clifford_gen)
     p = sub.add_parser("verify", help="check the anticommutation relations of a generator set")
@@ -278,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(handler=_cmd_elliptope_check_extreme)
     p = sub.add_parser("gen-extreme", help="extreme point of rank r, size r(r+1)/2")
-    p.add_argument("-r", "--rank", type=int, required=True)
+    p.add_argument("-r", "--rank", type=_int_at_least(1), required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_elliptope_gen_extreme)
     p = sub.add_parser("rmax", help="largest r with r(r+1)/2 <= n")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_at_least(1), required=True)
     p.set_defaults(handler=_cmd_elliptope_rmax)
 
     g_factorize = groups.add_parser("factorize", help="matrix factorizations")
@@ -300,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clifford-identity", help="random-direction and anticommutator checks")
     p.add_argument("block")
     p.add_argument("directory")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.set_defaults(handler=_cmd_factorize_identity, needs_seed=True)
 
     g_cpsd = groups.add_parser("cpsd", help="witness matrices and psd-factor families")

@@ -137,33 +137,25 @@ def _support_tables(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx, sign, floats
 
 
-def chain_support(hit: np.ndarray) -> np.ndarray | None:
-    """The (L+1) d places of _pauli_tables when the d^2 flags `hit` (linalg.nonzero_places of
-    a flattened family) are False at every other place, at d = 2^L >= 2; None otherwise."""
-    d = math.isqrt(hit.size)
-    ell = d.bit_length() - 1
-    if d < 2 or d != 1 << ell or d * d != hit.size:
-        return None
-    pos = _pauli_tables(ell)[0]
-    return pos if np.count_nonzero(hit) == np.count_nonzero(hit[pos]) else None
-
-
 def support_values(stack: np.ndarray) -> np.ndarray | None:
-    """The entries of a (k, d, d) stack at the (L+1) d places of _pauli_tables, as a complex
-    (k, (L+1) d) array, when one bitwise-OR pass over the stack's 64-bit words
-    (linalg.nonzero_places) proves every other entry +0.0.
+    """The entries of a (k, d, d) stack at the (L+1) d places of _pauli_tables, as a
+    (k, (L+1) d) array of the stack's dtype, when one bitwise-OR pass over the
+    stack's 64-bit words (linalg.nonzero_places) proves every other entry +0.0.
 
-    None when some other entry holds a set bit (-0.0, a NaN or a nonzero),
-    when d is not a power of two >= GATHER_MIN_DIM (below it the dense pass
-    costs less than the scan) or when the stack is neither float64 nor
-    complex128.
+    This is the one test of where a family may be nonzero: every caller works
+    on these values, or on all d^2 entries when it returns None.  None when
+    some other entry holds a set bit (-0.0, a NaN or a nonzero), when d is not
+    a power of two >= GATHER_MIN_DIM (below it the dense pass costs less than
+    the scan) or when the stack is neither float64 nor complex128.
     """
     k, d = stack.shape[0], stack.shape[-1]
-    if d < GATHER_MIN_DIM or stack.dtype not in (np.float64, np.complex128):
+    ell = d.bit_length() - 1
+    if d < GATHER_MIN_DIM or d != 1 << ell or stack.dtype not in (np.float64, np.complex128):
         return None
     flat = stack.reshape(k, d * d)
-    pos = chain_support(nonzero_places(flat))
-    return None if pos is None else np.take(flat, pos, axis=1).astype(complex, copy=False)
+    hit = nonzero_places(flat)
+    pos = _pauli_tables(ell)[0]
+    return np.take(flat, pos, axis=1) if np.count_nonzero(hit) == np.count_nonzero(hit[pos]) else None
 
 
 def _support_fit(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +180,8 @@ def _support_fit(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 def support_coordinates(values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """pauli_coordinates of a stack that is +0.0 off the chain support, from its (k, (L+1) d)
-    complex values there (support_values): the same coords and resid, and delta
-    summed over the support alone.
+    values there (support_values): the same coords and resid, and delta summed
+    over the support alone.
 
     Works a chunk of rows at a time; a chunk's temporaries (the gathered
     terms, the rebuilt values and their magnitudes) come to about twice its
@@ -224,9 +216,9 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     G(c)^2 = ||c||^2 I, so M' has the eigenvalues c_0 +- ||c|| and
     Tr(M'_p M'_q) = d c_p . c_q.  When support_values proves the stack zero
     off the (L+1) d places of the chains, everything is computed from its
-    values there (support_coordinates).  Otherwise, and below
-    GATHER_MIN_DIM, the residual takes every entry, a chunk of the stack at
-    a time.  Returns None when d is not a power of two >= 2.
+    values there (support_coordinates).  Otherwise the residual takes every
+    entry, a chunk of the stack at a time.  Returns None when d is not a
+    power of two >= 2.
     """
     k, d = stack.shape[0], stack.shape[-1]
     ell = d.bit_length() - 1

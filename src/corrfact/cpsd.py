@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    chain_support,
+    _pauli_tables,
     irreducible_dim,
     pauli_coordinates,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
     support_coordinates,
+    support_values,
     write_combinations,
 )
 from .elliptope import check_extreme, require_correlation, resolve_gram_factors
@@ -33,14 +34,13 @@ from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
 from .linalg import (
     DEFAULT_TOL,
-    GATHER_MIN_DIM,
     ToleranceConfig,
     as_matrix,
     chunks,
     eigenvalue_bounds,
     hermitian_deviations,
     hs_gram,
-    nonzero_places,
+    sandwich,
     scatter_columns,
     sorted_eigh,
     square_deviations,
@@ -159,38 +159,31 @@ def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.
     return mean_sum, float(np.max(devs))
 
 
-def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, bool]:
+def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2),
-    the position within them of each place's transpose, and whether the places
-    are the chain support.
+    and the position within them of each place's transpose.
 
-    From d = GATHER_MIN_DIM, one bitwise-OR pass (linalg.nonzero_places)
-    finds the places where some factor holds a nonzero bit (so -0.0
-    counts).  When none lies off the (L+1) d places of
-    clifford._pauli_tables, as for a chain-built family, those are kept, and
-    the values there serve the Pauli coordinates too
-    (clifford.support_coordinates).  Otherwise the places found and their
-    transposes are kept when they are at most half of the d^2.  Every factor
-    is +0.0 at every other place, and so are its sums, means, scaled
-    differences and Hermitian parts, so work on the places alone loses
-    nothing.
+    The places are the (L+1) d of the chain support when
+    clifford.support_values proves every factor +0.0 off them, as for a
+    chain-built family, and then the values there serve the Pauli
+    coordinates too (clifford.support_coordinates).  Every factor is +0.0 at
+    every other place, and so are its sums, means, scaled differences and
+    Hermitian parts, so work on the places alone loses nothing.  The places
+    hold their transposes: I and the Z chain are diagonal, and the X- and
+    Y-type chains of a slot share theirs.  Raises ShapeError on an empty
+    family, whose outcome sums have no mean.
     """
     n, d = f.n, f.dim
-    flat = f.mats.reshape(n, 2, d * d)
+    if n == 0:
+        raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {f.mats.shape}")
     mirror = np.arange(d * d).reshape(d, d).T.ravel()
-    if d < GATHER_MIN_DIM:
-        return flat, None, mirror, False
-    hit = nonzero_places(flat.reshape(2 * n, d * d))
-    places = chain_support(hit)
-    chain = places is not None
-    if not chain:
-        hit = hit.reshape(d, d)
-        places = np.flatnonzero(hit | hit.T)
-        if 2 * places.size > d * d:
-            return flat, None, mirror, False
+    values = support_values(f.mats.reshape(2 * n, d, d))
+    if values is None:
+        return f.mats.reshape(n, 2, d * d), None, mirror
+    places = _pauli_tables(d.bit_length() - 1)[0]
     index = np.empty(d * d, dtype=np.intp)
     index[places] = np.arange(places.size)
-    return np.take(flat, places, axis=2), places, index[mirror[places]], chain
+    return values.reshape(n, 2, places.size), places, index[mirror[places]]
 
 
 def _unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
@@ -265,7 +258,7 @@ def verify_cpsd_factorization(
 
     d = f.dim
     stack = f.mats.reshape(2 * n, d, d)
-    work, places, _, chain = _flat_family(f)
+    work, places, _ = _flat_family(f)
     with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
         mean_sum, sum_dev = _outcome_sum_check(work, None)
         mean_sum = _unflatten(mean_sum, places, d)
@@ -288,7 +281,7 @@ def verify_cpsd_factorization(
         )
 
     with np.errstate(invalid="ignore"):
-        fit = support_coordinates(work.reshape(2 * n, -1), d) if chain else None
+        fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), d)
         bounds = _pauli_deviations(stack, mat, fit)
         fast = None if bounds is None else report(*bounds)
         return fast if fast is not None and fast.passed else report(*_dense_deviations(stack, mat))
@@ -326,21 +319,22 @@ def extract_matrix_factorization(
     (one array serves as X and as Y) together with the restricted diagonal
     weight, plus diagnostics: each X_i^2 is at most I, with equality exactly
     when the source correlation matrix forces unit factor norms (extreme
-    sources do).  The restriction and conjugation are batched matmuls over
-    chunks of the factor stack; when K is already diagonal the support basis
-    is a column selection of I and the restriction is a gather instead, or
-    nothing at all when the selection keeps every column in place.  K and
-    its check take the places _flat_family keeps alone (a chain-built family
-    keeps (L+1)/d of them), and so does X when the restriction is the
-    identity: the result has the same bits.  X's Pauli coordinates then come
-    from those values (clifford.support_coordinates) when the places are the
-    chain support.  The involutions check is decided by the bound
-    clifford.pauli_square_bounds when that passes; otherwise, or when the
-    size is not a power of two >= 2, the batched squares
+    sources do).  The restriction and conjugation run over chunks of the
+    factor stack, each one call of linalg.sandwich with the support basis:
+    when K is already diagonal the basis is a column selection of I, which
+    sandwich gathers when it is a square permutation, and no basis at all
+    when the selection keeps every column in place; any other basis is
+    multiplied in.  K and its check take the places _flat_family keeps alone
+    (a chain-built family keeps (L+1)/d of them); on those places, when the
+    basis is the identity, X is formed there too, with the same bits, and
+    its Pauli coordinates come from those values
+    (clifford.support_coordinates).  The involutions check is decided by the
+    bound clifford.pauli_square_bounds when that passes; otherwise, or when
+    the size is not a power of two >= 2, the batched squares
     (linalg.square_deviations) decide.
     """
     n, d = f.n, f.dim
-    work, places, mirror, chain = _flat_family(f)
+    work, places, mirror = _flat_family(f)
     with np.errstate(invalid="ignore"):  # a non-finite factor raises below, without warnings
         mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
@@ -350,10 +344,10 @@ def extract_matrix_factorization(
     diag = np.diag(mean_sum)
     if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
         # already diagonal, so finite: keep the coordinate basis, where the
-        # support basis is a column selection of I and restriction a gather
-        # that literally strips padded rows and columns
+        # support basis is a column selection of I that literally strips
+        # padded rows and columns
         order = np.argsort(-diag.real, kind="stable")
-        w = diag.real[order]
+        w, u = diag.real[order], np.eye(d, dtype=complex)[:, order]
     else:
         order = None
         w, u = sorted_eigh(mean_sum)
@@ -366,9 +360,8 @@ def extract_matrix_factorization(
     s = lam.size
     in_place = order is not None and np.array_equal(order[keep], np.arange(d))
 
-    fit = None
     if in_place and places is not None:
-        # every coordinate stays in place: X is formed at the kept places alone, into
+        # every coordinate stays in place: X is formed at the chain places alone, into
         # outputs allocated before the temporaries, so that they are freed above them
         x_mats = np.zeros((n, d, d), dtype=complex)
         scale = scaling.ravel()[places]
@@ -381,34 +374,16 @@ def extract_matrix_factorization(
             hermitian += x
             hermitian /= 2.0
         scatter_columns(x_mats.reshape(n, d * d), places, values)
-        if chain:
-            fit = support_coordinates(values, d)
+        fit = support_coordinates(values, d)
     else:
-        if order is None:
-            basis = u[:, keep]
-            bh = basis.conj().T
-
-            def restrict(m: np.ndarray) -> np.ndarray:
-                return bh @ m @ basis
-
-        elif in_place:
-
-            def restrict(m: np.ndarray) -> np.ndarray:
-                return m
-
-        else:
-            idx = order[keep]
-
-            def restrict(m: np.ndarray) -> np.ndarray:
-                return m[:, idx[:, None], idx]
-
+        basis = None if in_place else u[:, keep]
+        bh = None if in_place else basis.conj().T
         x_mats = np.empty((n, s, s), dtype=complex)
         for part in chunks(n, f.mats[0:1, 0].nbytes):
-            x = restrict(f.mats[part, 0]) * scaling
-            x -= restrict(f.mats[part, 1]) * scaling
+            x = sandwich(bh, f.mats[part, 0], basis) * scaling
+            x -= sandwich(bh, f.mats[part, 1], basis) * scaling
             np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
             x_mats[part] /= 2.0
-    if fit is None:
         fit = pauli_coordinates(x_mats)
     inv_dev = math.nan if fit is None else float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0))
     if not inv_dev <= tol.eq_tol:

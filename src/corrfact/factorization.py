@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
+    _pauli_tables,
     pauli_anticommutators,
     pauli_coordinates,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
+    support_values,
     write_combinations,
 )
 from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
@@ -35,7 +37,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    GATHER_MIN_DIM,
     ToleranceConfig,
     _monomial,
     anticommutator_deviations,
@@ -47,7 +48,6 @@ from .linalg import (
     hermitian_deviations,
     hs_gram,
     identity_deviations,
-    nonzero_places,
     sandwich,
     sorted_eigh,
     square_deviations,
@@ -142,41 +142,31 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     parts, giving real unit vectors whose Gram matrix is returned.  The
     family is formed by two batched matmuls (row or column scalings when K
     is diagonal) into one stack, whose complex rows viewed as interleaved
-    real vectors go through one real GEMM.  Zero columns add nothing to it:
-    from d = GATHER_MIN_DIM, when at most half of the columns hold a nonzero
-    (a family on the chain support keeps (L+1)/d of them), the GEMM runs
-    over those columns alone.  A diagonal K then scales the places where
-    some X_i or Y_j holds a nonzero bit alone (one bitwise-OR pass,
-    linalg.nonzero_places), as linalg.sandwich would, and the rest of the
-    family is never formed.  When X and Y are one array, as extraction
-    returns them, it is scanned and gathered once.
+    real vectors go through one real GEMM.  When clifford.support_values
+    proves both X and Y +0.0 off the chain support and K is diagonal, the
+    family is formed from their values there alone, K scaling each by its
+    row or column as linalg.sandwich would, and the GEMM runs over the
+    columns of those values that hold a nonzero: a chain-built family keeps
+    (L+1)/d of the places, and zero columns add nothing to the Gram.  When
+    X and Y are one array, as extraction returns them, it is scanned and
+    gathered once.
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
     x, y = as_stack(mf.x_mats, "X family", d), as_stack(mf.y_mats, "Y family", d)
     n = x.shape[0]
-    flat = None
-    weight = _monomial(k) if d >= GATHER_MIN_DIM else None
+    xs = support_values(x)
+    ys = xs if y is x else support_values(y)
+    weight = None if xs is None or ys is None else _monomial(k)
     if weight is not None and weight[0] is None:
-        xf, yf = x.reshape(n, d * d), y.reshape(len(y), d * d)
-        hit = nonzero_places(xf)
-        if y is not x:
-            hit |= nonzero_places(yf)
-        places = np.flatnonzero(hit)
-        if 2 * places.size <= d * d:
-            rows, cols = np.divmod(places, d)
-            xs = np.take(xf, places, axis=1)
-            ys = xs if y is x else np.take(yf, places, axis=1)
-            flat = np.concatenate((xs * weight[1][rows], ys * weight[1][cols])).view(float)
-    if flat is None:
+        rows, cols = np.divmod(_pauli_tables(d.bit_length() - 1)[0], d)
+        flat = np.concatenate((xs * weight[1][rows], ys * weight[1][cols])).view(float)
+        flat = flat[:, flat.any(axis=0)]
+    else:
         family = np.empty((n + y.shape[0], d, d), dtype=complex)
         _weigh(k, x, out=family[:n])
         _weigh(k, y, right=True, out=family[n:])
         flat = family.reshape(family.shape[0], d * d).view(float)
-    if d >= GATHER_MIN_DIM:
-        cols = np.flatnonzero(flat.any(axis=0))
-        if cols.size <= d * d:
-            flat = flat[:, cols]
     g = gram(flat)
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > tol.eq_tol:

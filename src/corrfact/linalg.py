@@ -205,9 +205,8 @@ def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarra
 
 
 GATHER_MIN_DIM = 16
-"""Least matrix size d at which sandwich looks for monomial factors, and at which
-recover_correlation and the outcome-sum checks of cpsd look for the places
-where a family is zero.
+"""Least matrix size d at which two readers look for structure: sandwich for monomial
+factors, and clifford.support_values for a family that is zero off the chain support.
 
 Below it a batched matmul costs less than telling whether a factor is
 monomial: W^* M W with a diagonal W takes 15 us by matmul and 29 us by

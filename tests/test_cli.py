@@ -215,6 +215,31 @@ def test_malformed_matrix_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed JSON at line 1, column ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["elliptope", "rmax", "-n", "0"], "argument -n: must be at least 1, got 0"),
+        (["clifford", "gen", "-r", "0", "-o", "{tmp}/g"], "argument -r/--rank: must be at least 1, got 0"),
+        (["elliptope", "gen-extreme", "-r", "0", "-o", "{tmp}/E0"], "argument -r/--rank: must be at least 1, got 0"),
+        (
+            ["--seed", "1", "factorize", "clifford-identity", "{tmp}/A.json", "{tmp}/fact", "--trials", "-2"],
+            "argument --trials: must be at least 0, got -2",
+        ),
+    ],
+)
+def test_integers_out_of_range_exit_two(tmp_path, capsys, argv, message):
+    """A rank or size below one, or a negative trial count, is a usage error with argparse's
+    message; the identity check's inputs are valid, so only the count can fail it."""
+    assert run(["factorize", _write(tmp_path, "E.json", E3), "-o", str(tmp_path / "fact")]) == 0
+    _write(tmp_path, "A.json", E3[:2, :2])
+    capsys.readouterr()
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.rstrip().endswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A.json", "E.json", "fact"]
+
+
 def test_missing_file_exits_two(tmp_path):
     assert run(["elliptope", "check-extreme", str(tmp_path / "nope.json")]) == 2
 

@@ -125,6 +125,16 @@ def test_verify_size_mismatch():
         verify_cpsd_factorization(np.eye(4), f)
 
 
+@pytest.mark.parametrize("d", [4, 16])
+def test_empty_family_is_a_shape_error(d):
+    """No factors means no outcome sums to compare: both readers refuse the family by name."""
+    family = CpsdFactorization(np.zeros((0, 2, d, d), dtype=complex))
+    with pytest.raises(ShapeError, match="cpsd family must be a nonempty"):
+        verify_cpsd_factorization(np.zeros((0, 0)), family)
+    with pytest.raises(ShapeError, match="cpsd family must be a nonempty"):
+        extract_matrix_factorization(family)
+
+
 def test_certify_e3():
     cert = certify_lower_bound(E3)
     assert cert.rank == 2

@@ -8,6 +8,7 @@ builders write those places alone and must give the bytes of the tensordot
 builders they replaced (kept in ``oracles.py``), signed zeros included.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -149,6 +150,29 @@ def test_dense_family_takes_the_full_gemm(monkeypatch):
     rotated = factorization.MatrixFactorization(q @ mf.x_mats @ q.T, mf.y_mats, mf.k)
     assert np.max(np.abs(recover_correlation(rotated) - _full_gram(rotated))) == 0.0
     assert widths == [2 * mf.dim**2]
+
+
+@pytest.mark.parametrize("value", [-0.0, 1e-9])
+@pytest.mark.parametrize("r", [8, 10])
+def test_off_support_bit_in_one_family_takes_the_full_gemm(monkeypatch, value, r):
+    """A set bit off the chain support of X alone, or of Y alone, sends recovery to the GEMM over
+    all 2 d^2 columns; the compact Gram is taken only when both families pass the support test."""
+    widths = []
+    inner = linalg.gram
+    monkeypatch.setattr(factorization, "gram", lambda v: widths.append(v.shape[1]) or inner(v))
+    e = _points(r)[1]
+    mf = to_form_c(factorize_clifford(e, e.shape[0] // 2))
+    d = mf.dim
+    off = np.delete(np.arange(d * d), _pauli_tables(d.bit_length() - 1)[0])[d + 1]
+    recover_correlation(mf)
+    assert widths == [r * d]  # even rank: L d places off the diagonal, real and imaginary parts
+    for side in ("x_mats", "y_mats"):
+        mats = getattr(mf, side).copy()
+        mats[1].reshape(-1)[off] = value
+        fact = dataclasses.replace(mf, **{side: mats})
+        widths.clear()
+        assert np.max(np.abs(recover_correlation(fact) - _full_gram(fact))) < 1e-13, side
+        assert widths == [2 * d * d], side
 
 
 # ------------------------------------------------------------ extraction
