@@ -347,15 +347,18 @@ def verify_clifford_identity(
     Both checks are first judged from bounds taken in Pauli coordinates
     (_pauli_identity_deviations); that report stands only when both pass,
     and otherwise the batched products decide (_dense_identity_deviations),
-    so a pass is a proof and a failure is the dense report.
+    so a pass is a proof and a failure is the dense report.  A negative
+    `trials` raises ShapeError: the directions form a (trials, k) array.
     """
+    if trials < 0:
+        raise ShapeError(f"trials must be a non-negative number of directions, got {trials}")
     block = _require_symmetric(a, tol, "block")
     mats = as_stack(x_mats, "involutions")
     if mats.shape[0] != block.shape[0]:
         raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
     k = mats.shape[0]
     rng = np.random.default_rng(seed)
-    mus = rng.standard_normal((max(trials, 0), k))
+    mus = rng.standard_normal((trials, k))
     rows, cols = np.triu_indices(k)
 
     def report(dev_rand: float, dev_pair: float) -> VerificationReport:

@@ -5,9 +5,17 @@ A matrix file is ``{"rows": R, "cols": C, "complex": BOOL, "data": [...]}``
 with row-major data; real entries are plain numbers, complex entries are
 ``[re, im]`` pairs.  Numbers are serialized in shortest round-trip decimal
 form, so a write/read cycle reproduces entries bit-exactly.  Non-finite
-numbers are rejected on both sides.  Files are written in one canonical
-layout (``matrix_text``, the text of ``json.dumps``); a file in that layout
-is read without the generic JSON parse, and any other valid JSON still reads.
+numbers are rejected on both sides.
+
+The codec works on a family of matrix files at a time (the members of one
+bundle role, or a single file) in batches of about ``linalg.BATCH_BYTES``.
+The writer (``_encode``) gives every file one canonical layout, the text of
+``json.dumps``, formatting each distinct value of a batch once.  The reader
+(``_decode``) parses a batch of files in one byte scan and accepts it only
+if re-encoding would give each text back: every file holds rows*cols
+entries with canonical separators, and every entry is the writer's word for
+its value.  Any other file, valid JSON in another layout or a malformed one,
+is read alone through the JSON parse, which also words the errors.
 
 A factorization directory (a bundle) holds one matrix file per matrix plus a
 ``manifest.json`` declaring each file's role, so verifiers never infer roles
@@ -25,94 +33,177 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .cpsd import CpsdFactorization
 from .errors import MatrixFormatError
 from .factorization import FormBFactorization, MatrixFactorization
-from .linalg import ToleranceConfig
+from .linalg import BATCH_BYTES, ToleranceConfig
 from .quantum import TensorProductRep
 from .report import CheckResult, VerificationReport
 
 MANIFEST_NAME = "manifest.json"
 BLOCK_ORDER_NOTE = "row of pair (i, a) is 2*(i-1) + (0 if a == +1 else 1), 1-based i"
 
+# the word of a +0.0 entry, the most bytes the word of a finite entry takes, and the
+# bytes that end one complex entry and start the next
+_ZERO_WORD = {False: b"0.0", True: b"[0.0, 0.0]"}
+_WIDTH = 56
+_SEPARATOR = int.from_bytes(b"], [", "little")
+# sizes as JSON writes them (no leading zero), and short enough that int() cannot fail
+_HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "complex": (true|false), "data": \[')
+# _LOW[b] keeps the first b bytes of a little-endian 8-byte window
+_LOW = np.array([(1 << (8 * b)) - 1 for b in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the hash of a word's windows, key * _MIX + window
 
-def _words(values: list, is_complex: bool) -> list[str]:
-    """The text of each value as an entry of ``data``: ``repr`` of a real, ``re, im`` of a complex."""
-    return [f"{z.real!r}, {z.imag!r}" for z in values] if is_complex else list(map(repr, values))
+
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    if a.size and not np.all(np.isfinite(a)):
+        raise MatrixFormatError("matrix contains non-finite entries")
+    return a
+
+
+def _encode(stack: np.ndarray) -> list[bytes]:
+    """The file text, final newline included, of each matrix of a (k, rows, cols) stack of finite numbers.
+
+    One np.unique over the bit patterns of the entries with a set bit (of
+    each part, for complex data, then of the pairs of part indices) numbers
+    the distinct values; +0.0 is word 0 and -0.0 keeps its own.  Each
+    distinct value is formatted once (``repr``, or ``[re, im]`` of the parts'
+    ``repr``), and each file's data is one gather from the word table and
+    one join: the text of ``json.dumps`` of the matrix object.
+    """
+    k, rows, cols = stack.shape
+    is_complex = bool(np.iscomplexobj(stack))
+    bits = np.ascontiguousarray(stack, dtype=complex if is_complex else float).view(np.int64)
+    bits = bits.reshape(-1, 2 if is_complex else 1)
+    nonzero = (bits[:, 0] | bits[:, -1]) != 0
+    parts, inverse = np.unique(bits[nonzero], return_inverse=True)
+    words = list(map(repr, parts.view(float).tolist()))
+    inverse = inverse.reshape(-1, bits.shape[1])
+    if is_complex:
+        pairs, inverse = np.unique(inverse[:, 0] * len(parts) + inverse[:, 1], return_inverse=True)
+        words = [f"[{words[pair // len(parts)]}, {words[pair % len(parts)]}]" for pair in pairs.tolist()]
+    table = np.array([_ZERO_WORD[is_complex].decode(), *words], dtype=object)
+    codes = np.zeros(len(bits), dtype=np.intp)
+    codes[nonzero] = inverse.reshape(-1) + 1
+    head = f'{{"rows": {rows}, "cols": {cols}, "complex": {"true" if is_complex else "false"}, "data": ['
+    size = rows * cols
+    return [f"{head}{', '.join(table[codes[i * size : (i + 1) * size]].tolist())}]}}\n".encode() for i in range(k)]
+
+
+def _family_texts(mats: np.ndarray) -> Iterator[bytes]:
+    """The file texts of a (k, rows, cols) stack, encoded a batch at a time; every entry
+    is checked finite before the first text is given out."""
+    _require_finite(mats)
+    step = max(1, BATCH_BYTES // max(mats[0:1].nbytes, 1))
+    for start in range(0, len(mats), step):
+        yield from _encode(mats[start : start + step])
 
 
 def matrix_text(m) -> str:
-    """The canonical text of a matrix file, without the final newline.
-
-    It equals ``json.dumps`` of the matrix object, but each distinct entry is
-    formatted once: entries are grouped by bit pattern (an int64 view of a
-    real, a 16-byte key of a complex, so -0.0 and 0.0 stay apart) and
-    ``data`` is one fancy index into the distinct words and one join.
-    """
+    """The canonical text of a matrix file, without the final newline: ``_encode`` of one matrix."""
     a = np.asarray(m)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise MatrixFormatError(f"matrix must be 1-D or 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise MatrixFormatError("matrix contains non-finite entries")
-    is_complex = bool(np.iscomplexobj(a))
-    flat = np.asarray(a, dtype=complex if is_complex else float).ravel()
-    keys, inverse = np.unique(flat.view(np.dtype((np.void, 16)) if is_complex else np.int64), return_inverse=True)
-    words = _words(keys.view(flat.dtype).tolist(), is_complex)
-    chosen = np.array(words, dtype=object)[inverse].tolist()
-    data = f"[{'], ['.join(chosen)}]" if is_complex and chosen else ", ".join(chosen)
-    flag = "true" if is_complex else "false"
-    return f'{{"rows": {a.shape[0]}, "cols": {a.shape[1]}, "complex": {flag}, "data": [{data}]}}'
+    return _encode(_require_finite(a)[None])[0][:-1].decode()
 
 
-# sizes as JSON writes them (no leading zero), and short enough that int() cannot fail
-_HEADER = re.compile(r'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "complex": (true|false), "data": \[')
+def _decode(texts: list[bytes]) -> list[np.ndarray] | None:
+    """The matrices of a batch of file texts if ``_encode`` could have written every one, else None.
 
-
-def _canonical_matrix(text: str) -> np.ndarray | None:
-    """The matrix of a file that ``write_matrix`` could have written, else None.
-
-    ``data`` is split into its entry words and each distinct word is parsed
-    once.  The result is kept only if each distinct word is the writer's
-    word for its finite value, that is if re-encoding the result gives the
-    text back; the JSON parse then returns the same bits.  Checking a word
-    costs about three JSON parses of it, so data in which more than one word
-    in eight is distinct (dense data) also gives None; for most dense files
-    the first 4 KiB of ``data`` decide that without splitting the rest.
+    The data of all texts is joined into one buffer and scanned once: the
+    entry starts are its ``[`` bytes (complex data) or follow its ``,``
+    bytes (real data), and each file must begin a new entry and hold
+    rows*cols of them, separated by ``", "``.  A +0.0 entry is known by its
+    length and one 8-byte window.  The other entries are keyed by their
+    bytes, read as 8-byte windows with the bytes past the entry masked off,
+    and grouped by a hash of the windows; every entry must equal its group's
+    first byte for byte.  Each distinct number in the groups' words is
+    parsed once and kept only if it is the writer's word for its finite
+    value.  A batch in which more than one entry in eight is a distinct
+    nonzero word (dense data, for which the JSON parse is faster) also gives
+    None.
     """
-    head = _HEADER.match(text)
-    if head is None or not text.endswith("]}\n"):
+    heads = [_HEADER.match(text) for text in texts]
+    if None in heads or not all(text.endswith(b"]}\n") for text in texts):
         return None
-    rows, cols, is_complex = int(head[1]), int(head[2]), head[3] == "true"
-    body, sep = text[head.end() : -3], ", "
+    is_complex = heads[0][3] == b"true"
+    if any((head[3] == b"true") != is_complex for head in heads):
+        return None
+    shapes = [(int(head[1]), int(head[2])) for head in heads]
+    counts = [rows * cols for rows, cols in shapes]
+    bodies = [memoryview(text)[head.end() : -3] for text, head in zip(texts, heads)]
+    buf = b", ".join(bodies) + bytes(_WIDTH)  # the padding keeps every window inside the buffer
+    end = len(buf) - _WIDTH
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    windows = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))  # the 8 bytes at each offset
     if is_complex:
-        if not (body.startswith("[") and body.endswith("]")):
+        starts = (arr == ord("[")).nonzero()[0]
+        if len(starts) != sum(counts) or arr[end - 1] != ord("]"):
             return None
-        body, sep = body[1:-1], "], ["
-    prefix = body[:4096].split(sep)
-    if 8 * len(set(prefix)) > len(prefix):
+        ends = np.append(starts[1:] - 2, end)
+        if not ((windows[ends[:-1] - 1] & _LOW[4]) == _SEPARATOR).all():
+            return None
+    else:
+        seps = (arr[:end] == ord(",")).nonzero()[0]
+        if len(seps) != sum(counts) - 1 or not (arr[seps + 1] == ord(" ")).all():
+            return None
+        starts = np.append(0, seps + 2)
+        ends = np.append(seps, end)
+    firsts = np.cumsum([0, *counts[:-1]])
+    if not np.array_equal(starts[firsts], np.cumsum([0, *[len(body) + 2 for body in bodies[:-1]]])):
         return None
-    words = body.split(sep)
-    distinct = list(set(words))
-    if len(words) != rows * cols or 8 * len(distinct) > len(words):
+    lengths = ends - starts
+    zero = _ZERO_WORD[is_complex]
+    if is_complex:  # '[' and ']' are known: compare the 8 bytes between them
+        zeros = (lengths == len(zero)) & (windows[starts + 1] == int.from_bytes(zero[1:-1], "little"))
+    else:
+        zeros = (lengths == len(zero)) & ((windows[starts] & _LOW[len(zero)]) == int.from_bytes(zero, "little"))
+    nonzero = (~zeros).nonzero()[0]
+    sizes = lengths[nonzero]
+    if len(sizes) and sizes.max() > _WIDTH:
         return None
+    keys = np.zeros(len(sizes), dtype=np.uint64)
+    columns = []
+    for offset in range(0, int(sizes.max(initial=0)), 8):
+        column = windows[starts[nonzero] + offset] & _LOW[np.clip(sizes - offset, 0, 8)]
+        keys = keys * _MIX + column
+        columns.append(column)
+    _, reps, group = np.unique(keys, return_index=True, return_inverse=True)  # reps: each group's first
+    if 8 * len(reps) > len(starts):
+        return None
+    group = group.reshape(-1)
+    same = sizes == sizes[reps][group]
+    for column in columns:
+        same &= column == column[reps][group]
+    if not same.all():
+        return None
+    cut = 1 if is_complex else 0  # the brackets of a complex word
+    words = [buf[lo + cut : hi - cut] for lo, hi in zip(starts[nonzero[reps]].tolist(), ends[nonzero[reps]].tolist())]
     try:
-        if is_complex:
-            pairs = [word.partition(", ") for word in distinct]
-            values = np.array([(float(re_), float(im)) for re_, _, im in pairs]).view(complex).ravel()
-        else:
-            values = np.array(list(map(float, distinct)))
+        numbers = b", ".join(words).decode("ascii").split(", ") if words else []
+        distinct = list(dict.fromkeys(numbers))
+        values = np.array(list(map(float, distinct)), dtype=float)
     except ValueError:
         return None
-    if not np.isfinite(values).all() or _words(values.tolist(), is_complex) != distinct:
+    if len(numbers) != (2 if is_complex else 1) * len(words) or not np.isfinite(values).all():
         return None
+    if list(map(repr, values.tolist())) != distinct:
+        return None
+    if is_complex:  # re and im fill each word: a word with more or fewer numbers would shift the pairs
+        widths = np.fromiter(map(len, numbers), np.intp, len(numbers)).reshape(-1, 2).sum(axis=1)
+        if not np.array_equal(widths + 4, sizes[reps]):
+            return None
     index = dict(zip(distinct, range(len(distinct))))
-    return values[np.fromiter(map(index.__getitem__, words), np.intp, len(words))].reshape(rows, cols)
+    parsed = values[np.fromiter(map(index.__getitem__, numbers), np.intp, len(numbers))]
+    out = np.zeros(len(starts), dtype=complex if is_complex else float)
+    out[nonzero] = (parsed.view(complex) if is_complex else parsed)[group]
+    return [out[first : first + count].reshape(shape) for first, count, shape in zip(firsts.tolist(), counts, shapes)]
 
 
 def _check_entries(data: list, is_complex: bool) -> None:
@@ -166,24 +257,62 @@ def write_matrix(path, m) -> None:
     Path(path).write_text(matrix_text(m) + "\n", encoding="utf-8")
 
 
-def _read_json(path, parse):
-    """``parse`` of the JSON value in a file; decoding and format errors start with the path."""
+def _read_json(path, parse, data: bytes | None = None):
+    """``parse`` of the JSON value in a file, whose bytes are ``data`` when already read;
+    decoding and format errors start with the path.  Line ends are translated as in a
+    file opened in text mode, which sets the positions JSON's messages give."""
     try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
+        return parse(json.loads(text.replace("\r\n", "\n").replace("\r", "\n")))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (UnicodeDecodeError, MatrixFormatError) as exc:
         raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
+def _read_matrices(paths: list, known: dict[bytes, np.ndarray] | None = None) -> list[np.ndarray]:
+    """The matrix of each file, the files read in batches of about BATCH_BYTES of text.
+
+    Each batch goes to ``_decode`` once.  If it is not all canonical, its
+    files are decoded one at a time, in order, and a file that is not
+    canonical goes to the JSON parse, so the first bad file is the one
+    reported.  A file that cannot be read ends the batch before it, so the
+    files ahead of it are parsed first.  ``known`` maps texts parsed earlier
+    in the same load to their matrices, and takes the texts read here (an
+    extracted bundle's Y files repeat its X files); with None, only the
+    texts of one batch are remembered.  Each remembered text is parsed once.
+    """
+    out: list[np.ndarray] = []
+    while len(out) < len(paths):
+        batch, size = [], 0
+        for path in paths[len(out) :]:
+            try:
+                with open(path, "rb") as file:
+                    data = file.read()
+            except OSError:
+                if batch:
+                    break
+                raise
+            batch.append((path, data))
+            size += len(data)
+            if size >= BATCH_BYTES:
+                break
+        seen = {} if known is None else known
+        fresh = list(dict.fromkeys(data for _, data in batch if data not in seen))
+        mats = _decode(fresh) if fresh else []
+        if mats is not None:
+            seen.update(zip(fresh, mats))
+        for path, data in batch:
+            if data not in seen:
+                one = _decode([data]) if len(fresh) > 1 else None
+                seen[data] = one[0] if one else _read_json(path, matrix_from_obj, data)
+            out.append(seen[data])
+    return out
+
+
 def read_matrix(path) -> np.ndarray:
-    """A canonical file is read by ``_canonical_matrix``; any other file goes through
-    the JSON parse, which alone accepts other layouts and words the errors."""
-    try:
-        out = _canonical_matrix(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        out = None
-    return _read_json(path, matrix_from_obj) if out is None else out
+    """The matrix of one file: the codec's one-file case, with the JSON parse for a file in another layout."""
+    return _read_matrices([path])[0]
 
 
 @dataclass(frozen=True)
@@ -290,9 +419,11 @@ def _slots(role: Role, count: int) -> list[tuple]:
 def _save(dirpath, kind: str, stacks: dict[str, np.ndarray], **meta) -> None:
     """Write the matrices of each role, found in ``stacks`` by role name, then the manifest.
 
-    A role whose stack is the very array of an earlier role (an extracted
-    factorization's Y family is its X family) writes that role's texts again
-    without encoding them a second time.
+    Each role is encoded a batch at a time (``_family_texts``); a role with a
+    non-finite entry raises before any of its files is written.  A role whose
+    stack is the very array of another role (an extracted factorization's Y
+    family is its X family) is encoded once, and the later role writes the
+    same texts.
     """
     keys, roles = BUNDLES[kind]
     directory = Path(dirpath)
@@ -306,11 +437,13 @@ def _save(dirpath, kind: str, stacks: dict[str, np.ndarray], **meta) -> None:
             meta[role.count] = len(stack)
         texts = next((texts for earlier, texts in encoded if earlier is stack), None)
         if texts is None:
-            texts = [matrix_text(m) for m in np.reshape(stack, (len(slots),) + np.shape(stack)[-2:])]
-            encoded.append((stack, texts))
+            texts = _family_texts(np.reshape(stack, (len(slots),) + np.shape(stack)[-2:]))
+            if sum(other is stack for other in stacks.values()) > 1:
+                texts = list(texts)
+                encoded.append((stack, texts))
         for (index, outcome), text in zip(slots, texts):
             file = role.file.format(i=index, o={1: "p", -1: "m"}.get(outcome))
-            (directory / file).write_text(text + "\n", encoding="utf-8")
+            (directory / file).write_bytes(text)
             entry = {"role": name, "index": index, "outcome": outcome, "file": file}
             entries.append({key: value for key, value in entry.items() if value is not None})
     manifest = {"kind": kind, **{key: meta[key] for key in keys}, "entries": entries}
@@ -351,9 +484,11 @@ def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
     directory = Path(dirpath)
     if not (directory / MANIFEST_NAME).is_file():
         raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
-    out, sized = {}, None
-    for role, name, family, files in _read_json(directory / MANIFEST_NAME, lambda obj: _role_files(kind, obj)):
-        mats = [read_matrix(directory / file) for file in files]
+    out, sized, known = {}, None, {}
+    roles = _read_json(directory / MANIFEST_NAME, lambda obj: _role_files(kind, obj))
+    for role, name, family, files in roles:
+        # no later role can repeat the texts of the last one, so they are not kept
+        mats = _read_matrices([directory / file for file in files], None if role is roles[-1][0] else known)
         odd = [file for file, m in zip(files, mats) if m.shape != mats[0].shape or m.shape[0] != m.shape[1]]
         if family and odd:
             shapes = sorted({m.shape for m in mats})
@@ -407,7 +542,7 @@ def load_cpsd_factorization(dirpath) -> CpsdFactorization:
     mats = _load(dirpath, "cpsd_factorization")["psd_factor"]
     if not len(mats):
         raise MatrixFormatError("cpsd manifest must declare n >= 1")
-    return CpsdFactorization(mats.astype(complex))
+    return CpsdFactorization(mats.astype(complex, copy=False))
 
 
 def save_tensor_rep(dirpath, rep: TensorProductRep) -> None:

@@ -167,6 +167,15 @@ def test_clifford_identity_shape_mismatch():
         verify_clifford_identity(np.eye(3), [PAULI_X, PAULI_Y], seed=0)
 
 
+def test_clifford_identity_refuses_a_negative_trial_count():
+    """r = 3 lex point: the count is refused, where max(trials, 0) directions used to pass as "-2 trials"."""
+    e = gen_extreme_lex(3)[0]
+    mf = to_form_c(factorize_clifford(e))
+    assert verify_clifford_identity(e[:3, :3], mf.x_mats[:3], trials=0, seed=1).passed
+    with pytest.raises(ShapeError, match="trials must be a non-negative number of directions, got -2"):
+        verify_clifford_identity(e[:3, :3], mf.x_mats[:3], trials=-2, seed=1)
+
+
 def test_clifford_identity_seeded_reproducible():
     a = np.array([[1.0, S], [S, 1.0]])
     mats = [PAULI_X, (PAULI_X + PAULI_Y) / SQRT2]

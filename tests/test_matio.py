@@ -18,7 +18,7 @@ from corrfact import matio
 from corrfact.cli import run
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, extract_matrix_factorization
 from corrfact.clifford import gamma_generators
-from corrfact.elliptope import CSystem, gen_extreme_lex, gram_factors
+from corrfact.elliptope import CSystem, check_extreme, gen_extreme_lex, gram_factors, random_correlation
 from corrfact.errors import MatrixFormatError
 from corrfact.factorization import FormBFactorization, MatrixFactorization, factorize_clifford, to_form_c
 from corrfact.quantum import TensorProductRep, build_tensor_rep
@@ -100,15 +100,15 @@ def test_bundle_files_and_loads_match_oracle(tmp_path, name, kind, obj, extra):
 
 
 def test_family_shared_by_two_roles_is_encoded_once(tmp_path, monkeypatch):
-    """Extraction returns X as Y: the y files are the x texts, encoded once, n_x + 1 encodings with k."""
+    """Extraction returns X as Y: the y files are the x texts, encoded once, n_x + 1 matrices encoded with k."""
     mf = extract_matrix_factorization(build_cpsd_factorization(_lex(5)))[0]
     assert mf.y_mats is mf.x_mats
     matio.save_matrix_factorization(tmp_path / "copy", MatrixFactorization(mf.x_mats, mf.x_mats.copy(), mf.k))
-    calls = []
-    encode = matio.matrix_text
-    monkeypatch.setattr(matio, "matrix_text", lambda m: calls.append(1) or encode(m))
+    encoded = []
+    encode = matio._encode
+    monkeypatch.setattr(matio, "_encode", lambda stack: encoded.append(len(stack)) or encode(stack))
     matio.save_matrix_factorization(tmp_path / "shared", mf)
-    assert len(calls) == mf.sizes[0] + 1
+    assert sum(encoded) == mf.sizes[0] + 1
     assert _files(tmp_path / "shared") == _files(tmp_path / "copy")
 
 
@@ -124,6 +124,7 @@ REPEATED = {
     "repeated_same_real_parts": np.resize([1 + 0j, 1 + 1j, 1 - 1j, complex(1, -0.0), complex(-0.0, 1)], (16, 16)),
     "repeated_one_d": np.resize([0.0, 1.0, -0.5], 64),
     "repeated_strided": np.resize([0.0, 0.5, -0.0, 1 - 1j], (48, 48))[::2, 1::3],
+    "repeated_all_zero": np.zeros((16, 16), dtype=complex),
 }
 
 
@@ -173,7 +174,7 @@ def test_canonical_files_are_read_without_the_json_parse(tmp_path, monkeypatch, 
     oracles.write_matrix(path, REPEATED[name])
     want = oracles.read_matrix(path)
 
-    def no_json(path, parse):
+    def no_json(path, *args):
         raise AssertionError(f"{path} went through the JSON parse")
 
     monkeypatch.setattr(matio, "_read_json", no_json)
@@ -203,7 +204,7 @@ VALID_VARIANTS = {
 @pytest.mark.parametrize("text", [REAL_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
 @pytest.mark.parametrize("variant", list(VALID_VARIANTS))
 def test_other_valid_json_reads_like_oracle(tmp_path, text, variant):
-    assert matio._canonical_matrix(text) is not None
+    assert matio._decode([text.encode()]) is not None
     path = tmp_path / "m.json"
     path.write_text(VALID_VARIANTS[variant](text))
     assert path.read_text() != text
@@ -235,7 +236,7 @@ def _oracle_message(path):
 def test_files_json_rejects_still_exit_two(tmp_path, capsys, name):
     text = BAD_FILES[name]
     assert text not in (REAL_TEXT, COMPLEX_TEXT)
-    assert matio._canonical_matrix(text) is None
+    assert matio._decode([text.encode()]) is None
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run(["elliptope", "check-extreme", str(path)]) == 2
@@ -415,3 +416,185 @@ def test_read_errors_start_with_the_path(tmp_path):
     (directory / matio.MANIFEST_NAME).write_text("{")
     with pytest.raises(MatrixFormatError, match=re.escape(f"{directory / matio.MANIFEST_NAME}: malformed JSON")):
         matio.load_generators(directory)
+
+
+# ---------------------------------------------------------------- family codec
+
+
+def _random_extreme(r, rng):
+    for _ in range(20):
+        e = random_correlation(r * (r + 1) // 2, r, rng)
+        ext = check_extreme(e)
+        if ext.is_extreme and ext.rank == r:
+            return e
+    raise AssertionError(f"no extreme draw of rank {r}")
+
+
+def _point_bundles(e):
+    """(kind, object) of every bundle kind built from one extreme point (no representation at n = 1)."""
+    fb = factorize_clifford(e)
+    f = build_cpsd_factorization(e)
+    out = [
+        ("form_b_factorization", fb),
+        ("matrix_factorization", to_form_c(fb)),
+        ("cpsd_factorization", f),
+        ("matrix_factorization", extract_matrix_factorization(f)[0]),
+    ]
+    h = e.shape[0] // 2
+    if h:
+        u = gram_factors(e)
+        out.append(("tensor_product_rep", build_tensor_rep(e[:h, h:], CSystem(u[:h], u[h:]))))
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_family_codec_matches_oracle_bit_for_bit(tmp_path, r):
+    """Every bundle kind at the lex point and two random points loads back with the bits it was saved
+    with; the middle file of each role is the oracle's text, and that of the first role reads as the
+    oracle reads it (the oracle's per-entry JSON takes seconds for whole families at r = 12)."""
+    rng = np.random.default_rng(100 + r)
+    bundles = [("clifford_generators", gamma_generators(r).generators)]
+    for e in (_lex(r), _random_extreme(r, rng), _random_extreme(r, rng)):
+        bundles += _point_bundles(e)
+    for number, (kind, obj) in enumerate(bundles):
+        save, load = KINDS[kind]
+        directory = tmp_path / f"b{number}"
+        getattr(matio, save)(directory, obj, *((r,) if kind == "clifford_generators" else ()))
+        loaded = getattr(matio, load)(directory)
+        _assert_same_bits(loaded, obj)
+        stacks = {
+            "clifford_generators": lambda: {"generator": loaded},
+            "form_b_factorization": lambda: {"a": loaded.a_mats, "b": loaded.b_mats},
+            "matrix_factorization": lambda: {"x": loaded.x_mats, "y": loaded.y_mats, "k": loaded.k},
+            "cpsd_factorization": lambda: {"psd_factor": loaded.mats},
+            "tensor_product_rep": lambda: {"alice_obs": loaded.alice_obs, "bob_obs": loaded.bob_obs,
+                                           "state_vector": loaded.psi, "density": loaded.rho},
+        }[kind]()
+        by_role = {}
+        for entry in json.loads((directory / matio.MANIFEST_NAME).read_text())["entries"]:
+            by_role.setdefault(entry["role"], []).append(entry["file"])
+        for position, (role, files) in enumerate(by_role.items()):
+            stack = stacks[role]
+            stack = stack.reshape(1, -1, 1) if role == "state_vector" else stack.reshape(-1, *stack.shape[-2:])
+            middle = len(files) // 2
+            assert (directory / files[middle]).read_text() == json.dumps(oracles.matrix_to_obj(stack[middle])) + "\n"
+            if position == 0:
+                want = oracles.read_matrix(directory / files[middle])
+                assert stack[middle].tobytes() == want.astype(stack.dtype).tobytes()
+
+
+def _small_batches(monkeypatch, size):
+    encoded, decoded = [], []
+    encode, decode = matio._encode, matio._decode
+    monkeypatch.setattr(matio, "BATCH_BYTES", size)
+    monkeypatch.setattr(matio, "_encode", lambda stack: encoded.append(len(stack)) or encode(stack))
+    monkeypatch.setattr(matio, "_decode", lambda texts: decoded.append(len(texts)) or decode(texts))
+    return encoded, decoded
+
+
+def test_families_longer_than_one_batch_straddle_the_bound(tmp_path, monkeypatch):
+    """A 3 KiB bound that no file size divides: every batch but the last holds several files and ends
+    inside the family, and files and loads still match the oracle."""
+    f = build_cpsd_factorization(_lex(6))
+    encoded, decoded = _small_batches(monkeypatch, 3000)
+    matio.save_cpsd_factorization(tmp_path / "new", f)
+    oracles.save_cpsd_factorization(tmp_path / "old", f)
+    assert _files(tmp_path / "new") == _files(tmp_path / "old")
+    want = oracles.load_cpsd_factorization(tmp_path / "old")
+    _assert_same_bits(matio.load_cpsd_factorization(tmp_path / "new"), want)
+    assert len(encoded) > 2 and sum(encoded) == 2 * f.n and len(set(encoded[:-1])) == 1 and encoded[0] > 1
+    assert len(decoded) > 2 and sum(decoded) == 2 * f.n and max(decoded) > 1
+
+
+def test_pretty_printed_file_in_a_family_reads_alone_through_json(tmp_path, monkeypatch):
+    """The batch holding the file is decoded file by file; only that file (and the manifest) takes the JSON parse."""
+    directory = tmp_path / "cpsd"
+    matio.save_cpsd_factorization(directory, build_cpsd_factorization(_lex(10)))
+    middle = directory / "factor_30_m.json"
+    middle.write_text(json.dumps(json.loads(middle.read_text()), indent=2) + "\n")
+    parsed = []
+    read_json = matio._read_json
+    monkeypatch.setattr(matio, "_read_json", lambda path, *args: parsed.append(path) or read_json(path, *args))
+    _assert_same_bits(matio.load_cpsd_factorization(directory), oracles.load_cpsd_factorization(directory))
+    assert parsed == [directory / matio.MANIFEST_NAME, middle]
+
+
+def test_negative_zero_off_the_chain_support_keeps_its_sign(tmp_path):
+    f = build_cpsd_factorization(_lex(8))
+    mats = f.mats.copy()
+    assert mats[0, 0, 0, 3] == 0.0 and not np.signbit(mats[0, 0, 0, 3].real)
+    mats[0, 0, 0, 3] = complex(-0.0, 0.0)
+    mats[2, 1, 5, 6] = complex(0.0, -0.0)
+    tampered = CpsdFactorization(mats)
+    matio.save_cpsd_factorization(tmp_path / "new", tampered)
+    oracles.save_cpsd_factorization(tmp_path / "old", tampered)
+    assert _files(tmp_path / "new") == _files(tmp_path / "old")
+    assert "[-0.0, 0.0]" in (tmp_path / "new" / "factor_01_p.json").read_text()
+    loaded = matio.load_cpsd_factorization(tmp_path / "new")
+    _assert_same_bits(loaded, oracles.load_cpsd_factorization(tmp_path / "old"))
+    assert loaded.mats.tobytes() == mats.tobytes()
+
+
+def test_file_of_another_shape_mid_family_names_that_file(tmp_path):
+    directory = tmp_path / "cpsd"
+    f = build_cpsd_factorization(_lex(6))
+    matio.save_cpsd_factorization(directory, f)
+    matio.write_matrix(directory / "factor_07_p.json", np.eye(4))
+    with pytest.raises(MatrixFormatError) as err:
+        matio.load_cpsd_factorization(directory)
+    odd = directory / "factor_07_p.json"
+    assert str(err.value) == f"{odd}: psd_factor matrices must be square and of one shape, got [(4, 4), (8, 8)]"
+
+
+def test_malformed_file_before_a_missing_file_is_the_one_reported(tmp_path, capsys):
+    e = _lex(6)
+    directory = tmp_path / "cpsd"
+    matio.write_matrix(tmp_path / "E.json", e)
+    build = ["cpsd", "build-pc", str(tmp_path / "E.json"), "-o", str(tmp_path / "PC.json"), "--factors", str(directory)]
+    assert run(build) == 0
+    bad = directory / "factor_02_p.json"
+    bad.write_text(bad.read_text()[:40])
+    (directory / "factor_03_m.json").unlink()
+    with pytest.raises(MatrixFormatError, match=re.escape(f"{bad}: malformed JSON at line 1, column ")):
+        matio.load_cpsd_factorization(directory)
+    capsys.readouterr()
+    assert run(["cpsd", "verify", str(tmp_path / "PC.json"), str(directory)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed JSON")
+    missing = directory / "factor_01_m.json"  # a missing file ahead of the malformed one is reported instead
+    missing.unlink()
+    assert run(["cpsd", "verify", str(tmp_path / "PC.json"), str(directory)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+@pytest.mark.parametrize("role", ["x", "y", "k"])
+def test_non_finite_entry_leaves_the_files_of_earlier_roles_only(tmp_path, monkeypatch, role):
+    """A role is checked whole before any of its files is written, in batches or not: the earlier roles'
+    files stay, and none of this role's nor the manifest is written."""
+    mf = to_form_c(factorize_clifford(_lex(6)))
+    stacks = {"x": mf.x_mats.copy(), "y": mf.x_mats[::-1].copy(), "k": mf.k.copy()}
+    stacks[role][(-1, 0, 0) if role != "k" else (0, 0)] = np.nan
+    _small_batches(monkeypatch, 3000)
+    with pytest.raises(MatrixFormatError, match="matrix contains non-finite entries"):
+        matio.save_matrix_factorization(tmp_path / "f", MatrixFactorization(stacks["x"], stacks["y"], stacks["k"]))
+    earlier = {"x": [], "y": ["x"], "k": ["x", "y"]}[role]
+    sizes = {"x": mf.sizes[0], "y": mf.sizes[0]}
+    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == sorted(
+        f"{name}_{i:02d}.json" for name in earlier for i in range(1, sizes[name] + 1)
+    )
+
+
+def test_accepted_texts_are_what_the_writer_writes():
+    """One-byte edits of canonical texts: the codec either refuses a text or reads a matrix whose text it is."""
+    rng = np.random.default_rng(7)
+    texts = [REAL_TEXT.encode(), COMPLEX_TEXT.encode(), matio._encode(build_cpsd_factorization(_lex(4)).mats[1])[0]]
+    alphabet = b"0123456789.,-+e[] \n\x00"
+    accepted = 0
+    for _ in range(600):
+        text = bytearray(texts[rng.integers(len(texts))])
+        text[rng.integers(len(text))] = alphabet[rng.integers(len(alphabet))]
+        got = matio._decode([bytes(text)])
+        if got is not None:
+            accepted += 1
+            assert matio._encode(got[0][None])[0] == bytes(text)
+            assert got[0].tobytes() == oracles.matrix_from_obj(json.loads(bytes(text))).tobytes()
+    assert 0 < accepted < 600
