@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .linalg import (
     scatter_columns,
     square_deviations,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, decide
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -419,6 +419,8 @@ def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Verif
     if bad.size:  # the first failing generator raises as its own check would
         require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
     rows, cols = np.triu_indices(k, 1)
-    if _signed_chains(arr):
-        return _relations_report(np.zeros(k), np.zeros(rows.size), rows, cols, tol)
-    return _relations_report(*_dense_relation_deviations(arr, rows, cols), rows, cols, tol)
+    return decide(
+        partial(_relations_report, rows=rows, cols=cols, tol=tol),
+        (np.zeros(k), np.zeros(rows.size)) if _signed_chains(arr) else None,
+        lambda: _dense_relation_deviations(arr, rows, cols),
+    )

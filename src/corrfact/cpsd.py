@@ -45,7 +45,7 @@ from .linalg import (
     sorted_eigh,
     square_deviations,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, decide
 
 
 @dataclass(frozen=True)
@@ -282,9 +282,7 @@ def verify_cpsd_factorization(
 
     with np.errstate(invalid="ignore"):
         fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), d)
-        bounds = _pauli_deviations(stack, mat, fit)
-        fast = None if bounds is None else report(*bounds)
-        return fast if fast is not None and fast.passed else report(*_dense_deviations(stack, mat))
+        return decide(report, _pauli_deviations(stack, mat, fit), lambda: _dense_deviations(stack, mat))
 
 
 def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertificate:

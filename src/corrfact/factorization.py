@@ -52,7 +52,7 @@ from .linalg import (
     sorted_eigh,
     square_deviations,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, decide
 
 
 @dataclass(frozen=True)
@@ -275,16 +275,16 @@ def verify_factorization(
             + checks
         )
 
+    def dense() -> tuple[float, float]:
+        if mode == "b-form":
+            gram_dev = _hs_gram_deviation(first, second, a)
+        else:
+            gram_dev = _hs_gram_deviation(_weigh(k, first), _weigh(k, second, right=mode == "i"), a)
+        inv_dev = max(float(np.max(square_deviations(f, square), initial=0.0)) for f in (first, second))
+        return gram_dev, inv_dev
+
     bounds = None if weight is None else _pauli_deviations(first, second, a, weight, square)
-    fast = None if bounds is None else report(*bounds)
-    if fast is not None and fast.passed:
-        return fast
-    if mode == "b-form":
-        gram_dev = _hs_gram_deviation(first, second, a)
-    else:
-        gram_dev = _hs_gram_deviation(_weigh(k, first), _weigh(k, second, right=mode == "i"), a)
-    inv_dev = max(float(np.max(square_deviations(f, square), initial=0.0)) for f in (first, second))
-    return report(gram_dev, inv_dev)
+    return decide(report, bounds, dense)
 
 
 def _pauli_identity_deviations(
@@ -331,6 +331,15 @@ def _dense_identity_deviations(
     return float(np.max(rand_devs, initial=0.0)), float(np.max(pair_devs, initial=0.0))
 
 
+def _require_block_family(a, x_mats, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric block A and the (k, d, d) stack of involutions it describes, k being its size."""
+    block = _require_symmetric(a, tol, "block")
+    mats = as_stack(x_mats, "involutions")
+    if mats.shape[0] != block.shape[0]:
+        raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
+    return block, mats
+
+
 def verify_clifford_identity(
     a,
     x_mats,
@@ -352,10 +361,7 @@ def verify_clifford_identity(
     """
     if trials < 0:
         raise ShapeError(f"trials must be a non-negative number of directions, got {trials}")
-    block = _require_symmetric(a, tol, "block")
-    mats = as_stack(x_mats, "involutions")
-    if mats.shape[0] != block.shape[0]:
-        raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
+    block, mats = _require_block_family(a, x_mats, tol)
     k = mats.shape[0]
     rng = np.random.default_rng(seed)
     mus = rng.standard_normal((trials, k))
@@ -374,11 +380,11 @@ def verify_clifford_identity(
             )
         )
 
-    bounds = _pauli_identity_deviations(mats, block, mus, rows, cols)
-    fast = None if bounds is None else report(*bounds)
-    if fast is not None and fast.passed:
-        return fast
-    return report(*_dense_identity_deviations(mats, block, mus, rows, cols))
+    return decide(
+        report,
+        _pauli_identity_deviations(mats, block, mus, rows, cols),
+        lambda: _dense_identity_deviations(mats, block, mus, rows, cols),
+    )
 
 
 def orthonormalize_generators(a, x_mats, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -387,10 +393,7 @@ def orthonormalize_generators(a, x_mats, tol: ToleranceConfig = DEFAULT_TOL) -> 
     With A = sum_k w_k u_k u_k^T positive definite, the combinations
     X'_k = w_k^{-1/2} sum_i u_k(i) X_i anticommute exactly pairwise.
     """
-    block = _require_symmetric(a, tol, "block")
-    mats = as_stack(x_mats, "involutions")
-    if mats.shape[0] != block.shape[0]:
-        raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
+    block, mats = _require_block_family(a, x_mats, tol)
     w, u = sorted_eigh(block)
     if w.size and w[-1] < -tol.psd_tol:
         raise NotPsdError(f"block has eigenvalue {w[-1]:.3e}")

@@ -333,11 +333,10 @@ class ReportFile:
         report: VerificationReport,
         tolerances: ToleranceConfig,
         seed: int | None = None,
-        passed: bool | None = None,
     ) -> "ReportFile":
         return cls(
             command=command,
-            passed=report.passed if passed is None else passed,
+            passed=report.passed,
             max_deviation=report.max_deviation,
             details=report.checks,
             tolerances=tolerances,

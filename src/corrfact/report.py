@@ -33,3 +33,18 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+def decide(report, fast, dense) -> VerificationReport:
+    """The report of the bounds `fast` when they are given and it passes, else the report of `dense()`.
+
+    `report` builds a VerificationReport from deviations; `fast` holds upper
+    bounds on them (None when none could be taken), and `dense` computes them
+    exactly, only when the bounds do not decide.  So a pass is a proof and a
+    failure is the dense report.
+    """
+    if fast is not None:
+        first = report(*fast)
+        if first.passed:
+            return first
+    return report(*dense())

@@ -421,3 +421,65 @@ def test_cached_parser_answers_like_fresh_ones(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert cached == answers()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _report_commands(tmp_path):
+    """The argv of each of the seven commands that print a report, on E3 and artifacts built from it."""
+    epath = _write(tmp_path, "E.json", E3)
+    gens, fdir, pc, factors = (str(tmp_path / name) for name in ("gens", "fact", "PC.json", "factors"))
+    assert run(["--quiet", "clifford", "gen", "-r", "3", "-o", gens]) == 0
+    assert run(["--quiet", "factorize", "build", epath, "-o", fdir]) == 0
+    assert run(["--quiet", "cpsd", "build-pc", epath, "-o", pc, "--factors", factors]) == 0
+    return {
+        "clifford verify": ["clifford", "verify", gens],
+        "elliptope check-extreme": ["elliptope", "check-extreme", epath],
+        "factorize verify": ["factorize", "verify", epath, fdir],
+        "factorize clifford-identity": ["factorize", "clifford-identity", epath, fdir, "--trials", "4"],
+        "cpsd verify": ["cpsd", "verify", pc, factors],
+        "cpsd certify": ["cpsd", "certify", epath],
+        "cpsd extract": ["cpsd", "extract", factors, "-o", str(tmp_path / "extracted")],
+    }
+
+
+def test_only_the_identity_check_records_its_seed(tmp_path, capsys):
+    commands = _report_commands(tmp_path)
+    assert len(commands) == 7
+    for name, argv in commands.items():
+        capsys.readouterr()
+        assert run(["--seed", "5"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == name
+        assert report["seed"] == (5 if name == "factorize clifford-identity" else None)
+
+
+def test_quiet_line_names_each_report_command(tmp_path, capsys):
+    for name, argv in _report_commands(tmp_path).items():
+        capsys.readouterr()
+        assert run(["--quiet", "--seed", "2"] + argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PASS {name} max_deviation=") and out.count("\n") == 1
+    path = _write(tmp_path, "I3.json", np.eye(3))
+    for argv in (["elliptope", "check-extreme", path], ["cpsd", "certify", path]):
+        assert run(["--quiet"] + argv) == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {argv[0]} {argv[1]} max_deviation=")
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("options", [["--seed", "1"], ["--seed=1"], ["--eq-tol", "1e-9"], ["--quiet"]])
+def test_shorthand_after_global_options_builds(tmp_path, capsys, options):
+    """`factorize E.json -o DIR` after a global option writes what `factorize build` writes."""
+    epath = _write(tmp_path, "E.json", gen_extreme_lex(4)[0])
+    assert run(["--quiet", "factorize", "build", epath, "-o", str(tmp_path / "built")]) == 0
+    assert run(options + ["factorize", epath, "-o", str(tmp_path / "short")]) == 0
+    assert _tree(tmp_path / "short") == _tree(tmp_path / "built")
+
+
+@pytest.mark.parametrize(
+    "group, action", [(group, action) for group, (_, actions) in cli.COMMANDS.items() for action in actions]
+)
+def test_every_table_row_has_help(capsys, group, action):
+    assert run([group, action, "--help"]) == 0
+    assert capsys.readouterr().out
