@@ -26,7 +26,7 @@ import numpy as np
 from . import clifford, cpsd, elliptope, factorization, matio, quantum
 from .errors import MatrixFormatError, NumericalContractError
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, report_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,9 +67,14 @@ def _cmd_clifford_verify(args, tol: ToleranceConfig) -> VerificationReport:
 # ---------------------------------------------------------------- elliptope
 
 
+def _rank_gap(ext) -> float:
+    """|binomial(rank + 1, 2) - Hadamard rank| of a failed rank test; 0.0 for extreme input."""
+    return 0.0 if ext.is_extreme else abs(ext.rank * (ext.rank + 1) // 2 - ext.hadamard_rank)
+
+
 def _cmd_elliptope_check_extreme(args, tol: ToleranceConfig) -> VerificationReport:
     ext = elliptope.check_extreme(_read_real_matrix(args.matrix), tol)
-    gap = 0.0 if ext.is_extreme else abs(ext.required_rank - ext.hadamard_rank)
+    gap = _rank_gap(ext)
     return VerificationReport((
         CheckResult("rank", True, 0.0, value=ext.rank),
         CheckResult("hadamard_rank", True, 0.0, value=ext.hadamard_rank),
@@ -140,10 +145,11 @@ def _cmd_cpsd_verify(args, tol: ToleranceConfig) -> VerificationReport:
 def _cmd_cpsd_certify(args, tol: ToleranceConfig) -> VerificationReport:
     cert = cpsd.certify_lower_bound(_read_real_matrix(args.matrix), tol)
     bound_note = "no bound claimed" if cert.lower_bound is None else ""
+    gap = _rank_gap(cert)
     return VerificationReport((
         CheckResult("rank", True, 0.0, value=cert.rank),
-        CheckResult("is_extreme", cert.is_extreme, 0.0, note="bound valid only for extreme input"),
-        CheckResult("cpsd_rank_lower_bound", cert.is_extreme, 0.0, note=bound_note, value=cert.lower_bound),
+        CheckResult("is_extreme", cert.is_extreme, gap, note="bound valid only for extreme input"),
+        CheckResult("cpsd_rank_lower_bound", cert.is_extreme, gap, note=bound_note, value=cert.lower_bound),
         CheckResult("construction_dim", True, 0.0, value=cert.construction_dim),
     ))
 
@@ -304,8 +310,8 @@ def run(argv: list[str] | None = None) -> int:
         if args.quiet:
             print(f"{'PASS' if report.passed else 'FAIL'} {command} max_deviation={report.max_deviation:.6e}")
         else:
-            record = matio.ReportFile.from_report(command, report, tol, args.seed if command == _SEEDED else None)
-            print(json.dumps(record.to_obj(), indent=2, allow_nan=False))
+            record = report_json(command, report, tol, args.seed if command == _SEEDED else None)
+            print(json.dumps(record, indent=2, allow_nan=False))
         return EXIT_PASS if report.passed else EXIT_FAIL
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

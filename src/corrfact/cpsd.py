@@ -40,6 +40,7 @@ from .linalg import (
     eigenvalue_bounds,
     hermitian_deviations,
     hs_gram,
+    rank_mask,
     sandwich,
     scatter_columns,
     sorted_eigh,
@@ -82,13 +83,15 @@ class CpsdRankCertificate:
     The bound 2^floor(rank/2) applies only when the source correlation
     matrix is extreme; otherwise lower_bound is None.  construction_dim is
     the size of the generator-based factorization actually built, which
-    attains the bound for rank >= 2 and is 2 at rank 1.
+    attains the bound for rank >= 2 and is 2 at rank 1.  hadamard_rank is
+    rank(C o C), which the rank test compares with binomial(rank + 1, 2).
     """
 
     rank: int
     is_extreme: bool
     lower_bound: int | None
     construction_dim: int
+    hadamard_rank: int
 
 
 def build_pc(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -300,7 +303,7 @@ def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertif
     ext = check_extreme(c, tol)
     u = resolve_gram_factors(require_correlation(c, tol), tol=tol, unit=True)
     lower = irreducible_dim(ext.rank) if ext.is_extreme else None
-    return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, rep_dim(u.shape[1]))
+    return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, rep_dim(u.shape[1]), ext.hadamard_rank)
 
 
 def extract_matrix_factorization(
@@ -326,10 +329,10 @@ def extract_matrix_factorization(
     (a chain-built family keeps (L+1)/d of them); on those places, when the
     basis is the identity, X is formed there too, with the same bits, and
     its Pauli coordinates come from those values
-    (clifford.support_coordinates).  The involutions check is decided by the
-    bound clifford.pauli_square_bounds when that passes; otherwise, or when
-    the size is not a power of two >= 2, the batched squares
-    (linalg.square_deviations) decide.
+    (clifford.support_coordinates).  The report is report.decide's: its
+    involutions deviation is the bound clifford.pauli_square_bounds when the
+    report then passes; otherwise, or when the size is not a power of two
+    >= 2, it is the batched squares' (linalg.square_deviations).
     """
     n, d = f.n, f.dim
     work, places, mirror = _flat_family(f)
@@ -351,7 +354,7 @@ def extract_matrix_factorization(
         w, u = sorted_eigh(mean_sum)
     if w.size == 0 or w[0] <= 0.0:
         raise ZeroSumError("common outcome sum is numerically zero")
-    keep = w > tol.rank_tol * w[0]
+    keep = rank_mask(w, tol)
     lam = w[keep]
     inv_sqrt = 1.0 / np.sqrt(lam)
     scaling = np.outer(inv_sqrt, inv_sqrt)
@@ -383,28 +386,23 @@ def extract_matrix_factorization(
             np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
             x_mats[part] /= 2.0
         fit = pauli_coordinates(x_mats)
-    inv_dev = math.nan if fit is None else float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0))
-    if not inv_dev <= tol.eq_tol:
-        inv_dev = float(np.max(square_deviations(x_mats), initial=0.0))
-
-    k_restricted = np.diag(lam.astype(complex))
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)
-    checks = (
-        CheckResult(
-            "involutions",
-            inv_dev <= tol.eq_tol,
-            inv_dev,
-            note="squares strictly below identity indicate a sub-unit factor system",
-        ),
-        CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
-        CheckResult("outcome_sums_consistent", True, sum_dev),
-        CheckResult(
-            "support_dimension",
-            True,
-            0.0,
-            note=f"restricted {f.dim} -> {s}",
-            value=s,
-        ),
-    )
-    mf = MatrixFactorization(x_mats, x_mats, k_restricted)
-    return mf, VerificationReport(checks)
+
+    def report(inv_dev: float) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult(
+                    "involutions",
+                    inv_dev <= tol.eq_tol,
+                    inv_dev,
+                    note="squares strictly below identity indicate a sub-unit factor system",
+                ),
+                CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+                CheckResult("outcome_sums_consistent", True, sum_dev),
+                CheckResult("support_dimension", True, 0.0, note=f"restricted {f.dim} -> {s}", value=s),
+            )
+        )
+
+    bound = None if fit is None else (float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0)),)
+    mf = MatrixFactorization(x_mats, x_mats, np.diag(lam.astype(complex)))
+    return mf, decide(report, bound, lambda: (float(np.max(square_deviations(x_mats), initial=0.0)),))

@@ -21,7 +21,9 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, eigenvalue_bounds, gram, hermitian_deviations, sorted_eigh
+from .linalg import (
+    DEFAULT_TOL, ToleranceConfig, as_matrix, eigenvalue_bounds, gram, hermitian_deviations, rank_mask, sorted_eigh
+)
 from .report import CheckResult, VerificationReport
 
 
@@ -72,9 +74,7 @@ def gram_factors(e, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     w, u = sorted_eigh(a)
     if w.size and w[-1] < -tol.psd_tol:
         raise NotPsdError(f"matrix has eigenvalue {w[-1]:.3e}")
-    if w.size == 0 or w[0] <= 0.0:
-        return np.zeros((a.shape[0], 0))
-    keep = w > tol.rank_tol * w[0]
+    keep = rank_mask(w, tol)
     return u[:, keep] * np.sqrt(w[keep])
 
 
@@ -111,9 +111,7 @@ def resolve_gram_factors(
 
 def _rank_with_gap(m, tol: ToleranceConfig) -> tuple[int, float]:
     s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0, math.inf
-    r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    r = int(np.count_nonzero(rank_mask(s, tol)))
     if r == s.size or s[r] <= 0.0:
         return r, math.inf
     return r, float(s[r - 1] / s[r])

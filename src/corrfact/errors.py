@@ -57,4 +57,4 @@ class InvariantViolationError(NumericalContractError):
 
 
 class MatrixFormatError(ValueError):
-    """A matrix file, report file, or manifest is malformed."""
+    """A matrix file or manifest is malformed."""

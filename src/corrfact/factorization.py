@@ -48,6 +48,7 @@ from .linalg import (
     hermitian_deviations,
     hs_gram,
     identity_deviations,
+    rank_mask,
     sandwich,
     sorted_eigh,
     square_deviations,
@@ -125,16 +126,6 @@ def to_form_c(fb: FormBFactorization) -> MatrixFactorization:
     return MatrixFactorization(fb.a_mats * scale, fb.b_mats * scale, k)
 
 
-def _weigh(k: np.ndarray, mats: np.ndarray, right: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """K M (M K with `right`) for each M of a (m, d, d) stack.
-
-    A monomial K with real entries, such as a diagonal one, gathers and
-    scales rows (columns) of each M (linalg.sandwich); any other K is
-    multiplied in.
-    """
-    return sandwich(None, mats, k, out=out) if right else sandwich(k, mats, None, out=out)
-
-
 def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Correlation matrix realized by a factorization.
 
@@ -164,8 +155,8 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
         flat = flat[:, flat.any(axis=0)]
     else:
         family = np.empty((n + y.shape[0], d, d), dtype=complex)
-        _weigh(k, x, out=family[:n])
-        _weigh(k, y, right=True, out=family[n:])
+        sandwich(k, x, out=family[:n])
+        sandwich(None, y, k, out=family[n:])
         flat = family.reshape(family.shape[0], d * d).view(float)
     g = gram(flat)
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
@@ -228,9 +219,9 @@ def verify_factorization(
     when every check passes; otherwise the dense checks decide, so a pass is
     a proof and a failure is the dense report.  Densely, the Gram family is
     formed by batched matmuls (K X, Y K or K Y over the stacks; gathers and
-    scalings for a monomial K, see _weigh) and compared with e over p <= q
-    through one GEMM per block of the vectorized stacks; the involution
-    checks square each stack in chunked batched products.
+    scalings for a monomial K, see linalg.sandwich) and compared with e over
+    p <= q through one GEMM per block of the vectorized stacks; the
+    involution checks square each stack in chunked batched products.
     """
     a = _require_symmetric(e, tol, "target")
     if mode not in ("i", "i-prime", "b-form"):
@@ -245,7 +236,7 @@ def verify_factorization(
     if mode == "b-form":
         d = fact.dim
         first, second = as_stack(fact.a_mats, "A family", d), as_stack(fact.b_mats, "B family", d)
-        weight, square, inv_name, checks = 1.0, 1.0 / d, "scaled_involutions", ()
+        k, weight, square, inv_name, checks = None, 1.0, 1.0 / d, "scaled_involutions", ()
     else:
         k = as_matrix(fact.k)
         first, second = as_stack(fact.x_mats, "X family", fact.dim), as_stack(fact.y_mats, "Y family", fact.dim)
@@ -276,10 +267,8 @@ def verify_factorization(
         )
 
     def dense() -> tuple[float, float]:
-        if mode == "b-form":
-            gram_dev = _hs_gram_deviation(first, second, a)
-        else:
-            gram_dev = _hs_gram_deviation(_weigh(k, first), _weigh(k, second, right=mode == "i"), a)
+        left, right = (None, k) if mode == "i" else (k, None)
+        gram_dev = _hs_gram_deviation(sandwich(k, first), sandwich(left, second, right), a)
         inv_dev = max(float(np.max(square_deviations(f, square), initial=0.0)) for f in (first, second))
         return gram_dev, inv_dev
 
@@ -397,7 +386,7 @@ def orthonormalize_generators(a, x_mats, tol: ToleranceConfig = DEFAULT_TOL) -> 
     w, u = sorted_eigh(block)
     if w.size and w[-1] < -tol.psd_tol:
         raise NotPsdError(f"block has eigenvalue {w[-1]:.3e}")
-    if w.size == 0 or w[0] <= 0.0 or w[-1] <= tol.rank_tol * w[0]:
+    if not (w.size and rank_mask(w, tol).all()):
         raise SingularMatrixError("block is numerically singular")
     out = []
     for k in range(w.size):

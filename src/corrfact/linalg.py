@@ -327,15 +327,17 @@ def gram(vectors) -> np.ndarray:
     return v @ v.T
 
 
+def rank_mask(values: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which values of a descending spectrum lie above rank_tol times the largest: the one
+    rank cutoff.  None do when the spectrum is empty or its largest value is not positive."""
+    if values.size == 0 or values[0] <= 0.0:
+        return np.zeros(values.shape, dtype=bool)
+    return values > tol.rank_tol * values[0]
+
+
 def numerical_rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above rank_tol times the largest one."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    return int(np.count_nonzero(rank_mask(np.linalg.svd(as_matrix(m), compute_uv=False), tol)))
 
 
 def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
@@ -409,10 +411,7 @@ def schmidt(psi, d: int, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtDecomposi
     if a.size != d * d:
         raise ShapeError(f"expected a vector of length {d * d}, got {a.size}")
     u, s, vh = np.linalg.svd(a.reshape(d, d))
-    if s.size == 0 or s[0] <= 0.0:
-        empty = np.zeros((0, d), dtype=complex)
-        return SchmidtDecomposition(np.zeros(0), empty, empty.copy())
-    keep = s > tol.rank_tol * s[0]
+    keep = rank_mask(s, tol)
     coeffs = s[keep].copy()
     lefts = u[:, keep].T.copy()
     # The right Schmidt vector x_k has components vh[k, :] (no conjugation):

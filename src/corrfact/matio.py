@@ -1,5 +1,5 @@
-"""JSON file formats: matrices, verification reports, and factorization
-directories with role manifests.
+"""JSON file formats: matrices and factorization directories with role
+manifests.
 
 A matrix file is ``{"rows": R, "cols": C, "complex": BOOL, "data": [...]}``
 with row-major data; real entries are plain numbers, complex entries are
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -40,9 +39,8 @@ import numpy as np
 from .cpsd import CpsdFactorization
 from .errors import MatrixFormatError
 from .factorization import FormBFactorization, MatrixFactorization
-from .linalg import BATCH_BYTES, ToleranceConfig
+from .linalg import BATCH_BYTES
 from .quantum import TensorProductRep
-from .report import CheckResult, VerificationReport
 
 MANIFEST_NAME = "manifest.json"
 BLOCK_ORDER_NOTE = "row of pair (i, a) is 2*(i-1) + (0 if a == +1 else 1), 1-based i"
@@ -313,57 +311,6 @@ def _read_matrices(paths: list, known: dict[bytes, np.ndarray] | None = None) ->
 def read_matrix(path) -> np.ndarray:
     """The matrix of one file: the codec's one-file case, with the JSON parse for a file in another layout."""
     return _read_matrices([path])[0]
-
-
-@dataclass(frozen=True)
-class ReportFile:
-    """Serializable verification outcome for one CLI command."""
-
-    command: str
-    passed: bool
-    max_deviation: float
-    details: tuple[CheckResult, ...]
-    tolerances: ToleranceConfig
-    seed: int | None = None
-
-    @classmethod
-    def from_report(
-        cls,
-        command: str,
-        report: VerificationReport,
-        tolerances: ToleranceConfig,
-        seed: int | None = None,
-    ) -> "ReportFile":
-        return cls(
-            command=command,
-            passed=report.passed,
-            max_deviation=report.max_deviation,
-            details=report.checks,
-            tolerances=tolerances,
-            seed=seed,
-        )
-
-    def to_obj(self) -> dict:
-        details = []
-        for c in self.details:
-            entry = {"name": c.name, "passed": c.passed, "deviation": c.deviation}
-            if c.note:
-                entry["note"] = c.note
-            if c.value is not None:
-                entry["value"] = c.value
-            details.append(entry)
-        return {
-            "command": self.command,
-            "pass": self.passed,
-            "max_deviation": self.max_deviation,
-            "details": details,
-            "tolerances": {
-                "eq_tol": self.tolerances.eq_tol,
-                "psd_tol": self.tolerances.psd_tol,
-                "rank_tol": self.tolerances.rank_tol,
-            },
-            "seed": self.seed,
-        }
 
 
 class Role(NamedTuple):

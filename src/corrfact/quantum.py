@@ -35,6 +35,7 @@ from .linalg import (
     chunks,
     eigenvalue_bounds,
     numerical_rank,
+    rank_mask,
     require_hermitian,
     sandwich,
     schmidt,
@@ -125,7 +126,7 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
         raise CSystemMismatchError(f"system misses the block by {entry_dev:.3e}")
 
     _, svals, vh = np.linalg.svd(stacked)
-    r = int(np.count_nonzero(svals > tol.rank_tol * svals[0]))
+    r = int(np.count_nonzero(rank_mask(svals, tol)))
     basis = vh[:r]
     row_coords = rows @ basis.T
     col_coords = cols @ basis.T

@@ -1,8 +1,11 @@
-"""Structured pass/fail reports shared by all verifiers."""
+"""Structured pass/fail reports shared by all verifiers, the one Pauli-or-dense
+decision (decide), and the JSON object a command prints (report_json)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from .linalg import ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -48,3 +51,23 @@ def decide(report, fast, dense) -> VerificationReport:
         if first.passed:
             return first
     return report(*dense())
+
+
+def report_json(command: str, report: VerificationReport, tol: ToleranceConfig, seed: int | None) -> dict:
+    """The JSON object of a command's report: its outcome, each check in order, and the tolerances and seed."""
+    details = []
+    for c in report.checks:
+        entry = {"name": c.name, "passed": c.passed, "deviation": c.deviation}
+        if c.note:
+            entry["note"] = c.note
+        if c.value is not None:
+            entry["value"] = c.value
+        details.append(entry)
+    return {
+        "command": command,
+        "pass": report.passed,
+        "max_deviation": report.max_deviation,
+        "details": details,
+        "tolerances": asdict(tol),
+        "seed": seed,
+    }

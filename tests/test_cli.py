@@ -166,6 +166,20 @@ def test_cpsd_certify_non_extreme_exits_one(tmp_path, capsys):
     assert run(["cpsd", "certify", path]) == 1
 
 
+def test_cpsd_certify_non_extreme_reports_the_rank_gap(tmp_path, capsys):
+    """Both failing checks carry |required rank - Hadamard rank|, the deviation check-extreme reports."""
+    path = _write(tmp_path, "I3.json", np.eye(3))
+    assert run(["elliptope", "check-extreme", path]) == 1
+    _, extreme = _details(capsys)
+    assert run(["cpsd", "certify", path]) == 1
+    report, details = _details(capsys)
+    gaps = [details[name]["deviation"] for name in ("is_extreme", "cpsd_rank_lower_bound")]
+    assert gaps == [extreme["is_extreme"]["deviation"]] * 2 == [3, 3]
+    assert report["max_deviation"] == 3
+    assert run(["--quiet", "cpsd", "certify", path]) == 1
+    assert capsys.readouterr().out == "FAIL cpsd certify max_deviation=3.000000e+00\n"
+
+
 def test_cpsd_extract_then_verify_doubled(tmp_path, capsys):
     epath = _write(tmp_path, "E.json", E3)
     pc_path = str(tmp_path / "PC.json")

@@ -15,7 +15,7 @@ from corrfact.elliptope import check_membership, gen_extreme_lex, random_correla
 from corrfact.errors import InconsistentSumsError, NumericalContractError, ShapeError
 from corrfact import matio
 from corrfact.factorization import MatrixFactorization, recover_correlation
-from corrfact.linalg import hs_inner
+from corrfact.linalg import hs_inner, square_deviations
 
 from conftest import E3, E3_FACTORS
 
@@ -219,6 +219,15 @@ def test_extract_flags_subunit_system():
     mf, report = extract_matrix_factorization(CpsdFactorization(mats))
     assert not report.passed
     assert report.check("involutions").deviation == pytest.approx(1 - t**2, abs=1e-9)
+
+
+def test_failing_extraction_reports_the_dense_squares():
+    """A failing report, here on the weight trace, carries the batched squares' involutions
+    deviation, not the Pauli bound."""
+    f = build_cpsd_factorization(gen_extreme_lex(4)[0])
+    mf, report = extract_matrix_factorization(CpsdFactorization(2.0 * f.mats))
+    assert [c.name for c in report.checks if not c.passed] == ["weight_trace_normalized"]
+    assert report.check("involutions").deviation == float(np.max(square_deviations(mf.x_mats)))
 
 
 def test_extract_rejects_inconsistent_sums():

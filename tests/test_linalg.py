@@ -194,6 +194,23 @@ def test_numerical_rank_cases():
     assert numerical_rank(e3) == 2
 
 
+@pytest.mark.parametrize(
+    "values, rank_tol",
+    [(np.zeros(0), 1e-9), (np.zeros(4), 1e-9), (np.array([-1e-12, -2.0]), 1e-9), (np.array([-1.0, -1.5]), 2.0)],
+)
+def test_rank_mask_keeps_nothing_of_an_empty_or_nonpositive_spectrum(values, rank_tol):
+    mask = linalg.rank_mask(values, ToleranceConfig(rank_tol=rank_tol))
+    assert mask.shape == values.shape and mask.dtype == bool
+    assert not mask.any()
+
+
+def test_rank_mask_drops_the_cutoff_and_keeps_the_next_float_above_it():
+    tol = ToleranceConfig(rank_tol=1e-3)
+    cutoff = tol.rank_tol * 2.0
+    values = np.array([2.0, np.nextafter(cutoff, np.inf), cutoff, 0.0])
+    assert linalg.rank_mask(values, tol).tolist() == [True, True, False, False]
+
+
 def test_is_psd_cases():
     assert is_psd(np.eye(3))
     assert not is_psd(np.diag([1.0, -1.0]))

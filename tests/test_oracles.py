@@ -37,6 +37,7 @@ from corrfact.factorization import (
 )
 from corrfact.linalg import DEFAULT_TOL, hs_inner
 from corrfact.quantum import TensorProductRep, build_tensor_rep, eval_correlations, maximally_entangled
+from corrfact.report import report_json
 
 import oracles
 
@@ -437,14 +438,14 @@ def test_clifford_identity_cli_report_is_seeded_and_matches_oracle(tmp_path, cap
     assert capsys.readouterr().out == first
 
     mf = matio.load_matrix_factorization(fdir)
-    old = matio.ReportFile.from_report(
+    old = report_json(
         "factorize clifford-identity",
         oracles.verify_clifford_identity(e[:r, :r], mf.x_mats[:r], trials=30, seed=23),
         DEFAULT_TOL,
         seed=23,
     )
     got, got_devs = _without_deviations(json.loads(first))
-    want, want_devs = _without_deviations(old.to_obj())
+    want, want_devs = _without_deviations(old)
     assert got == want
     assert got_devs == pytest.approx(want_devs, abs=DEV_TOL)
 

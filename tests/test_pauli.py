@@ -32,7 +32,6 @@ from corrfact.elliptope import gen_extreme_lex, random_correlation
 from corrfact.factorization import (
     FormBFactorization,
     MatrixFactorization,
-    _weigh,
     factorize_clifford,
     recover_correlation,
     to_form_c,
@@ -285,8 +284,8 @@ def test_diagonal_weight_scales_like_matmul(r):
     diagonal = np.diag(rng.uniform(0.5, 1.5, d)).astype(complex)
     full = diagonal + 1e-3 * np.ones((d, d))
     for k in (np.eye(d) / math.sqrt(d), diagonal, full):
-        assert np.array_equal(_weigh(k, x), np.matmul(k, x))
-        assert np.array_equal(_weigh(k, x, right=True), np.matmul(x, k))
+        assert np.array_equal(linalg.sandwich(k, x), np.matmul(k, x))
+        assert np.array_equal(linalg.sandwich(None, x, k), np.matmul(x, k))
     for k in (np.eye(d) / math.sqrt(d), diagonal / np.linalg.norm(diagonal)):
         family = np.concatenate([np.matmul(k, x), np.matmul(x, k)])
         flat = family.reshape(len(family), d * d).view(float)
@@ -307,8 +306,8 @@ def test_weight_gathers_write_the_matmul_bits(r):
     diagonal = np.diag(rng.uniform(0.5, 1.5, d)).astype(complex)
     for k in (np.eye(d) / math.sqrt(d), diagonal, diagonal[rng.permutation(d)]):
         assert linalg._monomial(k) is not None
-        assert _weigh(k, x).tobytes() == np.matmul(k, x).tobytes()
-        assert _weigh(k, x, right=True).tobytes() == np.matmul(x, k).tobytes()
+        assert linalg.sandwich(k, x).tobytes() == np.matmul(k, x).tobytes()
+        assert linalg.sandwich(None, x, k).tobytes() == np.matmul(x, k).tobytes()
 
 
 @pytest.mark.parametrize("r", range(1, 9))
