@@ -46,7 +46,7 @@ def _read_real_matrix(path) -> np.ndarray:
     m = matio.read_matrix(path)
     if np.iscomplexobj(m):
         if m.size and float(np.max(np.abs(m.imag))) > 0.0:
-            raise NumericalContractError(f"{path}: expected a real matrix")
+            raise MatrixFormatError(f"{path}: expected a real matrix")
         m = m.real
     return m
 

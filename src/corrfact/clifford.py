@@ -9,6 +9,11 @@ generator Z in dimension 2 so that every family is traceless and the trace
 identity d <x, y> = Tr(G(x) G(y)) holds uniformly; the irreducible
 dimension for rank 1 is still 2^0 = 1 and is reported separately by the
 certificate layer.
+
+Every family the builders make is c_0 I + G(c), nonzero only at the (L+1) d
+places of _pauli_tables; from d = GATHER_MIN_DIM on it is kept as its values
+there (ChainStack), and its dense stack is built when a dataclass field
+holding it is first read (Family).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .linalg import (
     chunks,
     hermitian_deviations,
     nonzero_places,
+    require_budget,
     require_hermitian,
     scatter_columns,
     square_deviations,
@@ -84,6 +90,7 @@ def gamma_generators(r: int) -> CliffordRep:
     if r == 1:
         return CliffordRep(1, 2, PAULI_Z[np.newaxis].copy())
     ell = r // 2
+    require_budget(r * 16 << 2 * ell, f"{r} generators of size {2**ell}")
     gens = []
     for i in range(ell):
         gens.append(_chain(*([PAULI_Z] * i), PAULI_X, *([PAULI_I] * (ell - 1 - i))))
@@ -105,6 +112,7 @@ def _pauli_tables(ell: int) -> tuple[np.ndarray, np.ndarray]:
     hands the same arrays to every caller.
     """
     d = 2**ell
+    require_budget((2 * ell + 2) * 16 << 2 * ell, f"the Pauli tables of size {d}")
     basis = np.concatenate([np.eye(d, dtype=complex)[None], gamma_generators(2 * ell + 1).generators])
     basis = basis.reshape(2 * ell + 2, d * d)
     pos = np.flatnonzero(np.any(basis, axis=0))
@@ -214,9 +222,10 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     I and the G_j are orthogonal with Tr(G_j G_l) = d delta_jl and
     G(c)^2 = ||c||^2 I, so M' has the eigenvalues c_0 +- ||c|| and
-    Tr(M'_p M'_q) = d c_p . c_q.  When support_values proves the stack zero
-    off the (L+1) d places of the chains, everything is computed from its
-    values there (support_coordinates).  Otherwise the residual takes every
+    Tr(M'_p M'_q) = d c_p . c_q.  When the stack is a ChainStack, or
+    support_values proves it zero off the (L+1) d places of the chains
+    (chain_values), everything is computed from its values there
+    (support_coordinates).  Otherwise the residual takes every
     entry, a chunk of the stack at a time.  Returns None when d is not a
     power of two >= 2.
     """
@@ -224,9 +233,10 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     ell = d.bit_length() - 1
     if d < 2 or d != 1 << ell:
         return None
-    values = support_values(stack)
+    values = chain_values(stack)
     if values is not None:
         return support_coordinates(values, d)
+    stack = as_dense(stack)
     pos = _pauli_tables(ell)[0]
     flat = stack.reshape(k, d * d)
     coords = np.empty((k, 2 * ell + 2))
@@ -240,31 +250,24 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return coords, delta, resid
 
 
-def write_combinations(
-    rows, out: np.ndarray, c0: float = 0.0, scale: float = 1.0, transpose: bool = False
-) -> None:
-    """Write scale (c0 I + sum_i u_i G_i) for each row u of an (m, r) array into out, a zeroed
-    (m, d, d) stack, G_1..G_r being gamma_generators(r) at d = rep_dim(r); with
-    `transpose`, the transposes of those matrices.
+def combination_values(rows, c0: float = 0.0, scale: float = 1.0, transpose: bool = False) -> np.ndarray:
+    """The values of scale (c0 I + sum_i u_i G_i) at the (L+1) d places of _pauli_tables(L), as an
+    (m, (L+1) d) complex array, for each row u of an (m, r) array, G_1..G_r being
+    gamma_generators(r) at d = rep_dim(r); with `transpose`, those of the transposes.
+    Every other entry of those matrices is zero (ChainStack.dense writes them).
 
     The inverse of pauli_coordinates: the rows are laid out as coordinates
     over I and the chains of gamma_generators(2L+1) (rank 1 is the Z chain
-    at d = 2), and only the (L+1) d places where those are nonzero are
-    written, with the values c @ table of _pauli_tables.  X_i and Y_i share
-    their places and every other chain is zero there, so each value off the
-    diagonal is one signed product; the rest of out stays zero.  A transpose
-    is written as G(u') for u' with the Y-type coordinates negated (Y^T = -Y,
-    and the X-type and Z chains are symmetric).  out must be C-ordered: the
-    values are formed for a chunk of rows at a time, a quarter of
-    linalg.CHUNK_BYTES of them, and each chunk is written by one flat
-    scatter (linalg.scatter_columns).
+    at d = 2), and the values are c @ table of _pauli_tables.  X_i and Y_i
+    share their places and every other chain is zero there, so each value
+    off the diagonal is one signed product.  A transpose is G(u') for u'
+    with the Y-type coordinates negated (Y^T = -Y, and the X-type and Z
+    chains are symmetric).  The values are formed a chunk of rows at a time,
+    a quarter of linalg.CHUNK_BYTES of them.
     """
     coeffs = np.asarray(rows, dtype=float)
     r = coeffs.shape[1]
     ell = max(r // 2, 1)
-    d = 2**ell
-    if out.shape != (len(coeffs), d, d) or not out.flags.c_contiguous:
-        raise ShapeError(f"expected a C-ordered ({len(coeffs)}, {d}, {d}) stack, got {out.shape}")
     pos, table = _pauli_tables(ell)
     coords = np.zeros((len(coeffs), table.shape[0]))
     coords[:, 0] = c0
@@ -274,12 +277,115 @@ def write_combinations(
         coords[:, 1 : r + 1] = coeffs
         if transpose:
             coords[:, ell + 1 : 2 * ell + 1] *= -1.0
-    flat = out.reshape(len(out), d * d)
+    require_budget(len(coords) * table[0].nbytes, f"the chain values of {len(coords)} matrices of size {2**ell}")
+    values = np.empty((len(coords), pos.size), dtype=complex)
     for part in chunks(len(coords), 4 * table[0].nbytes):
-        values = coords[part] @ table
+        np.matmul(coords[part], table, out=values[part])
         if scale != 1.0:
-            values *= scale
-        scatter_columns(flat[part], pos, values)
+            values[part] *= scale
+    return values
+
+
+class ChainStack:
+    """A complex family of shape lead + (d, d) that is +0.0 off the chain support, held as the
+    (k, (L+1) d) values at the places of _pauli_tables(L), k being the product of `lead`.
+
+    The builders make one when d is a power of two >= GATHER_MIN_DIM, where
+    support_values would accept the dense stack.  dense() scatters the values
+    into a writable C-ordered zero stack on its first call and keeps it, with
+    the bits a dense build gives; from then on the holder is spent, and
+    chain_values reads that stack, so an edit made through it is seen by
+    every later check.  A view (view()) shares the values and the dense stack
+    of its base, and gives that stack read-only.
+    """
+
+    __slots__ = ("values", "d", "lead", "_dense", "_base")
+
+    def __init__(self, values: np.ndarray, d: int, lead: tuple[int, ...], base: ChainStack | None = None):
+        self.values, self.d, self.lead = values, d, tuple(lead)
+        self._dense, self._base = None, base
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.lead + (self.d, self.d)
+
+    @property
+    def spent(self) -> bool:
+        return (self if self._base is None else self._base)._dense is not None
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            if self._base is None:
+                k, d = len(self.values), self.d
+                require_budget(k * 16 * d * d, f"a dense stack of {k} matrices of size {d}")
+                out = np.zeros(self.shape, dtype=complex)
+                scatter_columns(out.reshape(k, d * d), _pauli_tables(d.bit_length() - 1)[0], self.values)
+            else:
+                out = self._base.dense().view()
+                out.flags.writeable = False
+            self._dense = out
+        return self._dense
+
+    def view(self) -> ChainStack:
+        return ChainStack(self.values, self.d, self.lead, self if self._base is None else self._base)
+
+
+def chain_family(rows, lead: tuple[int, ...], c0: float = 0.0, scale: float = 1.0, transpose: bool = False):
+    """The matrices of combination_values shaped lead + (d, d): a ChainStack when d is at least
+    GATHER_MIN_DIM, else their dense stack (ChainStack.dense)."""
+    values = combination_values(rows, c0, scale, transpose)
+    family = ChainStack(values, 2 ** max(np.shape(rows)[1] // 2, 1), lead)
+    return family if family.d >= GATHER_MIN_DIM else family.dense()
+
+
+def as_dense(family):
+    """The dense stack of a ChainStack (ChainStack.dense); anything else as it is."""
+    return family.dense() if isinstance(family, ChainStack) else family
+
+
+def chain_values(family) -> np.ndarray | None:
+    """The (k, (L+1) d) values of a (..., d, d) family at the places of _pauli_tables(L), k being
+    the product of its leading axes: an unspent ChainStack's own values, else
+    support_values of the dense stack (None when it is not +0.0 off them)."""
+    if isinstance(family, ChainStack) and not family.spent:
+        return family.values
+    stack = as_dense(family)
+    d = stack.shape[-1]
+    return support_values(stack.reshape(-1, d, d)) if d else None
+
+
+class Family:
+    """A dataclass field that holds a stack of matrices, given as an array or as a ChainStack.
+
+    Reading the field gives an array, as it always has: a ChainStack's dense
+    stack (ChainStack.dense), built on that first read.  held() gives what
+    the field holds without building it.  Without a default: the class
+    attribute raises AttributeError, so the dataclass finds none.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        return as_dense(obj.__dict__[self.name])
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
+def as_family(family, what: str, d: int | None = None):
+    """A (k, d, d) family checked as linalg.as_stack checks it: a ChainStack with one leading axis
+    (of size d, when d is given) as it is, anything else as a complex array (its dense stack)."""
+    if isinstance(family, ChainStack) and len(family.lead) == 1 and d in (None, family.d):
+        return family
+    return as_stack(as_dense(family), what, d)
+
+
+def held(obj, name: str):
+    """What the Family field `name` of obj holds: a ChainStack, or the array it was given."""
+    return vars(obj)[name]
 
 
 def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,15 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
+    ChainStack,
+    Family,
     _pauli_tables,
+    chain_family,
+    chain_values,
+    held,
     irreducible_dim,
     pauli_coordinates,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
     support_coordinates,
-    support_values,
-    write_combinations,
 )
 from .elliptope import check_extreme, require_correlation, resolve_gram_factors
 from .errors import InconsistentSumsError, ShapeError, ZeroSumError
@@ -42,7 +45,6 @@ from .linalg import (
     hs_gram,
     rank_mask,
     sandwich,
-    scatter_columns,
     sorted_eigh,
     square_deviations,
 )
@@ -54,18 +56,20 @@ class CpsdFactorization:
     """Hermitian psd factors indexed by (row index, outcome).
 
     mats has shape (n, 2, d, d); outcome +1 is stored at [:, 0] and outcome
-    -1 at [:, 1], matching the witness row convention.
+    -1 at [:, 1], matching the witness row convention.  A built family holds
+    a clifford.ChainStack, made dense on the first read of mats
+    (clifford.Family).
     """
 
-    mats: np.ndarray
+    mats: np.ndarray = Family()
 
     @property
     def n(self) -> int:
-        return int(self.mats.shape[0])
+        return int(np.shape(held(self, "mats"))[0])
 
     @property
     def dim(self) -> int:
-        return int(self.mats.shape[-1])
+        return int(np.shape(held(self, "mats"))[-1])
 
     def factor(self, i: int, outcome: int) -> np.ndarray:
         if outcome not in (1, -1):
@@ -123,17 +127,16 @@ def build_cpsd_factorization(
     With unit Gram factors u_i of rank r, the factors are
     (I + a G(u_i)) / (2 sqrt(d)) at d = 2^floor(r/2) (d = 2 for r = 1); their
     trace inner products equal (1 + a b c_ij) / 4 entrywise.  The factors are
-    written on the chain support alone (clifford.write_combinations), in one
-    pass over the (2n, d, d) stack from the interleaved rows (u_i, -u_i).
+    formed on the chain support alone (clifford.chain_family), in one pass
+    from the interleaved rows (u_i, -u_i), and kept there as a ChainStack
+    from d = GATHER_MIN_DIM on.
     """
     a = require_correlation(c, tol)
     u = resolve_gram_factors(a, factors, tol, unit=True)
     n, d = a.shape[0], rep_dim(u.shape[1])
     rows = np.empty((2 * n, u.shape[1]))
     rows[0::2], rows[1::2] = u, -u
-    mats = np.zeros((n, 2, d, d), dtype=complex)
-    write_combinations(rows, mats.reshape(2 * n, d, d), c0=1.0, scale=1.0 / (2.0 * math.sqrt(d)))
-    return CpsdFactorization(mats)
+    return CpsdFactorization(chain_family(rows, (n, 2), c0=1.0, scale=1.0 / (2.0 * math.sqrt(d))))
 
 
 def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, float]:
@@ -166,10 +169,10 @@ def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, n
     """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2),
     and the position within them of each place's transpose.
 
-    The places are the (L+1) d of the chain support when
-    clifford.support_values proves every factor +0.0 off them, as for a
-    chain-built family, and then the values there serve the Pauli
-    coordinates too (clifford.support_coordinates).  Every factor is +0.0 at
+    The places are the (L+1) d of the chain support when the family holds
+    its values there, or clifford.support_values proves every factor +0.0
+    off them (clifford.chain_values), and then the values there serve the
+    Pauli coordinates too (clifford.support_coordinates).  Every factor is +0.0 at
     every other place, and so are its sums, means, scaled differences and
     Hermitian parts, so work on the places alone loses nothing.  The places
     hold their transposes: I and the Z chain are diagonal, and the X- and
@@ -177,10 +180,11 @@ def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, n
     family, whose outcome sums have no mean.
     """
     n, d = f.n, f.dim
+    mats = held(f, "mats")
     if n == 0:
-        raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {f.mats.shape}")
+        raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {np.shape(mats)}")
     mirror = np.arange(d * d).reshape(d, d).T.ravel()
-    values = support_values(f.mats.reshape(2 * n, d, d))
+    values = chain_values(mats)
     if values is None:
         return f.mats.reshape(n, 2, d * d), None, mirror
     places = _pauli_tables(d.bit_length() - 1)[0]
@@ -211,10 +215,10 @@ def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float,
     return herm_dev, min_eig, entry_dev
 
 
-def _pauli_deviations(stack: np.ndarray, mat: np.ndarray, fit=None) -> tuple[float, float, float] | None:
+def _pauli_deviations(stack, mat: np.ndarray, fit=None) -> tuple[float, float, float] | None:
     """Upper bounds on the Hermitian and entry deviations and a lower bound on the least
     eigenvalue, from the Pauli coordinates of the factors (clifford.pauli_coordinates,
-    unless their `fit` is given).
+    unless their `fit` is given; then `stack` only gives the size d).
 
     Each factor is M = M' + R with M' Hermitian, ||R||_F = delta and
     max|R| = resid: max|M - M^*| <= 2 resid; by Weyl's inequality the least
@@ -252,7 +256,9 @@ def verify_cpsd_factorization(
     outcome sums are compared a chunk at a time, at the places _flat_family
     keeps, so each temporary stays near linalg.CHUNK_BYTES; when those are
     the chain support, the Pauli coordinates are taken from the same values,
-    so the family is scanned and gathered once.
+    so the family is scanned and gathered once, and a built family (a
+    clifford.ChainStack) not at all: its dense stack is built only when the
+    bounds do not decide.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -260,7 +266,6 @@ def verify_cpsd_factorization(
         raise ShapeError(f"witness shape {mat.shape} does not match family size {(2 * n, 2 * n)}")
 
     d = f.dim
-    stack = f.mats.reshape(2 * n, d, d)
     work, places, _ = _flat_family(f)
     with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
         mean_sum, sum_dev = _outcome_sum_check(work, None)
@@ -283,9 +288,13 @@ def verify_cpsd_factorization(
             )
         )
 
+    def stack() -> np.ndarray:
+        return f.mats.reshape(2 * n, d, d)
+
     with np.errstate(invalid="ignore"):
         fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), d)
-        return decide(report, _pauli_deviations(stack, mat, fit), lambda: _dense_deviations(stack, mat))
+        fast = _pauli_deviations(stack() if fit is None else held(f, "mats"), mat, fit)
+        return decide(report, fast, lambda: _dense_deviations(stack(), mat))
 
 
 def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertificate:
@@ -327,8 +336,9 @@ def extract_matrix_factorization(
     when the selection keeps every column in place; any other basis is
     multiplied in.  K and its check take the places _flat_family keeps alone
     (a chain-built family keeps (L+1)/d of them); on those places, when the
-    basis is the identity, X is formed there too, with the same bits, and
-    its Pauli coordinates come from those values
+    basis is the identity, X is formed there too and kept there as a
+    clifford.ChainStack, whose dense stack has the bits a dense pass gives,
+    and its Pauli coordinates come from those values
     (clifford.support_coordinates).  The report is report.decide's: its
     involutions deviation is the bound clifford.pauli_square_bounds when the
     report then passes; otherwise, or when the size is not a power of two
@@ -362,9 +372,8 @@ def extract_matrix_factorization(
     in_place = order is not None and np.array_equal(order[keep], np.arange(d))
 
     if in_place and places is not None:
-        # every coordinate stays in place: X is formed at the chain places alone, into
-        # outputs allocated before the temporaries, so that they are freed above them
-        x_mats = np.zeros((n, d, d), dtype=complex)
+        # every coordinate stays in place: X is formed at the chain places alone, into values
+        # allocated before the temporaries, so that they are freed above them
         scale = scaling.ravel()[places]
         values = np.empty((n, places.size), dtype=np.result_type(work, scale))
         for part in chunks(n, work[0:1, 0].nbytes):
@@ -374,8 +383,8 @@ def extract_matrix_factorization(
             np.conjugate(hermitian, out=hermitian)
             hermitian += x
             hermitian /= 2.0
-        scatter_columns(x_mats.reshape(n, d * d), places, values)
-        fit = support_coordinates(values, d)
+        x_mats = ChainStack(values.astype(complex, copy=False), d, (n,))
+        fit = support_coordinates(x_mats.values, d)
     else:
         basis = None if in_place else u[:, keep]
         bh = None if in_place else basis.conj().T
@@ -405,4 +414,4 @@ def extract_matrix_factorization(
 
     bound = None if fit is None else (float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0)),)
     mf = MatrixFactorization(x_mats, x_mats, np.diag(lam.astype(complex)))
-    return mf, decide(report, bound, lambda: (float(np.max(square_deviations(x_mats), initial=0.0)),))
+    return mf, decide(report, bound, lambda: (float(np.max(square_deviations(mf.x_mats), initial=0.0)),))

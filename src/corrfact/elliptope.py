@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EmptyRankError,
     InvariantViolationError,
     NonUnitVectorError,
     NotPsdError,
@@ -91,10 +92,13 @@ def resolve_gram_factors(
     supplied factors must have one row per index and reproduce a within
     max(eq_tol, 1e-12).  With `unit` the rows must also be unit vectors
     within eq_tol.  The column count is the rank the generator
-    constructions are built at.
+    constructions are built at; a rank cutoff that keeps no eigenvalue
+    raises EmptyRankError.
     """
     if factors is None:
         u = gram_factors(a, tol)
+        if u.shape[1] == 0:
+            raise EmptyRankError(f"rank_tol {tol.rank_tol:g} keeps no eigenvalue of the matrix")
     else:
         u = np.asarray(factors, dtype=float)
         if u.ndim != 2 or u.shape[0] != a.shape[0]:

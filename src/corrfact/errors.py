@@ -56,5 +56,13 @@ class InvariantViolationError(NumericalContractError):
     """A structural invariant of a constructed object fails to hold."""
 
 
+class EmptyRankError(NumericalContractError):
+    """A rank cutoff keeps no eigenvalue or singular value, so there is nothing to build on."""
+
+
+class MemoryBudgetError(NumericalContractError):
+    """An array would take more memory than the budget allows (linalg.MEMORY_BUDGET)."""
+
+
 class MatrixFormatError(ValueError):
     """A matrix file or manifest is malformed."""

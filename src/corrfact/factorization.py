@@ -19,14 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
+    ChainStack,
+    Family,
     _pauli_tables,
+    as_dense,
+    as_family,
+    chain_family,
+    chain_values,
+    held,
     pauli_anticommutators,
     pauli_coordinates,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
-    support_values,
-    write_combinations,
 )
 from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
 from .errors import (
@@ -58,26 +63,35 @@ from .report import CheckResult, VerificationReport, decide
 
 @dataclass(frozen=True)
 class FormBFactorization:
-    """Hermitian families with A_i^2 = B_j^2 = I/d whose HS Gram matrix is the source."""
+    """Hermitian families with A_i^2 = B_j^2 = I/d whose HS Gram matrix is the source.
 
-    a_mats: np.ndarray
-    b_mats: np.ndarray
+    A built family holds clifford.ChainStack values, made dense on the first
+    read of a_mats or b_mats (clifford.Family).
+    """
+
+    a_mats: np.ndarray = Family()
+    b_mats: np.ndarray = Family()
 
     @property
     def dim(self) -> int:
-        return int(self.a_mats.shape[-1])
+        return int(np.shape(held(self, "a_mats"))[-1])
 
     @property
     def sizes(self) -> tuple[int, int]:
-        return int(self.a_mats.shape[0]), int(self.b_mats.shape[0])
+        return int(np.shape(held(self, "a_mats"))[0]), int(np.shape(held(self, "b_mats"))[0])
 
 
 @dataclass(frozen=True)
 class MatrixFactorization:
-    """Hermitian involutions X_i, Y_j with a positive-definite weight K, Tr(K^2) = 1."""
+    """Hermitian involutions X_i, Y_j with a positive-definite weight K, Tr(K^2) = 1.
 
-    x_mats: np.ndarray
-    y_mats: np.ndarray
+    A built family holds clifford.ChainStack values, made dense on the first
+    read of x_mats or y_mats (clifford.Family); X and Y may be one holder, and
+    then read as one array.
+    """
+
+    x_mats: np.ndarray = Family()
+    y_mats: np.ndarray = Family()
     k: np.ndarray
 
     @property
@@ -86,7 +100,7 @@ class MatrixFactorization:
 
     @property
     def sizes(self) -> tuple[int, int]:
-        return int(self.x_mats.shape[0]), int(self.y_mats.shape[0])
+        return int(np.shape(held(self, "x_mats"))[0]), int(np.shape(held(self, "y_mats"))[0])
 
 
 def factorize_clifford(
@@ -102,8 +116,9 @@ def factorize_clifford(
     the B family (default: all rows to A).  `factors` optionally supplies
     precomputed unit Gram factors; by default the deterministic
     eigendecomposition factors are used.  The output dimension is
-    2^floor(r/2) for rank r >= 2 and 2 for rank 1.  Each matrix is written
-    on the chain support alone (clifford.write_combinations).
+    2^floor(r/2) for rank r >= 2 and 2 for rank 1.  Each matrix is formed
+    on the chain support alone, and kept there as a ChainStack from
+    d = GATHER_MIN_DIM on (clifford.chain_family).
     """
     a = require_correlation(e, tol)
     n = a.shape[0]
@@ -112,18 +127,30 @@ def factorize_clifford(
     if not 0 <= split <= n:
         raise ShapeError(f"split must lie in [0, {n}], got {split}")
     u = resolve_gram_factors(a, factors, tol)
-    d = rep_dim(u.shape[1])
-    mats = np.zeros((n, d, d), dtype=complex)
-    write_combinations(u, mats, scale=1.0 / math.sqrt(d))
+    mats = chain_family(u, (n,), scale=1.0 / math.sqrt(rep_dim(u.shape[1])))
+    if isinstance(mats, ChainStack):
+        head, tail = mats.values[:split], mats.values[split:]
+        return FormBFactorization(ChainStack(head, mats.d, (split,)), ChainStack(tail, mats.d, (n - split,)))
     return FormBFactorization(mats[:split], mats[split:])
 
 
 def to_form_c(fb: FormBFactorization) -> MatrixFactorization:
-    """Rescale a form-b factorization to involutions plus the weight I/sqrt(d)."""
+    """Rescale a form-b factorization to involutions plus the weight I/sqrt(d).
+
+    An unspent ChainStack is rescaled at its values alone: every other entry
+    is +0.0, which the positive scale keeps, so its dense stack has the bits
+    of the rescaled dense one.
+    """
     d = fb.dim
     scale = math.sqrt(d)
     k = np.eye(d, dtype=complex) / scale
-    return MatrixFactorization(fb.a_mats * scale, fb.b_mats * scale, k)
+
+    def rescaled(mats):
+        if isinstance(mats, ChainStack) and not mats.spent:
+            return ChainStack(mats.values * scale, d, mats.lead)
+        return as_dense(mats) * scale
+
+    return MatrixFactorization(rescaled(held(fb, "a_mats")), rescaled(held(fb, "b_mats")), k)
 
 
 def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -133,27 +160,28 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     parts, giving real unit vectors whose Gram matrix is returned.  The
     family is formed by two batched matmuls (row or column scalings when K
     is diagonal) into one stack, whose complex rows viewed as interleaved
-    real vectors go through one real GEMM.  When clifford.support_values
-    proves both X and Y +0.0 off the chain support and K is diagonal, the
-    family is formed from their values there alone, K scaling each by its
-    row or column as linalg.sandwich would, and the GEMM runs over the
-    columns of those values that hold a nonzero: a chain-built family keeps
-    (L+1)/d of the places, and zero columns add nothing to the Gram.  When
-    X and Y are one array, as extraction returns them, it is scanned and
-    gathered once.
+    real vectors go through one real GEMM.  When both X and Y hold their
+    values on the chain support, or clifford.support_values proves them
+    +0.0 off it (clifford.chain_values), and K is diagonal, the family is
+    formed from their values there alone, K scaling each by its row or
+    column as linalg.sandwich would, and the GEMM runs over the columns of
+    those values that hold a nonzero: a chain-built family keeps (L+1)/d of
+    the places, and zero columns add nothing to the Gram.  When X and Y are
+    one array or one holder, as extraction returns them, it is read once.
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
-    x, y = as_stack(mf.x_mats, "X family", d), as_stack(mf.y_mats, "Y family", d)
+    x, y = as_family(held(mf, "x_mats"), "X family", d), as_family(held(mf, "y_mats"), "Y family", d)
     n = x.shape[0]
-    xs = support_values(x)
-    ys = xs if y is x else support_values(y)
+    xs = chain_values(x)
+    ys = xs if y is x else chain_values(y)
     weight = None if xs is None or ys is None else _monomial(k)
     if weight is not None and weight[0] is None:
         rows, cols = np.divmod(_pauli_tables(d.bit_length() - 1)[0], d)
         flat = np.concatenate((xs * weight[1][rows], ys * weight[1][cols])).view(float)
         flat = flat[:, flat.any(axis=0)]
     else:
+        x, y = as_dense(x), as_dense(y)
         family = np.empty((n + y.shape[0], d, d), dtype=complex)
         sandwich(k, x, out=family[:n])
         sandwich(None, y, k, out=family[n:])
@@ -235,11 +263,12 @@ def verify_factorization(
         raise ShapeError(f"target size {a.shape[0]} does not match family size {n + m}")
     if mode == "b-form":
         d = fact.dim
-        first, second = as_stack(fact.a_mats, "A family", d), as_stack(fact.b_mats, "B family", d)
+        first, second = as_family(held(fact, "a_mats"), "A family", d), as_family(held(fact, "b_mats"), "B family", d)
         k, weight, square, inv_name, checks = None, 1.0, 1.0 / d, "scaled_involutions", ()
     else:
         k = as_matrix(fact.k)
-        first, second = as_stack(fact.x_mats, "X family", fact.dim), as_stack(fact.y_mats, "Y family", fact.dim)
+        d = fact.dim
+        first, second = as_family(held(fact, "x_mats"), "X family", d), as_family(held(fact, "y_mats"), "Y family", d)
         scalar = k.size and np.array_equal(k, k[0, 0] * np.eye(k.shape[0]))
         weight, square, inv_name = (abs(complex(k[0, 0])) if scalar else None), 1.0, "involutions"
         herm_dev = float(hermitian_deviations(k[None])[0])
@@ -268,8 +297,9 @@ def verify_factorization(
 
     def dense() -> tuple[float, float]:
         left, right = (None, k) if mode == "i" else (k, None)
-        gram_dev = _hs_gram_deviation(sandwich(k, first), sandwich(left, second, right), a)
-        inv_dev = max(float(np.max(square_deviations(f, square), initial=0.0)) for f in (first, second))
+        x, y = as_dense(first), as_dense(second)
+        gram_dev = _hs_gram_deviation(sandwich(k, x), sandwich(left, y, right), a)
+        inv_dev = max(float(np.max(square_deviations(f, square), initial=0.0)) for f in (x, y))
         return gram_dev, inv_dev
 
     bounds = None if weight is None else _pauli_deviations(first, second, a, weight, square)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, ShapeError
+from .errors import MemoryBudgetError, NotHermitianError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,33 @@ The writer encodes about this many bytes of matrix data in one pass, and the
 reader parses about this many bytes of file text in one pass.  Larger batches
 are no faster and raise the peak memory of a bundle save or load.
 """
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, from os.sysconf; None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+MEMORY_BUDGET = (_physical_memory() or 1 << 62) // 2
+"""The most bytes one array may take (half of physical memory): require_budget refuses more.
+
+Checked before the Pauli tables are built, before a family's chain-support
+values are allocated and before a dense stack is built from them, each size
+computed from (k, d) before anything is allocated.
+"""
+
+
+def _size_text(nbytes: int) -> str:
+    return f"{nbytes / 2**30:.3g} GiB" if nbytes >= 2**30 else f"{nbytes / 2**20:.3g} MiB"
+
+
+def require_budget(nbytes: int, what: str) -> None:
+    """Raise MemoryBudgetError, naming both sizes, when `what` would take more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise MemoryBudgetError(f"{what} would take {_size_text(nbytes)}, over the memory budget of {_size_text(MEMORY_BUDGET)}")
 
 
 def chunks(count: int, item_bytes: int) -> list[slice]:
@@ -276,35 +304,47 @@ def _monomial(m) -> tuple[np.ndarray | None, np.ndarray] | None:
     return (cols, vals) if np.isfinite(vals).all() else None
 
 
-def sandwich(left, mats: np.ndarray, right=None, out: np.ndarray | None = None) -> np.ndarray:
-    """left @ mats @ right for a (k, d, d) stack; a factor given as None is left out.
-
-    When every given factor is monomial (one nonzero per row and per column)
-    with real entries, the product is a gather of rows and columns and a
-    real scaling: each entry is one entry of the stack times the same
-    factors, in the matmul's order.  For finite input that equals the matmul
-    but for the sign of a zero.  A diagonal factor gathers nothing and a
-    factor of ones scales nothing; when nothing is left to do and no `out`
-    is given, the result is a read-only view of `mats`, not a copy.  Any
-    other factor, and every factor of matrices smaller than GATHER_MIN_DIM,
-    is multiplied in.
-    """
-    small = mats.shape[-1] < GATHER_MIN_DIM
+def gather_steps(left, right, d: int) -> list[tuple] | None:
+    """What sandwich(left, mats, right) does to a stack of d x d matrices when every given factor
+    is monomial with real entries: the gathers and scalings it applies, in order, as
+    (axis, source indices or None, scale or None); an empty list when nothing is left to do.
+    None when some factor is multiplied in: it is not such a matrix, or d < GATHER_MIN_DIM."""
+    small = d < GATHER_MIN_DIM
     lf = None if left is None or small else _monomial(left)
     rf = None if right is None or small else _monomial(right)
     if (left is not None and lf is None) or (right is not None and rf is None):
-        prod = mats if left is None else np.matmul(left, mats, out=out if right is None else None)
-        return prod if right is None else np.matmul(prod, right, out=out)
+        return None
     steps = [] if lf is None else [(-2, lf[0], lf[1][:, None])]
     if rf is not None:
         # column j of the product is column src[j] of the stack, scaled by that row's value
         src = None if rf[0] is None else np.argsort(rf[0])
         steps.append((-1, src, rf[1] if src is None else rf[1][src]))
+    steps = [(axis, src, None if (scale == 1.0).all() else scale) for axis, src, scale in steps]
+    return [(axis, src, scale) for axis, src, scale in steps if src is not None or scale is not None]
+
+
+def sandwich(left, mats: np.ndarray, right=None, out: np.ndarray | None = None) -> np.ndarray:
+    """left @ mats @ right for a (k, d, d) stack; a factor given as None is left out.
+
+    When every given factor is monomial (one nonzero per row and per column)
+    with real entries, the product is a gather of rows and columns and a
+    real scaling (gather_steps): each entry is one entry of the stack times
+    the same factors, in the matmul's order.  For finite input that equals
+    the matmul but for the sign of a zero.  A diagonal factor gathers nothing
+    and a factor of ones scales nothing; when nothing is left to do and no
+    `out` is given, the result is a read-only view of `mats`, not a copy.
+    Any other factor, and every factor of matrices smaller than
+    GATHER_MIN_DIM, is multiplied in.
+    """
+    steps = gather_steps(left, right, mats.shape[-1])
+    if steps is None:
+        prod = mats if left is None else np.matmul(left, mats, out=out if right is None else None)
+        return prod if right is None else np.matmul(prod, right, out=out)
     prod = mats
     for axis, src, scale in steps:
         if src is not None:
             prod = np.take(prod, src, axis=axis)
-        if not (scale == 1.0).all():
+        if scale is not None:
             prod = np.multiply(prod, scale, out=out if prod is mats else prod)
     if out is None:
         if prod is mats:

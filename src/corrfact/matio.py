@@ -111,7 +111,7 @@ def matrix_text(m) -> str:
     return _encode(_require_finite(a)[None])[0][:-1].decode()
 
 
-def _decode(texts: list[bytes]) -> list[np.ndarray] | None:
+def _decode(texts: list[bytes], density: bool = True) -> list[np.ndarray] | None:
     """The matrices of a batch of file texts if ``_encode`` could have written every one, else None.
 
     The data of all texts is joined into one buffer and scanned once: the
@@ -125,7 +125,7 @@ def _decode(texts: list[bytes]) -> list[np.ndarray] | None:
     parsed once and kept only if it is the writer's word for its finite
     value.  A batch in which more than one entry in eight is a distinct
     nonzero word (dense data, for which the JSON parse is faster) also gives
-    None.
+    None, unless `density` is False.
     """
     heads = [_HEADER.match(text) for text in texts]
     if None in heads or not all(text.endswith(b"]}\n") for text in texts):
@@ -173,7 +173,7 @@ def _decode(texts: list[bytes]) -> list[np.ndarray] | None:
         keys = keys * _MIX + column
         columns.append(column)
     _, reps, group = np.unique(keys, return_index=True, return_inverse=True)  # reps: each group's first
-    if 8 * len(reps) > len(starts):
+    if density and 8 * len(reps) > len(starts):
         return None
     group = group.reshape(-1)
     same = sizes == sizes[reps][group]
@@ -274,7 +274,9 @@ def _read_matrices(paths: list, known: dict[bytes, np.ndarray] | None = None) ->
     Each batch goes to ``_decode`` once.  If it is not all canonical, its
     files are decoded one at a time, in order, and a file that is not
     canonical goes to the JSON parse, so the first bad file is the one
-    reported.  A file that cannot be read ends the batch before it, so the
+    reported.  Those one-file decodes skip the density rule: the batch was
+    judged as a whole, and one small file alone holds too few entries to
+    pass it.  A file that cannot be read ends the batch before it, so the
     files ahead of it are parsed first.  ``known`` maps texts parsed earlier
     in the same load to their matrices, and takes the texts read here (an
     extracted bundle's Y files repeat its X files); with None, only the
@@ -302,7 +304,7 @@ def _read_matrices(paths: list, known: dict[bytes, np.ndarray] | None = None) ->
             seen.update(zip(fresh, mats))
         for path, data in batch:
             if data not in seen:
-                one = _decode([data]) if len(fresh) > 1 else None
+                one = _decode([data], density=False) if len(fresh) > 1 else None
                 seen[data] = one[0] if one else _read_json(path, matrix_from_obj, data)
             out.append(seen[data])
     return out

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import rep_dim, write_combinations
+from .clifford import ChainStack, Family, as_dense, as_family, chain_family, chain_values, held
 from .elliptope import CSystem
 from .errors import (
     CSystemMismatchError,
+    EmptyRankError,
     InvariantViolationError,
     NonUnitVectorError,
     NotPsdError,
@@ -31,9 +32,9 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
-    as_stack,
     chunks,
     eigenvalue_bounds,
+    gather_steps,
     numerical_rank,
     rank_mask,
     require_hermitian,
@@ -50,18 +51,20 @@ class TensorProductRep:
 
     alice_obs has shape (n, d, d) and bob_obs (m, d, d); psi is a vector of
     length d^2, rho a d^2 x d^2 density matrix.  States are kept as vectors
-    whenever possible; the density matrix is materialized on demand.
+    whenever possible; the density matrix is materialized on demand.  Built
+    observables are held as clifford.ChainStack values, made dense on the
+    first read of alice_obs or bob_obs (clifford.Family).
     """
 
-    alice_obs: np.ndarray
-    bob_obs: np.ndarray
+    alice_obs: np.ndarray = Family()
+    bob_obs: np.ndarray = Family()
     psi: np.ndarray | None = None
     rho: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        alice = as_stack(self.alice_obs, "Alice's observables")
+        alice = as_family(held(self, "alice_obs"), "Alice's observables")
         d = alice.shape[1]
-        bob = as_stack(self.bob_obs, "Bob's observables", d)
+        bob = as_family(held(self, "bob_obs"), "Bob's observables", d)
         if (self.psi is None) == (self.rho is None):
             raise ShapeError("exactly one of psi or rho must be provided")
         object.__setattr__(self, "alice_obs", alice)
@@ -79,11 +82,11 @@ class TensorProductRep:
 
     @property
     def local_dim(self) -> int:
-        return int(self.alice_obs.shape[1])
+        return int(held(self, "alice_obs").shape[1])
 
     @property
     def sizes(self) -> tuple[int, int]:
-        return int(self.alice_obs.shape[0]), int(self.bob_obs.shape[0])
+        return int(held(self, "alice_obs").shape[0]), int(held(self, "bob_obs").shape[0])
 
     def density(self) -> np.ndarray:
         if self.rho is not None:
@@ -107,9 +110,11 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     The system's vectors are expressed in an orthonormal basis of their
     common span (dimension r); the observables are G(u_i) and G(v_j)^T for
     the rank-r generator family, and the state is the maximally entangled
-    vector at local dimension 2^floor(r/2).  The observables are written on
-    the chain support alone (clifford.write_combinations), Bob's G(v_j)^T as
-    G(v'_j) with the Y-type coordinates of v_j negated.
+    vector at local dimension 2^floor(r/2).  The observables are formed on
+    the chain support alone, and kept there as ChainStacks from
+    d = GATHER_MIN_DIM on (clifford.chain_family), Bob's G(v_j)^T as G(v'_j)
+    with the Y-type coordinates of v_j negated.  A rank cutoff that keeps no
+    singular value raises EmptyRankError.
     """
     block = as_matrix(c, "bipartite block")
     rows, cols = sys.row_vectors, sys.col_vectors
@@ -127,31 +132,36 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
 
     _, svals, vh = np.linalg.svd(stacked)
     r = int(np.count_nonzero(rank_mask(svals, tol)))
+    if r == 0:
+        raise EmptyRankError(f"rank_tol {tol.rank_tol:g} keeps no singular value of the system vectors")
     basis = vh[:r]
     row_coords = rows @ basis.T
     col_coords = cols @ basis.T
 
-    d = rep_dim(r)
-    alice = np.zeros((rows.shape[0], d, d), dtype=complex)
-    bob = np.zeros((cols.shape[0], d, d), dtype=complex)
-    write_combinations(row_coords, alice)
-    write_combinations(col_coords, bob, transpose=True)
-    return TensorProductRep(alice, bob, psi=maximally_entangled(d))
+    alice = chain_family(row_coords, row_coords.shape[:1])
+    bob = chain_family(col_coords, col_coords.shape[:1], transpose=True)
+    return TensorProductRep(alice, bob, psi=maximally_entangled(alice.shape[-1]))
 
 
 def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Realized block: entry (i, j) is Tr((M_i (x) N_j) rho).
 
-    For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi),
-    which equals sum_cb Z_i[c, b] N_j[c, b] for Z_i = W^* M_i W: the Z_i are
-    batched matmuls over chunks of Alice's observables (a gather and real
-    scalings when W is monomial, as a diagonal W is: linalg.sandwich) and
-    the block is one GEMM per chunk against the vectorized N stack,
-    vec(Z) vec(N)^T, so no d^2 x d^2 product is formed.  For a density
-    matrix the entry is sum M_i[c, a] N_j[e, b] rho[(a, b), (c, e)]: two
-    tensordots over rho.reshape(d, d, d, d).  The real part is returned; an
-    imaginary residue above eq_tol raises, since Hermitian observables
-    against a Hermitian state give real values analytically.
+    For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi).
+    When W is a multiple c I of the identity, as for the maximally entangled
+    state, that is |c|^2 sum_cb M_i[c, b] N_j[c, b]; when both families hold
+    their values on the chain support, or clifford.support_values proves
+    them +0.0 off it (clifford.chain_values), the block is one GEMM of those
+    values, (L+1) d of the d^2 places, since both are zero at every other.
+    Otherwise the entry equals sum_cb Z_i[c, b] N_j[c, b] for
+    Z_i = W^* M_i W: the Z_i are batched matmuls over chunks of Alice's
+    observables (a gather and real scalings when W is monomial, as a
+    diagonal W is: linalg.sandwich) and the block is one GEMM per chunk
+    against the vectorized N stack, vec(Z) vec(N)^T, so no d^2 x d^2 product
+    is formed.  For a density matrix the entry is
+    sum M_i[c, a] N_j[e, b] rho[(a, b), (c, e)]: two tensordots over
+    rho.reshape(d, d, d, d).  The real part is returned; an imaginary residue
+    above eq_tol raises, since Hermitian observables against a Hermitian
+    state give real values analytically.
     """
     n, m = rep.sizes
     d = rep.local_dim
@@ -160,11 +170,18 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
         if norm_dev > tol.eq_tol:
             raise InvariantViolationError(f"state norm deviates from one by {norm_dev:.3e}")
         w = vec_inv(rep.psi, d)
-        wh = w.conj().T
-        bob = rep.bob_obs.reshape(m, d * d)
-        vals = np.empty((n, m), dtype=complex)
-        for part in chunks(n, w.nbytes):
-            vals[part] = sandwich(wh, rep.alice_obs[part], w).reshape(-1, d * d) @ bob.T
+        alice, bob = held(rep, "alice_obs"), held(rep, "bob_obs")
+        scalar = np.array_equal(w, w[0, 0] * np.eye(d))
+        alice_values = chain_values(alice) if scalar else None
+        bob_values = None if alice_values is None else chain_values(bob)
+        if bob_values is not None:
+            vals = (alice_values @ bob_values.T) * abs(w[0, 0]) ** 2
+        else:
+            wh = w.conj().T
+            alice, bob = as_dense(alice), as_dense(bob).reshape(m, d * d)
+            vals = np.empty((n, m), dtype=complex)
+            for part in chunks(n, w.nbytes):
+                vals[part] = sandwich(wh, alice[part], w).reshape(-1, d * d) @ bob.T
     else:
         rho = rep.rho
         trace_dev = abs(complex(np.trace(rho)).real - 1.0)
@@ -198,7 +215,8 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
     unchanged and the local dimension never grows; spectra stay within
     [-1, 1] because compressions of contractions are contractions.  When an
     isometry is the identity, its side's observables are not copied: the
-    result holds a read-only view of the input's stack, with the same bits.
+    result holds a read-only view of the input's stack, with the same bits
+    (of its ChainStack, while that holder is unspent).
     """
     phi = _rank_one_vector(rep, tol)
     d_in = rep.local_dim
@@ -207,10 +225,18 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
         raise NotRankOneError("state vector is numerically zero")
     left_iso = sd.left_vectors.conj()
     right_iso = sd.right_vectors.conj()
-    alice = sandwich(left_iso, rep.alice_obs, left_iso.conj().T)
-    bob = sandwich(right_iso, rep.bob_obs, right_iso.conj().T)
+    alice = _compress(held(rep, "alice_obs"), left_iso)
+    bob = _compress(held(rep, "bob_obs"), right_iso)
     psi = np.diag(sd.coefficients.astype(complex)).reshape(-1)
     return TensorProductRep(alice, bob, psi=psi)
+
+
+def _compress(family, iso: np.ndarray):
+    """iso @ M @ iso^* for each observable (linalg.sandwich).  When that leaves an unspent
+    ChainStack as it is, a read-only view of the holder (ChainStack.view)."""
+    if isinstance(family, ChainStack) and not family.spent and gather_steps(iso, iso.conj().T, family.d) == []:
+        return family.view()
+    return sandwich(iso, as_dense(family), iso.conj().T)
 
 
 def check_observable(h, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:

