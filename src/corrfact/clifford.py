@@ -11,9 +11,9 @@ dimension for rank 1 is still 2^0 = 1 and is reported separately by the
 certificate layer.
 
 Every family the builders make is c_0 I + G(c), nonzero only at the (L+1) d
-places of _pauli_tables; from d = GATHER_MIN_DIM on it is kept as its values
-there (ChainStack), and its dense stack is built when a dataclass field
-holding it is first read (Family).
+places of _pauli_tables; from d = GATHER_MIN_DIM on it is kept as its Pauli
+coordinates (PauliFamily), which decide its checks (family_fit), and its dense
+stack is built when a dataclass field holding it is first read (Family).
 """
 
 from __future__ import annotations
@@ -222,21 +222,19 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     I and the G_j are orthogonal with Tr(G_j G_l) = d delta_jl and
     G(c)^2 = ||c||^2 I, so M' has the eigenvalues c_0 +- ||c|| and
-    Tr(M'_p M'_q) = d c_p . c_q.  When the stack is a ChainStack, or
-    support_values proves it zero off the (L+1) d places of the chains
-    (chain_values), everything is computed from its values there
-    (support_coordinates).  Otherwise the residual takes every
+    Tr(M'_p M'_q) = d c_p . c_q.  When support_values proves the stack zero
+    off the (L+1) d places of the chains, everything is computed from its
+    values there (support_coordinates).  Otherwise the residual takes every
     entry, a chunk of the stack at a time.  Returns None when d is not a
-    power of two >= 2.
+    power of two >= 2.  (A held PauliFamily has its own fit: family_fit.)
     """
     k, d = stack.shape[0], stack.shape[-1]
     ell = d.bit_length() - 1
     if d < 2 or d != 1 << ell:
         return None
-    values = chain_values(stack)
+    values = support_values(stack)
     if values is not None:
         return support_coordinates(values, d)
-    stack = as_dense(stack)
     pos = _pauli_tables(ell)[0]
     flat = stack.reshape(k, d * d)
     coords = np.empty((k, 2 * ell + 2))
@@ -250,26 +248,17 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return coords, delta, resid
 
 
-def combination_values(rows, c0: float = 0.0, scale: float = 1.0, transpose: bool = False) -> np.ndarray:
-    """The values of scale (c0 I + sum_i u_i G_i) at the (L+1) d places of _pauli_tables(L), as an
-    (m, (L+1) d) complex array, for each row u of an (m, r) array, G_1..G_r being
-    gamma_generators(r) at d = rep_dim(r); with `transpose`, those of the transposes.
-    Every other entry of those matrices is zero (ChainStack.dense writes them).
-
-    The inverse of pauli_coordinates: the rows are laid out as coordinates
-    over I and the chains of gamma_generators(2L+1) (rank 1 is the Z chain
-    at d = 2), and the values are c @ table of _pauli_tables.  X_i and Y_i
-    share their places and every other chain is zero there, so each value
-    off the diagonal is one signed product.  A transpose is G(u') for u'
-    with the Y-type coordinates negated (Y^T = -Y, and the X-type and Z
-    chains are symmetric).  The values are formed a chunk of rows at a time,
-    a quarter of linalg.CHUNK_BYTES of them.
+def chain_coordinates(rows, c0: float = 0.0, transpose: bool = False) -> np.ndarray:
+    """The Pauli coordinates of c0 I + sum_i u_i G_i for each row u of an (m, r) array, G_1..G_r
+    being gamma_generators(r): an (m, 2L+2) array over I and the chains of gamma_generators(2L+1),
+    L = max(floor(r/2), 1) (rank 1 is the Z chain at d = 2).  With `transpose`, those of the
+    transposes: Y^T = -Y, and the X-type and Z chains are symmetric, so the Y-type coordinates
+    are negated.
     """
     coeffs = np.asarray(rows, dtype=float)
     r = coeffs.shape[1]
     ell = max(r // 2, 1)
-    pos, table = _pauli_tables(ell)
-    coords = np.zeros((len(coeffs), table.shape[0]))
+    coords = np.zeros((len(coeffs), 2 * ell + 2))
     coords[:, 0] = c0
     if r == 1:
         coords[:, 3] = coeffs[:, 0]
@@ -277,32 +266,69 @@ def combination_values(rows, c0: float = 0.0, scale: float = 1.0, transpose: boo
         coords[:, 1 : r + 1] = coeffs
         if transpose:
             coords[:, ell + 1 : 2 * ell + 1] *= -1.0
+    return coords
+
+
+def chain_products(coords: np.ndarray, scales: tuple[float, ...] = ()) -> np.ndarray:
+    """The values of the matrices with Pauli coordinates `coords` at the (L+1) d places of
+    _pauli_tables(L), multiplied by each of `scales` in turn: an (m, (L+1) d) complex array,
+    c @ table a chunk of rows at a time (a quarter of linalg.CHUNK_BYTES of values).
+
+    The inverse of pauli_coordinates.  X_i and Y_i share their places and every other chain is
+    zero there, so each value off the diagonal is one signed product, and each diagonal value
+    one rounding of c_0 +- c_Z; each scale rounds once more.
+    """
+    ell = (coords.shape[1] - 2) // 2
+    pos, table = _pauli_tables(ell)
     require_budget(len(coords) * table[0].nbytes, f"the chain values of {len(coords)} matrices of size {2**ell}")
     values = np.empty((len(coords), pos.size), dtype=complex)
     for part in chunks(len(coords), 4 * table[0].nbytes):
         np.matmul(coords[part], table, out=values[part])
-        if scale != 1.0:
+        for scale in scales:
             values[part] *= scale
     return values
 
 
-class ChainStack:
-    """A complex family of shape lead + (d, d) that is +0.0 off the chain support, held as the
-    (k, (L+1) d) values at the places of _pauli_tables(L), k being the product of `lead`.
+def max_entries(coords: np.ndarray) -> np.ndarray:
+    """max_ab |M'_ab| of M' = c_0 I + G(c) for each row c of Pauli coordinates: |c_0| + |c_Z| on
+    the diagonal, where the Z chain takes both signs, and |c_X_i + i c_Y_i| at the other places
+    of slot i."""
+    ell = (coords.shape[1] - 2) // 2
+    diagonal = np.abs(coords[:, 0]) + np.abs(coords[:, -1])
+    return np.maximum(diagonal, np.hypot(coords[:, 1 : ell + 1], coords[:, ell + 1 : -1]).max(axis=1, initial=0.0))
 
-    The builders make one when d is a power of two >= GATHER_MIN_DIM, where
-    support_values would accept the dense stack.  dense() scatters the values
-    into a writable C-ordered zero stack on its first call and keeps it, with
-    the bits a dense build gives; from then on the holder is spent, and
-    chain_values reads that stack, so an edit made through it is seen by
-    every later check.  A view (view()) shares the values and the dense stack
-    of its base, and gives that stack read-only.
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+class PauliFamily:
+    """A complex family of shape lead + (d, d), each matrix c_0 I + G(c) up to rounding, held as
+    its Pauli coordinates (the paper's central fact: the matrices of a built family generate a
+    Clifford algebra, so (2L+2) reals describe each of them).
+
+    `coords` is the (k, 2L+2) array of chain_coordinates, k the product of `lead`, and the
+    values are chain_products(coords, scales), the bits every builder has always made.  A
+    family derived from such values may hold its own `values` instead, with the coordinates of
+    the matrices they round and, in `magnitudes`, coordinatewise bounds on the terms they were
+    formed from.  fit() gives the coordinates and a bound on how far the values lie from them,
+    without forming a value.
+
+    dense() scatters the values into a writable C-ordered zero stack on its first call and
+    keeps it; from then on the holder is spent, and every reader takes that stack, so an edit
+    made through it is seen by every later check.  A view (view()) shares the coordinates and
+    the dense stack of its base, and gives that stack read-only.  A leading slice of an unspent
+    family with one leading axis is a family over those rows, with a dense stack of its own.
     """
 
-    __slots__ = ("values", "d", "lead", "_dense", "_base")
+    __slots__ = ("coords", "d", "lead", "scales", "values", "magnitudes", "kappa", "_dense", "_base")
 
-    def __init__(self, values: np.ndarray, d: int, lead: tuple[int, ...], base: ChainStack | None = None):
-        self.values, self.d, self.lead = values, d, tuple(lead)
+    def __init__(self, coords, d, lead, scales=(), *, values=None, magnitudes=None, kappa=None, base=None):
+        self.coords, self.d, self.lead, self.scales = coords, d, tuple(lead), tuple(scales)
+        self.values, self.magnitudes = values, magnitudes
+        # a value is one rounding of at most two exact chain terms and one more per scale, a
+        # scaled coordinate one per scale: 2 len(scales) + 1 roundings, and one unit to spare
+        # for the second-order terms
+        self.kappa = 2 * len(self.scales) + 2 if kappa is None else kappa
         self._dense, self._base = None, base
 
     @property
@@ -313,52 +339,104 @@ class ChainStack:
     def spent(self) -> bool:
         return (self if self._base is None else self._base)._dense is not None
 
+    def coordinates(self) -> np.ndarray:
+        """The (k, 2L+2) coordinates of the matrices, the scales applied."""
+        out = self.coords
+        for scale in self.scales:
+            out = out * scale
+        return out
+
+    def chain_values(self) -> np.ndarray:
+        """The (k, (L+1) d) values at the places of _pauli_tables(L)."""
+        return chain_products(self.coords, self.scales) if self.values is None else self.values
+
+    def fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """pauli_coordinates of the matrices, from the coordinates: (c, delta, resid) with the
+        rounding bound in place of the measured residual.
+
+        Entry (a, b) of a matrix lies within kappa u A_ab of c_0 I + G(c), u = 2^-53, where
+        A = sum_p m_p |G_p| for the magnitudes m (|c| unless given): each real and imaginary
+        part holds at most two chain terms.  So delta <= kappa u sqrt(2 d) ||m|| and
+        resid <= kappa u sqrt(2) max_entries(m).  Zero only for a family of exact zeros.
+        """
+        coords = self.coordinates()
+        mags = np.abs(coords) if self.magnitudes is None else self.magnitudes
+        err = self.kappa * UNIT_ROUNDOFF
+        delta = err * math.sqrt(2 * self.d) * np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        return coords, delta, err * math.sqrt(2.0) * max_entries(mags)
+
     def dense(self) -> np.ndarray:
         if self._dense is None:
             if self._base is None:
-                k, d = len(self.values), self.d
+                k, d = math.prod(self.lead), self.d
                 require_budget(k * 16 * d * d, f"a dense stack of {k} matrices of size {d}")
                 out = np.zeros(self.shape, dtype=complex)
-                scatter_columns(out.reshape(k, d * d), _pauli_tables(d.bit_length() - 1)[0], self.values)
+                scatter_columns(out.reshape(k, d * d), _pauli_tables(d.bit_length() - 1)[0], self.chain_values())
             else:
                 out = self._base.dense().view()
                 out.flags.writeable = False
             self._dense = out
         return self._dense
 
-    def view(self) -> ChainStack:
-        return ChainStack(self.values, self.d, self.lead, self if self._base is None else self._base)
+    def view(self) -> PauliFamily:
+        base = self if self._base is None else self._base
+        return PauliFamily(self.coords, self.d, self.lead, self.scales, values=self.values,
+                           magnitudes=self.magnitudes, kappa=self.kappa, base=base)
+
+    def __getitem__(self, key):
+        if self.spent or len(self.lead) != 1 or not isinstance(key, slice):
+            return self.dense()[key]
+        coords = self.coords[key]
+        values, mags = (None if a is None else a[key] for a in (self.values, self.magnitudes))
+        return PauliFamily(
+            coords, self.d, coords.shape[:1], self.scales, values=values, magnitudes=mags, kappa=self.kappa
+        )
 
 
 def chain_family(rows, lead: tuple[int, ...], c0: float = 0.0, scale: float = 1.0, transpose: bool = False):
-    """The matrices of combination_values shaped lead + (d, d): a ChainStack when d is at least
-    GATHER_MIN_DIM, else their dense stack (ChainStack.dense)."""
-    values = combination_values(rows, c0, scale, transpose)
-    family = ChainStack(values, 2 ** max(np.shape(rows)[1] // 2, 1), lead)
+    """The matrices scale (c0 I + sum_i u_i G_i) of chain_coordinates, shaped lead + (d, d): a
+    PauliFamily when d is at least GATHER_MIN_DIM, else its dense stack (PauliFamily.dense)."""
+    coords = chain_coordinates(rows, c0, transpose)
+    family = PauliFamily(coords, 2 ** ((coords.shape[1] - 2) // 2), lead, () if scale == 1.0 else (scale,))
     return family if family.d >= GATHER_MIN_DIM else family.dense()
 
 
+def unspent(family) -> bool:
+    """Whether a family is an unspent PauliFamily, whose coordinates decide its checks."""
+    return isinstance(family, PauliFamily) and not family.spent
+
+
 def as_dense(family):
-    """The dense stack of a ChainStack (ChainStack.dense); anything else as it is."""
-    return family.dense() if isinstance(family, ChainStack) else family
+    """The dense stack of a PauliFamily (PauliFamily.dense); anything else as it is."""
+    return family.dense() if isinstance(family, PauliFamily) else family
 
 
 def chain_values(family) -> np.ndarray | None:
     """The (k, (L+1) d) values of a (..., d, d) family at the places of _pauli_tables(L), k being
-    the product of its leading axes: an unspent ChainStack's own values, else
+    the product of its leading axes: an unspent PauliFamily's (PauliFamily.chain_values), else
     support_values of the dense stack (None when it is not +0.0 off them)."""
-    if isinstance(family, ChainStack) and not family.spent:
-        return family.values
+    if unspent(family):
+        return family.chain_values()
     stack = as_dense(family)
     d = stack.shape[-1]
     return support_values(stack.reshape(-1, d, d)) if d else None
 
 
-class Family:
-    """A dataclass field that holds a stack of matrices, given as an array or as a ChainStack.
+def family_fit(family) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(coords, delta, resid) of a (..., d, d) family over its leading axes, as pauli_coordinates
+    gives them: an unspent PauliFamily's own (PauliFamily.fit, the analytic rounding bound),
+    else pauli_coordinates of its dense stack.  The one fit every Pauli-coordinate check takes."""
+    if unspent(family):
+        return family.fit()
+    stack = as_dense(family)
+    return pauli_coordinates(stack.reshape((-1,) + stack.shape[-2:]))
 
-    Reading the field gives an array, as it always has: a ChainStack's dense
-    stack (ChainStack.dense), built on that first read.  held() gives what
+
+class Family:
+    """A dataclass field that holds a stack of matrices, given as an array or as a PauliFamily.
+
+    Reading the field gives an array, as it always has: a PauliFamily's dense
+    stack (PauliFamily.dense), built on that first read.  held() gives what
     the field holds without building it.  Without a default: the class
     attribute raises AttributeError, so the dataclass finds none.
     """
@@ -376,15 +454,15 @@ class Family:
 
 
 def as_family(family, what: str, d: int | None = None):
-    """A (k, d, d) family checked as linalg.as_stack checks it: a ChainStack with one leading axis
+    """A (k, d, d) family checked as linalg.as_stack checks it: a PauliFamily with one leading axis
     (of size d, when d is given) as it is, anything else as a complex array (its dense stack)."""
-    if isinstance(family, ChainStack) and len(family.lead) == 1 and d in (None, family.d):
+    if isinstance(family, PauliFamily) and len(family.lead) == 1 and d in (None, family.d):
         return family
     return as_stack(as_dense(family), what, d)
 
 
 def held(obj, name: str):
-    """What the Family field `name` of obj holds: a ChainStack, or the array it was given."""
+    """What the Family field `name` of obj holds: a PauliFamily, or the array it was given."""
     return vars(obj)[name]
 
 

@@ -19,20 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    ChainStack,
+    UNIT_ROUNDOFF,
     Family,
+    PauliFamily,
     _pauli_tables,
     chain_family,
     chain_values,
+    family_fit,
     held,
     irreducible_dim,
-    pauli_coordinates,
+    max_entries,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
     support_coordinates,
+    unspent,
 )
-from .elliptope import check_extreme, require_correlation, resolve_gram_factors
+from .elliptope import extremality, factored_correlation, require_correlation
 from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
 from .linalg import (
@@ -41,6 +44,7 @@ from .linalg import (
     as_matrix,
     chunks,
     eigenvalue_bounds,
+    scatter_columns,
     hermitian_deviations,
     hs_gram,
     rank_mask,
@@ -57,7 +61,7 @@ class CpsdFactorization:
 
     mats has shape (n, 2, d, d); outcome +1 is stored at [:, 0] and outcome
     -1 at [:, 1], matching the witness row convention.  A built family holds
-    a clifford.ChainStack, made dense on the first read of mats
+    a clifford.PauliFamily, made dense on the first read of mats
     (clifford.Family).
     """
 
@@ -127,12 +131,10 @@ def build_cpsd_factorization(
     With unit Gram factors u_i of rank r, the factors are
     (I + a G(u_i)) / (2 sqrt(d)) at d = 2^floor(r/2) (d = 2 for r = 1); their
     trace inner products equal (1 + a b c_ij) / 4 entrywise.  The factors are
-    formed on the chain support alone (clifford.chain_family), in one pass
-    from the interleaved rows (u_i, -u_i), and kept there as a ChainStack
-    from d = GATHER_MIN_DIM on.
+    the interleaved rows (u_i, -u_i) of clifford.chain_family, kept as their
+    Pauli coordinates from d = GATHER_MIN_DIM on.
     """
-    a = require_correlation(c, tol)
-    u = resolve_gram_factors(a, factors, tol, unit=True)
+    a, u = factored_correlation(c, factors, tol, unit=True)
     n, d = a.shape[0], rep_dim(u.shape[1])
     rows = np.empty((2 * n, u.shape[1]))
     rows[0::2], rows[1::2] = u, -u
@@ -169,8 +171,8 @@ def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, n
     """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2),
     and the position within them of each place's transpose.
 
-    The places are the (L+1) d of the chain support when the family holds
-    its values there, or clifford.support_values proves every factor +0.0
+    The places are the (L+1) d of the chain support when the family is held
+    as its coordinates, or clifford.support_values proves every factor +0.0
     off them (clifford.chain_values), and then the values there serve the
     Pauli coordinates too (clifford.support_coordinates).  Every factor is +0.0 at
     every other place, and so are its sums, means, scaled differences and
@@ -217,7 +219,7 @@ def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float,
 
 def _pauli_deviations(stack, mat: np.ndarray, fit=None) -> tuple[float, float, float] | None:
     """Upper bounds on the Hermitian and entry deviations and a lower bound on the least
-    eigenvalue, from the Pauli coordinates of the factors (clifford.pauli_coordinates,
+    eigenvalue, from the Pauli coordinates of the factors (clifford.family_fit,
     unless their `fit` is given; then `stack` only gives the size d).
 
     Each factor is M = M' + R with M' Hermitian, ||R||_F = delta and
@@ -226,7 +228,7 @@ def _pauli_deviations(stack, mat: np.ndarray, fit=None) -> tuple[float, float, f
     bounded by clifford.pauli_gram.  None when d is not a power of two >= 2.
     """
     if fit is None:
-        fit = pauli_coordinates(stack)
+        fit = family_fit(stack)
     if fit is None:
         return None
     coords, delta, resid = fit
@@ -256,23 +258,17 @@ def verify_cpsd_factorization(
     outcome sums are compared a chunk at a time, at the places _flat_family
     keeps, so each temporary stays near linalg.CHUNK_BYTES; when those are
     the chain support, the Pauli coordinates are taken from the same values,
-    so the family is scanned and gathered once, and a built family (a
-    clifford.ChainStack) not at all: its dense stack is built only when the
-    bounds do not decide.
+    so the family is scanned and gathered once.  A family held as its
+    coordinates (an unspent clifford.PauliFamily) is decided from them
+    alone, outcome sums included (_coordinate_deviations): no value is
+    formed, and its dense stack is built only when the bounds do not decide.
     """
     mat = as_matrix(p, "witness")
     n = f.n
     if mat.shape != (2 * n, 2 * n):
         raise ShapeError(f"witness shape {mat.shape} does not match family size {(2 * n, 2 * n)}")
 
-    d = f.dim
-    work, places, _ = _flat_family(f)
-    with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
-        mean_sum, sum_dev = _outcome_sum_check(work, None)
-        mean_sum = _unflatten(mean_sum, places, d)
-        trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
-
-    def report(herm_dev: float, min_eig: float, entry_dev: float) -> VerificationReport:
+    def report(herm_dev, min_eig, entry_dev, sum_dev, trace_dev) -> VerificationReport:
         return VerificationReport(
             (
                 CheckResult("factors_hermitian", herm_dev <= tol.eq_tol, herm_dev),
@@ -289,12 +285,52 @@ def verify_cpsd_factorization(
         )
 
     def stack() -> np.ndarray:
-        return f.mats.reshape(2 * n, d, d)
+        return f.mats.reshape(2 * n, f.dim, f.dim)
 
-    with np.errstate(invalid="ignore"):
-        fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), d)
-        fast = _pauli_deviations(stack() if fit is None else held(f, "mats"), mat, fit)
-        return decide(report, fast, lambda: _dense_deviations(stack(), mat))
+    def sums():
+        """The sum and trace deviations at the places _flat_family keeps, and the Pauli fit of
+        their values when those are the chain support (else None)."""
+        work, places, _ = _flat_family(f)
+        mean_sum, sum_dev = _outcome_sum_check(work, None)
+        mean_sum = _unflatten(mean_sum, places, f.dim)
+        trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
+        fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), f.dim)
+        return (sum_dev, trace_dev), fit
+
+    mats = held(f, "mats")
+    with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
+        if n and unspent(mats):
+            # the dense stack, built first, is what the sums then read
+            fast = _coordinate_deviations(mats, mat)
+            return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums()[0])
+        checks, fit = sums()
+        fast = _pauli_deviations(stack() if fit is None else mats, mat, fit)
+        return decide(report, None if fast is None else fast + checks, lambda: _dense_deviations(stack(), mat) + checks)
+
+
+def _coordinate_deviations(family: PauliFamily, mat: np.ndarray) -> tuple[float, float, float, float, float]:
+    """The five deviations verify_cpsd_factorization checks, bounded from the coordinates of an
+    unspent PauliFamily of shape (n, 2, d, d) alone (PauliFamily.fit): no value is formed.
+
+    The outcome sum S_i = P^i_+ + P^i_- has the coordinates s_i = c_i+ + c_i-, and each computed
+    sum lies within e' = R + u (E + R) of it entrywise, R being the largest sum of the two
+    residuals and E the largest max_entries(s_i).  Their mean K, exact, lies within
+    e = e' + 4 u E of K' rebuilt from the mean m of the s_i (math.fsum, then one division).
+    So max_i |S_i - K| <= max_entries(s_i - m) + 2 e, and Tr(K^2) lies within
+    2 e ||K'||_1 + (L+1) d e^2 of Tr(K'^2) = d ||m||^2, with ||K'||_1 <= d sum_p |m_p|.
+    """
+    coords, _, resid = fit = family.fit()
+    n, d = family.lead[0], family.d
+    herm_dev, min_eig, entry_dev = _pauli_deviations(family, mat, fit)
+    sums = coords[0::2] + coords[1::2]
+    mean = np.array([math.fsum(column) for column in sums.T]) / n
+    big_r, big_e = float(np.max(resid[0::2] + resid[1::2])), float(np.max(max_entries(sums)))
+    err = big_r + UNIT_ROUNDOFF * (5.0 * big_e + big_r)
+    sum_dev = float(np.max(max_entries(sums - mean))) + 2.0 * err + UNIT_ROUNDOFF * big_e
+    trace = d * float(mean @ mean)
+    slack = 2.0 * err * d * float(np.sum(np.abs(mean))) + coords.shape[1] // 2 * d * err**2
+    trace_dev = abs(trace - 1.0) + slack + coords.shape[1] * UNIT_ROUNDOFF * trace
+    return herm_dev, min_eig, entry_dev, sum_dev, trace_dev
 
 
 def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertificate:
@@ -307,10 +343,12 @@ def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertif
 
     The construction is not built: its dimension follows from the column
     count of the factors build_cpsd_factorization would use, validated the
-    same way (same errors), so memory stays O(n^2).
+    same way (same errors), so memory stays O(n^2).  One sorted_eigh of c
+    gives the psd check, rank(c) and those factors, so lower_bound and
+    construction_dim stand on one rank; one eigvalsh gives rank(c o c).
     """
-    ext = check_extreme(c, tol)
-    u = resolve_gram_factors(require_correlation(c, tol), tol=tol, unit=True)
+    a, w, u = factored_correlation(c, tol=tol, unit=True, spectrum=True)
+    ext = extremality(a, w, tol)
     lower = irreducible_dim(ext.rank) if ext.is_extreme else None
     return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, rep_dim(u.shape[1]), ext.hadamard_rank)
 
@@ -336,10 +374,12 @@ def extract_matrix_factorization(
     when the selection keeps every column in place; any other basis is
     multiplied in.  K and its check take the places _flat_family keeps alone
     (a chain-built family keeps (L+1)/d of them); on those places, when the
-    basis is the identity, X is formed there too and kept there as a
-    clifford.ChainStack, whose dense stack has the bits a dense pass gives,
-    and its Pauli coordinates come from those values
-    (clifford.support_coordinates).  The report is report.decide's: its
+    basis is the identity, X is formed there too, with the bits a dense pass
+    gives, and its Pauli coordinates come from those values
+    (clifford.support_coordinates).  From a family held as its coordinates
+    (an unspent clifford.PauliFamily) whose K is a multiple of I, X is a
+    PauliFamily holding those values, with the coordinates s (c+ - c-) and
+    their rounding bound as its fit.  The report is report.decide's: its
     involutions deviation is the bound clifford.pauli_square_bounds when the
     report then passes; otherwise, or when the size is not a power of two
     >= 2, it is the batched squares' (linalg.square_deviations).
@@ -383,8 +423,21 @@ def extract_matrix_factorization(
             np.conjugate(hermitian, out=hermitian)
             hermitian += x
             hermitian /= 2.0
-        x_mats = ChainStack(values.astype(complex, copy=False), d, (n,))
-        fit = support_coordinates(x_mats.values, d)
+        values = values.astype(complex, copy=False)
+        held_mats = held(f, "mats")
+        if unspent(held_mats) and np.all(scale == scale[0]):
+            # X = s (P+ - P-) up to rounding: coordinates s (c+ - c-), and each value formed from
+            # terms of coordinates at most s (|c+| + |c-|), with kappa + 7 roundings in all
+            c = held_mats.coordinates()
+            x_mats = PauliFamily(
+                scale[0] * (c[0::2] - c[1::2]), d, (n,), values=values,
+                magnitudes=scale[0] * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=held_mats.kappa + 7,
+            )
+            fit = x_mats.fit()
+        else:
+            fit = support_coordinates(values, d)
+            x_mats = np.zeros((n, d, d), dtype=complex)
+            scatter_columns(x_mats.reshape(n, d * d), places, values)
     else:
         basis = None if in_place else u[:, keep]
         bh = None if in_place else basis.conj().T
@@ -394,7 +447,7 @@ def extract_matrix_factorization(
             x -= sandwich(bh, f.mats[part, 1], basis) * scaling
             np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
             x_mats[part] /= 2.0
-        fit = pauli_coordinates(x_mats)
+        fit = family_fit(x_mats)
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)
 
     def report(inv_dev: float) -> VerificationReport:

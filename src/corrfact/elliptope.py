@@ -3,7 +3,10 @@ vector systems for bipartite blocks, and completions.
 
 A correlation matrix is a real symmetric psd matrix with unit diagonal.
 Extremality is decided by the rank criterion: E is extreme iff the
-entrywise square E o E has rank exactly binomial(rank(E) + 1, 2).
+entrywise square E o E has rank exactly binomial(rank(E) + 1, 2).  Every
+rank of E is cut from its descending sorted_eigh spectrum, the one
+gram_factors cuts, so the rank a check reports is the rank a construction is
+built at.
 """
 
 from __future__ import annotations
@@ -51,16 +54,38 @@ def check_membership(e, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return True
 
 
-def require_correlation(e, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    """Validated copy of a correlation matrix; raises on any violation."""
+def _require_unit_diagonal(e, tol: ToleranceConfig, what: str) -> np.ndarray:
     a = _require_symmetric(e, tol, what)
     diag_dev = float(np.max(np.abs(np.diag(a) - 1.0)))
     if diag_dev > tol.eq_tol:
         raise InvariantViolationError(f"{what} diagonal deviates from one by {diag_dev:.3e}")
-    least = eigenvalue_bounds(a[None])[0][0]
+    return a
+
+
+def _require_psd(least: float, tol: ToleranceConfig, what: str) -> None:
     if least < -tol.psd_tol:
         raise NotPsdError(f"{what} has eigenvalue {least:.3e}")
+
+
+def require_correlation(e, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+    """Validated copy of a correlation matrix; raises on any violation."""
+    a = _require_unit_diagonal(e, tol, what)
+    _require_psd(eigenvalue_bounds(a[None])[0][0], tol, what)
     return a.copy()
+
+
+def _psd_spectrum(a: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """sorted_eigh of a symmetric matrix, refused when an eigenvalue lies below -psd_tol."""
+    w, u = sorted_eigh(a)
+    if w.size:
+        _require_psd(w[-1], tol, "matrix")
+    return w, u
+
+
+def _cut(w: np.ndarray, u: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The Gram factors U_r diag(sqrt(w_r)) of the eigenpairs rank_mask keeps."""
+    keep = rank_mask(w, tol)
+    return u[:, keep] * np.sqrt(w[keep])
 
 
 def gram_factors(e, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -71,35 +96,30 @@ def gram_factors(e, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the descending eigendecomposition, eigenvector signs fixed by making
     the largest-magnitude component positive, so output is reproducible.
     """
-    a = _require_symmetric(e, tol)
-    w, u = sorted_eigh(a)
-    if w.size and w[-1] < -tol.psd_tol:
-        raise NotPsdError(f"matrix has eigenvalue {w[-1]:.3e}")
-    keep = rank_mask(w, tol)
-    return u[:, keep] * np.sqrt(w[keep])
+    return _cut(*_psd_spectrum(_require_symmetric(e, tol), tol), tol)
 
 
-def resolve_gram_factors(
-    a: np.ndarray,
-    factors=None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    unit: bool = False,
-) -> np.ndarray:
-    """Gram factors of a validated correlation matrix, one row per index.
+def factored_correlation(e, factors=None, tol: ToleranceConfig = DEFAULT_TOL, *, unit: bool = False, spectrum=False):
+    """A validated copy of a correlation matrix and its Gram factors, one row per index.
 
-    Without `factors` these are the deterministic gram_factors of a;
-    supplied factors must have one row per index and reproduce a within
-    max(eq_tol, 1e-12).  With `unit` the rows must also be unit vectors
-    within eq_tol.  The column count is the rank the generator
+    Without `factors` these are the deterministic gram_factors, and one
+    sorted_eigh serves the psd check, the rank cut and the factors; with
+    `spectrum` its descending eigenvalues come back too, as (a, w, u).
+    Supplied factors must have one row per index and reproduce the matrix
+    within max(eq_tol, 1e-12).  With `unit` the rows must also be unit
+    vectors within eq_tol.  The column count is the rank the generator
     constructions are built at; a rank cutoff that keeps no eigenvalue
     raises EmptyRankError.
     """
+    a = _require_unit_diagonal(e, tol, "matrix").copy()
+    w = None
     if factors is None:
-        u = gram_factors(a, tol)
+        w, vecs = _psd_spectrum(a, tol)
+        u = _cut(w, vecs, tol)
         if u.shape[1] == 0:
             raise EmptyRankError(f"rank_tol {tol.rank_tol:g} keeps no eigenvalue of the matrix")
     else:
+        _require_psd(eigenvalue_bounds(a[None])[0][0], tol, "matrix")
         u = np.asarray(factors, dtype=float)
         if u.ndim != 2 or u.shape[0] != a.shape[0]:
             raise ShapeError(f"expected {a.shape[0]} factor rows, got shape {u.shape}")
@@ -110,22 +130,23 @@ def resolve_gram_factors(
         norm_dev = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
         if norm_dev > tol.eq_tol:
             raise NonUnitVectorError(f"factor rows must be unit vectors, worst deviation {norm_dev:.3e}")
-    return u
+    return (a, w, u) if spectrum else (a, u)
 
 
-def _rank_with_gap(m, tol: ToleranceConfig) -> tuple[int, float]:
-    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    r = int(np.count_nonzero(rank_mask(s, tol)))
-    if r == s.size or s[r] <= 0.0:
-        return r, math.inf
-    return r, float(s[r - 1] / s[r])
+def _magnitude_gap(values: np.ndarray, rank: int) -> float:
+    """Last kept over first dropped of descending magnitudes (singular values); inf when no
+    positive one was dropped."""
+    if rank == values.size or values[rank] <= 0.0:
+        return math.inf
+    return float(values[rank - 1] / values[rank])
 
 
 @dataclass(frozen=True)
 class ExtremalityReport:
     """Extremality decision with singular-value gap diagnostics.
 
-    The gaps (last kept over first dropped singular value) make borderline
+    The gaps (last kept over first dropped singular value, the magnitudes of
+    the eigenvalues of the symmetric matrices E and E o E) make borderline
     rank decisions visible; they are inf when nothing was dropped.
     """
 
@@ -141,13 +162,23 @@ def check_extreme(e, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
     """Rank test for extremality of a correlation matrix.
 
     Computes rank(E) and rank(E o E) with the shared relative cutoff and
-    compares the latter against binomial(rank(E) + 1, 2).
+    compares the latter against binomial(rank(E) + 1, 2).  rank(E) is cut
+    from the sorted_eigh spectrum that also decides psd-ness, the one
+    gram_factors cuts; E o E is psd (Schur product theorem), so its singular
+    values are the magnitudes of one eigvalsh.
     """
-    a = require_correlation(e, tol)
-    rank, gap = _rank_with_gap(a, tol)
-    had_rank, had_gap = _rank_with_gap(a * a, tol)
+    a = _require_unit_diagonal(e, tol, "matrix")
+    return extremality(a, _psd_spectrum(a, tol)[0], tol)
+
+
+def extremality(a: np.ndarray, w: np.ndarray, tol: ToleranceConfig) -> ExtremalityReport:
+    """check_extreme of a validated correlation matrix a, from its descending spectrum w."""
+    rank = int(np.count_nonzero(rank_mask(w, tol)))
+    had = np.sort(np.abs(np.linalg.eigvalsh(a * a)))[::-1]
+    had_rank = int(np.count_nonzero(rank_mask(had, tol)))
     required = rank * (rank + 1) // 2
-    return ExtremalityReport(rank, had_rank, required, had_rank == required, gap, had_gap)
+    gap = _magnitude_gap(np.sort(np.abs(w))[::-1], rank)
+    return ExtremalityReport(rank, had_rank, required, had_rank == required, gap, _magnitude_gap(had, had_rank))
 
 
 def gen_extreme_lex(r: int) -> tuple[np.ndarray, np.ndarray]:

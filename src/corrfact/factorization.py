@@ -19,21 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    ChainStack,
     Family,
+    PauliFamily,
     _pauli_tables,
     as_dense,
     as_family,
     chain_family,
     chain_values,
+    family_fit,
     held,
     pauli_anticommutators,
-    pauli_coordinates,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
+    unspent,
 )
-from .elliptope import _require_symmetric, require_correlation, resolve_gram_factors
+from .elliptope import _require_symmetric, factored_correlation
 from .errors import (
     InvariantViolationError,
     NotPsdError,
@@ -46,14 +47,15 @@ from .linalg import (
     _monomial,
     anticommutator_deviations,
     as_matrix,
-    as_stack,
     chunks,
     eigenvalue_bounds,
     gram,
     hermitian_deviations,
     hs_gram,
     identity_deviations,
+    identity_multiple,
     rank_mask,
+    require_budget,
     sandwich,
     sorted_eigh,
     square_deviations,
@@ -65,8 +67,8 @@ from .report import CheckResult, VerificationReport, decide
 class FormBFactorization:
     """Hermitian families with A_i^2 = B_j^2 = I/d whose HS Gram matrix is the source.
 
-    A built family holds clifford.ChainStack values, made dense on the first
-    read of a_mats or b_mats (clifford.Family).
+    A built family holds a clifford.PauliFamily, made dense on the first read
+    of a_mats or b_mats (clifford.Family).
     """
 
     a_mats: np.ndarray = Family()
@@ -85,9 +87,9 @@ class FormBFactorization:
 class MatrixFactorization:
     """Hermitian involutions X_i, Y_j with a positive-definite weight K, Tr(K^2) = 1.
 
-    A built family holds clifford.ChainStack values, made dense on the first
-    read of x_mats or y_mats (clifford.Family); X and Y may be one holder, and
-    then read as one array.
+    A built family holds a clifford.PauliFamily, made dense on the first read
+    of x_mats or y_mats (clifford.Family); X and Y may be one holder, and then
+    read as one array.
     """
 
     x_mats: np.ndarray = Family()
@@ -116,38 +118,34 @@ def factorize_clifford(
     the B family (default: all rows to A).  `factors` optionally supplies
     precomputed unit Gram factors; by default the deterministic
     eigendecomposition factors are used.  The output dimension is
-    2^floor(r/2) for rank r >= 2 and 2 for rank 1.  Each matrix is formed
-    on the chain support alone, and kept there as a ChainStack from
-    d = GATHER_MIN_DIM on (clifford.chain_family).
+    2^floor(r/2) for rank r >= 2 and 2 for rank 1.  From d = GATHER_MIN_DIM
+    on, each family is kept as its Pauli coordinates (clifford.chain_family).
     """
-    a = require_correlation(e, tol)
+    a, u = factored_correlation(e, factors, tol)
     n = a.shape[0]
     if split is None:
         split = n
     if not 0 <= split <= n:
         raise ShapeError(f"split must lie in [0, {n}], got {split}")
-    u = resolve_gram_factors(a, factors, tol)
     mats = chain_family(u, (n,), scale=1.0 / math.sqrt(rep_dim(u.shape[1])))
-    if isinstance(mats, ChainStack):
-        head, tail = mats.values[:split], mats.values[split:]
-        return FormBFactorization(ChainStack(head, mats.d, (split,)), ChainStack(tail, mats.d, (n - split,)))
     return FormBFactorization(mats[:split], mats[split:])
 
 
 def to_form_c(fb: FormBFactorization) -> MatrixFactorization:
     """Rescale a form-b factorization to involutions plus the weight I/sqrt(d).
 
-    An unspent ChainStack is rescaled at its values alone: every other entry
-    is +0.0, which the positive scale keeps, so its dense stack has the bits
-    of the rescaled dense one.
+    An unspent PauliFamily of coordinates takes the scale as one more factor
+    of its values: every other entry is +0.0, which the positive scale keeps,
+    so its dense stack has the bits of the rescaled dense one.
     """
     d = fb.dim
     scale = math.sqrt(d)
+    require_budget(16 * d * d, f"a weight of size {d}")
     k = np.eye(d, dtype=complex) / scale
 
     def rescaled(mats):
-        if isinstance(mats, ChainStack) and not mats.spent:
-            return ChainStack(mats.values * scale, d, mats.lead)
+        if unspent(mats) and mats.values is None:
+            return PauliFamily(mats.coords, d, mats.lead, mats.scales + (scale,))
         return as_dense(mats) * scale
 
     return MatrixFactorization(rescaled(held(fb, "a_mats")), rescaled(held(fb, "b_mats")), k)
@@ -157,11 +155,15 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     """Correlation matrix realized by a factorization.
 
     Each K X_i (and Y_j K) is vectorized and split into real and imaginary
-    parts, giving real unit vectors whose Gram matrix is returned.  The
-    family is formed by two batched matmuls (row or column scalings when K
-    is diagonal) into one stack, whose complex rows viewed as interleaved
-    real vectors go through one real GEMM.  When both X and Y hold their
-    values on the chain support, or clifford.support_values proves them
+    parts, giving real unit vectors whose Gram matrix is returned.  When K is
+    a multiple k I of the identity and both X and Y are unspent
+    clifford.PauliFamily holders, that Gram matrix is |k|^2 d C C^T for C
+    their coordinates (Tr(M'_p M'_q) = d c_p . c_q), and no value is formed;
+    its entries may differ from the GEMM of the values in the last bits.
+    Otherwise the family is formed by two batched matmuls (row or column
+    scalings when K is diagonal) into one stack, whose complex rows viewed
+    as interleaved real vectors go through one real GEMM.  When both X and Y
+    have values on the chain support, or clifford.support_values proves them
     +0.0 off it (clifford.chain_values), and K is diagonal, the family is
     formed from their values there alone, K scaling each by its row or
     column as linalg.sandwich would, and the GEMM runs over the columns of
@@ -173,6 +175,11 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     d = k.shape[0]
     x, y = as_family(held(mf, "x_mats"), "X family", d), as_family(held(mf, "y_mats"), "Y family", d)
     n = x.shape[0]
+    scalar = identity_multiple(k)
+    if scalar is not None and unspent(x) and unspent(y):
+        coords = x.coordinates()
+        g = gram(np.concatenate((coords, coords if y is x else y.coordinates()))) * (abs(scalar) ** 2 * d)
+        return _unit_diagonal(g, tol)
     xs = chain_values(x)
     ys = xs if y is x else chain_values(y)
     weight = None if xs is None or ys is None else _monomial(k)
@@ -186,7 +193,11 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
         sandwich(k, x, out=family[:n])
         sandwich(None, y, k, out=family[n:])
         flat = family.reshape(family.shape[0], d * d).view(float)
-    g = gram(flat)
+    return _unit_diagonal(gram(flat), tol)
+
+
+def _unit_diagonal(g: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """A recovered Gram matrix, refused when its diagonal misses one by more than eq_tol."""
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > tol.eq_tol:
         raise InvariantViolationError(
@@ -214,12 +225,13 @@ def _pauli_deviations(
     first: np.ndarray, second: np.ndarray, e: np.ndarray, weight: float, square: float
 ) -> tuple[float, float] | None:
     """Upper bounds on the Gram deviation of (w F_p) against e over p <= q, F being
-    `first` then `second`, and on max|F_p^2 - square I|, from Pauli coordinates.
+    `first` then `second`, and on max|F_p^2 - square I|, from Pauli coordinates
+    (clifford.family_fit).
 
     The Gram bound is clifford.pauli_gram scaled by w^2, the square bound
     clifford.pauli_square_bounds.  None when d is not a power of two >= 2.
     """
-    fits = [pauli_coordinates(f) for f in (first, second)]
+    fits = [family_fit(f) for f in (first, second)]
     if None in fits:
         return None
     coords, delta, _ = (np.concatenate(parts) for parts in zip(*fits))
@@ -269,8 +281,8 @@ def verify_factorization(
         k = as_matrix(fact.k)
         d = fact.dim
         first, second = as_family(held(fact, "x_mats"), "X family", d), as_family(held(fact, "y_mats"), "Y family", d)
-        scalar = k.size and np.array_equal(k, k[0, 0] * np.eye(k.shape[0]))
-        weight, square, inv_name = (abs(complex(k[0, 0])) if scalar else None), 1.0, "involutions"
+        scalar = identity_multiple(k)
+        weight, square, inv_name = (None if scalar is None else abs(complex(scalar))), 1.0, "involutions"
         herm_dev = float(hermitian_deviations(k[None])[0])
         min_eig = float(eigenvalue_bounds(k[None])[0][0])
         trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
@@ -309,7 +321,8 @@ def verify_factorization(
 def _pauli_identity_deviations(
     mats: np.ndarray, block: np.ndarray, mus: np.ndarray, rows, cols
 ) -> tuple[float, float] | None:
-    """Upper bounds on the two identity checks from the Pauli coordinates of the family.
+    """Upper bounds on the two identity checks from the Pauli coordinates of the family
+    (clifford.family_fit).
 
     S = sum_i mu_i M_i has the coordinates sum_i mu_i c_i, and its residual
     sum_i mu_i R_i has entries at most sum_i |mu_i| max|R_i| and Frobenius
@@ -317,7 +330,7 @@ def _pauli_identity_deviations(
     max|S^2 - (mu^T A mu) I| (as the pair (S, S)) and each
     max|M_i M_j + M_j M_i - 2 A_ij I|.  None when d is not a power of two >= 2.
     """
-    fit = pauli_coordinates(mats)
+    fit = family_fit(mats)
     if fit is None:
         return None
     coords, delta, resid = fit
@@ -351,9 +364,10 @@ def _dense_identity_deviations(
 
 
 def _require_block_family(a, x_mats, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric block A and the (k, d, d) stack of involutions it describes, k being its size."""
+    """The symmetric block A and the (k, d, d) family of involutions it describes, k being its size:
+    a held clifford.PauliFamily as it is (clifford.as_family), anything else as a complex stack."""
     block = _require_symmetric(a, tol, "block")
-    mats = as_stack(x_mats, "involutions")
+    mats = as_family(x_mats, "involutions")
     if mats.shape[0] != block.shape[0]:
         raise ShapeError(f"block size {block.shape[0]} does not match family size {mats.shape[0]}")
     return block, mats
@@ -372,10 +386,13 @@ def verify_clifford_identity(
     generator and also runs the exhaustive pairwise check
     X_i X_j + X_j X_i = 2 A_ij I, which covers the identity exactly.  All
     directions are drawn at once (the same stream as one draw per trial).
-    Both checks are first judged from bounds taken in Pauli coordinates
-    (_pauli_identity_deviations); that report stands only when both pass,
-    and otherwise the batched products decide (_dense_identity_deviations),
-    so a pass is a proof and a failure is the dense report.  A negative
+    The family may be a held clifford.PauliFamily, such as a leading slice
+    held(mf, "x_mats")[:r] of a built one; its dense stack is built only when
+    the bounds do not decide.  Both checks are first judged from bounds taken
+    in Pauli coordinates (_pauli_identity_deviations); that report stands
+    only when both pass, and otherwise the batched products decide
+    (_dense_identity_deviations), so a pass is a proof and a failure is the
+    dense report.  A negative
     `trials` raises ShapeError: the directions form a (trials, k) array.
     """
     if trials < 0:
@@ -402,7 +419,7 @@ def verify_clifford_identity(
     return decide(
         report,
         _pauli_identity_deviations(mats, block, mus, rows, cols),
-        lambda: _dense_identity_deviations(mats, block, mus, rows, cols),
+        lambda: _dense_identity_deviations(as_dense(mats), block, mus, rows, cols),
     )
 
 
@@ -413,6 +430,7 @@ def orthonormalize_generators(a, x_mats, tol: ToleranceConfig = DEFAULT_TOL) -> 
     X'_k = w_k^{-1/2} sum_i u_k(i) X_i anticommute exactly pairwise.
     """
     block, mats = _require_block_family(a, x_mats, tol)
+    mats = as_dense(mats)
     w, u = sorted_eigh(block)
     if w.size and w[-1] < -tol.psd_tol:
         raise NotPsdError(f"block has eigenvalue {w[-1]:.3e}")

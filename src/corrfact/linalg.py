@@ -278,23 +278,35 @@ def scatter_columns(out: np.ndarray, cols: np.ndarray, values: np.ndarray) -> No
     out.reshape(-1)[flat_idx] = values
 
 
-def _monomial(m) -> tuple[np.ndarray | None, np.ndarray] | None:
-    """Where the nonzeros of a monomial matrix with real entries sit, and their values.
+def identity_multiple(m: np.ndarray):
+    """c when a square matrix is exactly c I (its diagonal all c, every other entry zero), else None."""
+    diag = np.diagonal(m)
+    if m.ndim != 2 or not diag.size or m.shape[0] != m.shape[1] or not (diag == diag[0]).all():
+        return None
+    return diag[0] if np.count_nonzero(m) == np.count_nonzero(diag) else None
 
-    For m square with exactly one nonzero in each row and each column, every
-    one finite with zero imaginary part, returns (cols, vals): row i holds
-    vals[i] in column cols[i], and cols is None when m is diagonal.  None for
+
+def _monomial(m) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """Where the nonzeros of a (rectangular) monomial matrix with real entries sit, and their values.
+
+    For m of shape (p, q), p <= q, with exactly one nonzero in each row, no
+    two in one column, every one finite with zero imaginary part, returns
+    (cols, vals): row i holds vals[i] in column cols[i], and cols is None
+    when m is square and diagonal.  Square, that is one nonzero in each row
+    and each column; wide, a selection of rows of such a matrix.  None for
     any other matrix.
     """
     a = np.asarray(m)
-    d = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != d or np.count_nonzero(a) != d:
+    if a.ndim != 2:
         return None
-    if np.count_nonzero(a.diagonal()) == d:
+    p, q = a.shape
+    if p > q or np.count_nonzero(a) != p:
+        return None
+    if p == q and np.count_nonzero(a.diagonal()) == p:
         cols, vals = None, a.diagonal()
     else:
         rows, cols = np.nonzero(a)
-        if not (np.array_equal(rows, np.arange(d)) and a.any(axis=0).all()):
+        if not (np.array_equal(rows, np.arange(p)) and np.count_nonzero(a.any(axis=0)) == p):
             return None
         vals = a[rows, cols]
     if np.iscomplexobj(vals):
@@ -306,19 +318,19 @@ def _monomial(m) -> tuple[np.ndarray | None, np.ndarray] | None:
 
 def gather_steps(left, right, d: int) -> list[tuple] | None:
     """What sandwich(left, mats, right) does to a stack of d x d matrices when every given factor
-    is monomial with real entries: the gathers and scalings it applies, in order, as
-    (axis, source indices or None, scale or None); an empty list when nothing is left to do.
-    None when some factor is multiplied in: it is not such a matrix, or d < GATHER_MIN_DIM."""
+    is monomial with real entries, left (p, d) and right (d, q) for p, q <= d: the gathers and
+    scalings it applies, in order, as (axis, source indices or None, scale or None); an empty
+    list when nothing is left to do.  None when some factor is multiplied in: it is not such a
+    matrix, or d < GATHER_MIN_DIM."""
     small = d < GATHER_MIN_DIM
     lf = None if left is None or small else _monomial(left)
-    rf = None if right is None or small else _monomial(right)
+    # column j of the product is column src[j] of the stack, scaled by right[src[j], j]
+    rf = None if right is None or small else _monomial(np.asarray(right).T)
     if (left is not None and lf is None) or (right is not None and rf is None):
         return None
     steps = [] if lf is None else [(-2, lf[0], lf[1][:, None])]
     if rf is not None:
-        # column j of the product is column src[j] of the stack, scaled by that row's value
-        src = None if rf[0] is None else np.argsort(rf[0])
-        steps.append((-1, src, rf[1] if src is None else rf[1][src]))
+        steps.append((-1, rf[0], rf[1]))
     steps = [(axis, src, None if (scale == 1.0).all() else scale) for axis, src, scale in steps]
     return [(axis, src, scale) for axis, src, scale in steps if src is not None or scale is not None]
 
@@ -327,10 +339,12 @@ def sandwich(left, mats: np.ndarray, right=None, out: np.ndarray | None = None) 
     """left @ mats @ right for a (k, d, d) stack; a factor given as None is left out.
 
     When every given factor is monomial (one nonzero per row and per column)
-    with real entries, the product is a gather of rows and columns and a
-    real scaling (gather_steps): each entry is one entry of the stack times
-    the same factors, in the matmul's order.  For finite input that equals
-    the matmul but for the sign of a zero.  A diagonal factor gathers nothing
+    with real entries, or a selection of rows (left) or columns (right) of
+    such a matrix, as a column selection of I is, the product is a gather of
+    rows and columns and a real scaling (gather_steps): each entry is one
+    entry of the stack times the same factors, in the matmul's order.  For
+    finite input that equals the matmul but for the sign of a zero: a sum
+    x + 0 * y + ... gives +0.0 where x is -0.0.  A diagonal factor gathers nothing
     and a factor of ones scales nothing; when nothing is left to do and no
     `out` is given, the result is a read-only view of `mats`, not a copy.
     Any other factor, and every factor of matrices smaller than
@@ -445,12 +459,25 @@ def schmidt(psi, d: int, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtDecomposi
 
     Coefficients below rank_tol times the largest are dropped.  Each left
     vector is rotated so its first nonvanishing component is real positive,
-    with the compensating phase pushed onto the right vector.
+    with the compensating phase pushed onto the right vector.  When
+    vec_inv(psi) is exactly c I, as for the maximally entangled state, no SVD
+    is taken: u = I, vh = (c / |c|) I and every singular value |c|, rounded
+    as LAPACK's bidiagonal solver rounds it, and the same rotation follows.
+    For a positive c these are the bits the SVD gives.
     """
     a = np.asarray(psi, dtype=complex).reshape(-1)
     if a.size != d * d:
         raise ShapeError(f"expected a vector of length {d * d}, got {a.size}")
-    u, s, vh = np.linalg.svd(a.reshape(d, d))
+    c = identity_multiple(a.reshape(d, d)) if d else None
+    if c is not None and c != 0:
+        size = abs(c)
+        if d > 25:  # dbdsdc's divide and conquer scales the diagonal by 1/|c| and back
+            size = (size * (1.0 / size)) * size
+        u, s, vh = np.eye(d, dtype=complex), np.full(d, size), np.eye(d, dtype=complex)
+        if c != abs(c):
+            vh *= c / abs(c)
+    else:
+        u, s, vh = np.linalg.svd(a.reshape(d, d))
     keep = rank_mask(s, tol)
     coeffs = s[keep].copy()
     lefts = u[:, keep].T.copy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import ChainStack, Family, as_dense, as_family, chain_family, chain_values, held
+from .clifford import Family, as_dense, as_family, chain_family, chain_values, held, unspent
 from .elliptope import CSystem
 from .errors import (
     CSystemMismatchError,
@@ -35,6 +35,7 @@ from .linalg import (
     chunks,
     eigenvalue_bounds,
     gather_steps,
+    identity_multiple,
     numerical_rank,
     rank_mask,
     require_hermitian,
@@ -52,8 +53,8 @@ class TensorProductRep:
     alice_obs has shape (n, d, d) and bob_obs (m, d, d); psi is a vector of
     length d^2, rho a d^2 x d^2 density matrix.  States are kept as vectors
     whenever possible; the density matrix is materialized on demand.  Built
-    observables are held as clifford.ChainStack values, made dense on the
-    first read of alice_obs or bob_obs (clifford.Family).
+    observables are held as a clifford.PauliFamily, made dense on the first
+    read of alice_obs or bob_obs (clifford.Family).
     """
 
     alice_obs: np.ndarray = Family()
@@ -110,10 +111,9 @@ def build_tensor_rep(c, sys: CSystem, tol: ToleranceConfig = DEFAULT_TOL) -> Ten
     The system's vectors are expressed in an orthonormal basis of their
     common span (dimension r); the observables are G(u_i) and G(v_j)^T for
     the rank-r generator family, and the state is the maximally entangled
-    vector at local dimension 2^floor(r/2).  The observables are formed on
-    the chain support alone, and kept there as ChainStacks from
-    d = GATHER_MIN_DIM on (clifford.chain_family), Bob's G(v_j)^T as G(v'_j)
-    with the Y-type coordinates of v_j negated.  A rank cutoff that keeps no
+    vector at local dimension 2^floor(r/2).  The observables are kept as
+    their Pauli coordinates from d = GATHER_MIN_DIM on (clifford.chain_family),
+    Bob's G(v_j)^T as G(v'_j) with the Y-type coordinates of v_j negated.  A rank cutoff that keeps no
     singular value raises EmptyRankError.
     """
     block = as_matrix(c, "bipartite block")
@@ -148,10 +148,15 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
 
     For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi).
     When W is a multiple c I of the identity, as for the maximally entangled
-    state, that is |c|^2 sum_cb M_i[c, b] N_j[c, b]; when both families hold
-    their values on the chain support, or clifford.support_values proves
-    them +0.0 off it (clifford.chain_values), the block is one GEMM of those
-    values, (L+1) d of the d^2 places, since both are zero at every other.
+    state, that is |c|^2 sum_cb M_i[c, b] N_j[c, b].  When both families are
+    held as their Pauli coordinates (unspent clifford.PauliFamily holders),
+    that sum is |c|^2 d sum_p a_p b_p t_p, t_p = -1 for the Y-type chains
+    (Y^T = -Y) and 1 for the others: no value is formed, and the entries may
+    differ from a GEMM of the values in the last bits.  When both families
+    have values on the chain support, in which clifford.support_values
+    proves them +0.0 off it (clifford.chain_values), the block is one GEMM
+    of those values, (L+1) d of the d^2 places, since both are zero at every
+    other.
     Otherwise the entry equals sum_cb Z_i[c, b] N_j[c, b] for
     Z_i = W^* M_i W: the Z_i are batched matmuls over chunks of Alice's
     observables (a gather and real scalings when W is monomial, as a
@@ -171,12 +176,9 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
             raise InvariantViolationError(f"state norm deviates from one by {norm_dev:.3e}")
         w = vec_inv(rep.psi, d)
         alice, bob = held(rep, "alice_obs"), held(rep, "bob_obs")
-        scalar = np.array_equal(w, w[0, 0] * np.eye(d))
-        alice_values = chain_values(alice) if scalar else None
-        bob_values = None if alice_values is None else chain_values(bob)
-        if bob_values is not None:
-            vals = (alice_values @ bob_values.T) * abs(w[0, 0]) ** 2
-        else:
+        scalar = identity_multiple(w)
+        vals = None if scalar is None else _scalar_state_block(alice, bob, abs(scalar) ** 2)
+        if vals is None:
             wh = w.conj().T
             alice, bob = as_dense(alice), as_dense(bob).reshape(m, d * d)
             vals = np.empty((n, m), dtype=complex)
@@ -193,6 +195,18 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
     if residue > tol.eq_tol:
         raise InvariantViolationError(f"imaginary residue {residue:.3e} exceeds eq_tol")
     return vals.real.copy()
+
+
+def _scalar_state_block(alice, bob, scale: float) -> np.ndarray | None:
+    """scale sum_cb M_i[c, b] N_j[c, b]: from the coordinates of two unspent PauliFamily holders,
+    or one GEMM of the chain values of two families that have them; None otherwise."""
+    if unspent(alice) and unspent(bob):
+        a = alice.coordinates().copy()
+        a[:, alice.d.bit_length() : -1] *= -1.0  # Y^T = -Y: the Y-type coordinates, slots 1..L
+        return (a @ bob.coordinates().T) * (scale * alice.d)
+    alice_values = chain_values(alice)
+    bob_values = None if alice_values is None else chain_values(bob)
+    return None if bob_values is None else (alice_values @ bob_values.T) * scale
 
 
 def _rank_one_vector(rep: TensorProductRep, tol: ToleranceConfig) -> np.ndarray:
@@ -216,7 +230,7 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
     [-1, 1] because compressions of contractions are contractions.  When an
     isometry is the identity, its side's observables are not copied: the
     result holds a read-only view of the input's stack, with the same bits
-    (of its ChainStack, while that holder is unspent).
+    (of its PauliFamily, while that holder is unspent).
     """
     phi = _rank_one_vector(rep, tol)
     d_in = rep.local_dim
@@ -233,8 +247,8 @@ def reduce_rank_one_rep(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TO
 
 def _compress(family, iso: np.ndarray):
     """iso @ M @ iso^* for each observable (linalg.sandwich).  When that leaves an unspent
-    ChainStack as it is, a read-only view of the holder (ChainStack.view)."""
-    if isinstance(family, ChainStack) and not family.spent and gather_steps(iso, iso.conj().T, family.d) == []:
+    PauliFamily as it is, a read-only view of the holder (PauliFamily.view)."""
+    if unspent(family) and gather_steps(iso, iso.conj().T, family.d) == []:
         return family.view()
     return sandwich(iso, as_dense(family), iso.conj().T)
 

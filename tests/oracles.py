@@ -29,7 +29,7 @@ import numpy as np
 
 from corrfact.clifford import CliffordRep, _pauli_tables, gamma_generators, gamma_of_vector
 from corrfact.cpsd import CpsdFactorization
-from corrfact.elliptope import gram_factors, require_correlation, resolve_gram_factors
+from corrfact.elliptope import factored_correlation, gram_factors, require_correlation
 from corrfact.errors import (
     InconsistentSumsError,
     InvariantViolationError,
@@ -742,7 +742,7 @@ def tensordot_factorize_clifford(e, split: int | None = None, *, factors=None, t
         split = n
     if not 0 <= split <= n:
         raise ShapeError(f"split must lie in [0, {n}], got {split}")
-    u = resolve_gram_factors(a, factors, tol)
+    u = factored_correlation(a, factors, tol)[1]
     rep = gamma_generators(u.shape[1])
     mats = _gamma_of_rows(rep, u)
     mats *= 1.0 / math.sqrt(rep.rep_dim)
@@ -751,7 +751,7 @@ def tensordot_factorize_clifford(e, split: int | None = None, *, factors=None, t
 
 def tensordot_build_cpsd_factorization(c, *, factors=None, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdFactorization:
     a = require_correlation(c, tol)
-    u = resolve_gram_factors(a, factors, tol, unit=True)
+    u = factored_correlation(a, factors, tol, unit=True)[1]
     rep = gamma_generators(u.shape[1])
     d = rep.rep_dim
     eye = np.eye(d, dtype=complex)

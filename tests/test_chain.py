@@ -158,7 +158,7 @@ def test_verifier_and_extraction_scan_the_family_once(monkeypatch, scans, r):
     assert report.passed and scans == [(2 * n, d * d)]
     scans.clear()
     # X's coordinates come from the values extraction holds, so X is never scanned
-    monkeypatch.setattr(cpsd, "pauli_coordinates", None)
+    monkeypatch.setattr(cpsd, "family_fit", None)
     mf, diagnostics = extract_matrix_factorization(family)
     assert diagnostics.passed and scans == [(2 * n, d * d)]
     scans.clear()

@@ -1,23 +1,27 @@
-"""Built Clifford families held as their chain-support values (clifford.ChainStack).
+"""Built Clifford families held as their Pauli coordinates (clifford.PauliFamily).
 
-From d = GATHER_MIN_DIM on, every builder keeps the values of its family at
-the (L+1) d places of clifford._pauli_tables, and the dense stack is built
-on the first read of the public attribute.  The carried values must be the
-ones support_values reads from that stack, and every report and array taken
-from the compact family must be the one its dense copy gives, bit for bit.
-Once read, the dense stack is what every later check sees.  The memory
-budget (linalg.require_budget) refuses an allocation before it is made.
+From d = GATHER_MIN_DIM on, every builder keeps the Pauli coordinates of its
+family, and the dense stack is built on the first read of the public
+attribute, with the bits the builders have always made.  The verifiers
+decide a held family from its coordinates and the rounding bound of
+PauliFamily.fit: every report agrees with its dense copy's in every outcome,
+and every bound holds for the dense values.  Once read, the dense stack is
+what every later check sees.  The memory budget (linalg.require_budget)
+refuses an allocation before it is made.
 """
 
 import dataclasses
+import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from corrfact import cli, clifford, cpsd, linalg, matio
-from corrfact.clifford import ChainStack, held, support_values
+from corrfact.clifford import PauliFamily, held, support_values
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, extract_matrix_factorization, verify_cpsd_factorization
 from corrfact.elliptope import gen_extreme_lex, gram_factors
 from corrfact.errors import MemoryBudgetError
@@ -27,6 +31,7 @@ from corrfact.factorization import (
     factorize_clifford,
     recover_correlation,
     to_form_c,
+    verify_clifford_identity,
     verify_factorization,
 )
 from corrfact.quantum import TensorProductRep, build_tensor_rep, eval_correlations, reduce_rank_one_rep
@@ -36,26 +41,64 @@ from test_support import _bipartite, _points
 
 RANKS = [8, 10, 12, 14]
 CASES = [(r, k) for r in RANKS for k in range(3)]
+# with CASES, every rank from 8 to 16 at the lex point and two random points
+MORE_CASES = [(r, k) for r in (9, 11, 13, 15, 16) for k in range(3)]
 
 
 def _point(r, k):
     return _points(r)[k]
 
 
-def _values_match_dense(family):
-    """The carried values are the ones support_values reads from the dense stack, bit for bit."""
-    assert isinstance(family, ChainStack) and not family.spent
-    values = family.values
+def _measured_residual(coords, dense):
+    """||M - M'||_F and max|M - M'| for each matrix of a dense stack, M' = c_0 I + G(c) rebuilt
+    in extended precision; every entry off the chain support must be +-0.0."""
+    k, d = len(coords), dense.shape[-1]
+    pos, table = clifford._pauli_tables(d.bit_length() - 1)
+    flat = dense.reshape(k, d * d)
+    assert not np.delete(flat, pos, axis=1).any()
+    c = coords.astype(np.longdouble)
+    vals = flat[:, pos]
+    diff_re = vals.real.astype(np.longdouble) - c @ table.real.astype(np.longdouble)
+    diff_im = vals.imag.astype(np.longdouble) - c @ table.imag.astype(np.longdouble)
+    squares = diff_re**2 + diff_im**2
+    return np.sqrt(squares.sum(axis=1)), np.sqrt(squares.max(axis=1))
+
+
+def _holds_its_values(family):
+    """An unspent holder's chain values are the ones support_values reads from its dense stack, bit
+    for bit, and its fit bounds how far those values lie from its coordinates."""
+    assert isinstance(family, PauliFamily) and not family.spent
+    coords, delta, resid = family.fit()
+    values = family.chain_values()
     dense = family.dense()
     assert family.spent and dense.flags.c_contiguous and dense.dtype == complex
     read = support_values(dense.reshape((-1,) + dense.shape[-2:]))
     assert read is not None and read.tobytes() == values.tobytes()
+    frob, top = _measured_residual(coords, dense)
+    assert np.all(frob <= delta) and np.all(top <= resid)
+    assert np.all(delta > 0.0) and np.all(resid > 0.0)
 
 
 def _same_array(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _same_outcome(held_report, dense_report):
+    """Reports with the same checks, outcomes and payloads, whose deviations differ in the last bits alone."""
+    assert [(c.name, c.passed, c.value) for c in held_report.checks] == [
+        (c.name, c.passed, c.value) for c in dense_report.checks
+    ]
+    for got, want in zip(held_report.checks, dense_report.checks):
+        assert abs(got.deviation - want.deviation) <= 1e-12, got.name
+
+
+def _bounds(bound_report, exact_report):
+    """Each deviation of a report taken from bounds is at least the deviation the dense products
+    find, up to those products' own rounding (1e-14, the entries being at most 1)."""
+    for bound, exact in zip(bound_report.checks, exact_report.checks):
+        assert bound.name == exact.name and bound.deviation + 1e-14 >= exact.deviation, bound.name
 
 
 # ------------------------------------------------------------ the carried values
@@ -84,7 +127,30 @@ def test_carried_values_are_the_dense_support_values(r, k):
         held(reduced, "bob_obs"),
     ]
     for holder in holders:
-        _values_match_dense(holder)
+        _holds_its_values(holder)
+
+
+PARENT_HASHES = {
+    # sha256 prefixes of the dense reads fb.a_mats, fb.b_mats, mf.x_mats, mf.y_mats, cpsd mats
+    # and extracted x_mats, built from the lex vectors as given factors (no eigensolver), as the
+    # families kept as their chain-support values wrote them
+    8: ("2e0b5a9975f5f8cd", "94b79ec5c8e58b33", "b02f36f52b47a47e", "928349bd3516086c", "82c1aba218dc8f4f", "368985724e354af5"),
+    9: ("ee9f3e11991ce772", "db39f31705aefe36", "c451926f77ad8a49", "f13660d255826b13", "a8026c89f7432a1a", "af67654663151ccc"),
+    12: ("221e422b19d42b9a", "70db5345cb7eaf46", "fcbf1028a045f331", "1b21a14c5b4909b3", "7273913c67b17bee", "04e0761e780c6a34"),
+    13: ("c799c46688a793ac", "fd9ffaf0afb446a3", "a2e6676991aaea50", "3361614c2224fc64", "94980f34ed355f8d", "7f80c1b0ef1bf357"),
+}
+
+
+@pytest.mark.parametrize("r", sorted(PARENT_HASHES))
+def test_dense_reads_keep_the_bits_of_the_chain_value_holders(r):
+    e, vectors = gen_extreme_lex(r)
+    h = e.shape[0] // 2
+    fb = factorize_clifford(e, h, factors=vectors)
+    mf = to_form_c(factorize_clifford(e, h, factors=vectors))
+    extracted, _ = extract_matrix_factorization(build_cpsd_factorization(e, factors=vectors))
+    reads = (fb.a_mats, fb.b_mats, mf.x_mats, mf.y_mats, build_cpsd_factorization(e, factors=vectors).mats, extracted.x_mats)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16] for a in reads)
+    assert got == PARENT_HASHES[r]
 
 
 @pytest.mark.parametrize("r", range(1, 8))
@@ -112,9 +178,7 @@ def test_dense_stack_is_built_once_and_kept():
 # ------------------------------------------------------------ reports and arrays
 
 
-@pytest.mark.parametrize("r, k", CASES)
-def test_reports_and_arrays_equal_the_dense_copies(r, k):
-    e = _point(r, k)
+def _reports_agree_with_dense_copies(e):
     n = e.shape[0]
     h = n // 2
     doubled = np.block([[e, e], [e, e]])
@@ -122,29 +186,47 @@ def test_reports_and_arrays_equal_the_dense_copies(r, k):
     fb = factorize_clifford(e, h)
     fb_copy = factorize_clifford(e, h)
     fb_dense = FormBFactorization(fb_copy.a_mats.copy(), fb_copy.b_mats.copy())
-    _same_exactly(verify_factorization(e, fb, mode="b-form"), verify_factorization(e, fb_dense, mode="b-form"))
+    report = verify_factorization(e, fb, mode="b-form")
+    _same_outcome(report, verify_factorization(e, fb_dense, mode="b-form"))
+    _bounds(report, oracles.dense_verify_factorization(e, fb_dense, mode="b-form"))
     mf, mf_dense = to_form_c(fb), to_form_c(fb_dense)
-    assert isinstance(held(mf, "x_mats"), ChainStack)
-    _same_array(recover_correlation(mf), recover_correlation(mf_dense))
+    assert isinstance(held(mf, "x_mats"), PauliFamily)
+    assert np.max(np.abs(recover_correlation(mf) - recover_correlation(mf_dense))) < 1e-14
     for mode in ("i", "i-prime"):
-        _same_exactly(verify_factorization(e, mf, mode=mode), verify_factorization(e, mf_dense, mode=mode))
+        report = verify_factorization(e, mf, mode=mode)
+        _same_outcome(report, verify_factorization(e, mf_dense, mode=mode))
+        _bounds(report, oracles.dense_verify_factorization(e, mf_dense, mode=mode))
+    r = held(mf, "x_mats").coords.shape[1] - 2
+    block = e[:r, :r] if r <= h else e[:h, :h]
+    k = block.shape[0]
+    report = verify_clifford_identity(block, held(mf, "x_mats")[:k], trials=20, seed=k)
+    _same_outcome(report, verify_clifford_identity(block, mf_dense.x_mats[:k], trials=20, seed=k))
+    _bounds(report, oracles.dense_verify_clifford_identity(block, mf_dense.x_mats[:k], trials=20, seed=k))
 
     family = build_cpsd_factorization(e)
     dense = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
     witness = cpsd.build_pc(e)
-    _same_exactly(verify_cpsd_factorization(witness, family), verify_cpsd_factorization(witness, dense))
+    report = verify_cpsd_factorization(witness, family)
+    _same_outcome(report, verify_cpsd_factorization(witness, dense))
+    exact = oracles.dense_verify_cpsd_factorization(witness, dense)
+    _bounds(report, exact)
+    assert float(report.check("factors_psd").note.split()[-1]) <= float(exact.check("factors_psd").note.split()[-1])
     (x, report), (x_dense, report_dense) = extract_matrix_factorization(family), extract_matrix_factorization(dense)
-    _same_exactly(report, report_dense)
-    _same_array(recover_correlation(x), recover_correlation(x_dense))
-    _same_exactly(verify_factorization(doubled, x), verify_factorization(doubled, x_dense))
+    _same_outcome(report, report_dense)
+    assert report.check("involutions").deviation >= float(np.max(linalg.square_deviations(x_dense.x_mats)))
+    assert np.max(np.abs(recover_correlation(x) - recover_correlation(x_dense))) < 1e-14
+    _same_outcome(verify_factorization(doubled, x), verify_factorization(doubled, x_dense))
 
     rep = build_tensor_rep(*_bipartite(e))
     rep_copy = build_tensor_rep(*_bipartite(e))
     rep_dense = TensorProductRep(rep_copy.alice_obs.copy(), rep_copy.bob_obs.copy(), psi=rep_copy.psi)
-    _same_array(eval_correlations(rep), eval_correlations(rep_dense))
+    assert np.max(np.abs(eval_correlations(rep) - eval_correlations(rep_dense))) < 1e-14
     reduced, reduced_dense = reduce_rank_one_rep(rep), reduce_rank_one_rep(rep_dense)
-    _same_array(eval_correlations(reduced), eval_correlations(reduced_dense))
+    assert np.max(np.abs(eval_correlations(reduced) - eval_correlations(reduced_dense))) < 1e-14
 
+    # no held family was read: every report above came from coordinates
+    for obj, name in ((fb, "a_mats"), (mf, "x_mats"), (family, "mats"), (x, "x_mats"), (rep, "alice_obs")):
+        assert not held(obj, name).spent, name
     # the dense stacks, read last, are the dense copies' arrays
     pairs = [(fb.a_mats, fb_dense.a_mats), (fb.b_mats, fb_dense.b_mats), (mf.x_mats, mf_dense.x_mats)]
     pairs += [(mf.y_mats, mf_dense.y_mats), (mf.k, mf_dense.k), (family.mats, dense.mats)]
@@ -153,6 +235,18 @@ def test_reports_and_arrays_equal_the_dense_copies(r, k):
     pairs += [(reduced.bob_obs, reduced_dense.bob_obs), (reduced.psi, reduced_dense.psi)]
     for got, want in pairs:
         _same_array(got, want)
+
+
+@pytest.mark.parametrize("r, k", CASES)
+def test_reports_and_arrays_equal_the_dense_copies(r, k):
+    """Every report of a held family has the outcomes of its dense copy's, each deviation a bound
+    on the dense one; recovered and evaluated entries move in the last bits alone."""
+    _reports_agree_with_dense_copies(_point(r, k))
+
+
+@pytest.mark.parametrize("r, k", MORE_CASES)
+def test_reports_agree_with_the_dense_copies_at_odd_rank_and_r16(r, k):
+    _reports_agree_with_dense_copies(_point(r, k))
 
 
 @pytest.mark.parametrize("r", [8, 12])
@@ -208,7 +302,7 @@ def test_reduction_view_shares_the_holder_and_reads_read_only():
     rep = build_tensor_rep(*_bipartite(gen_extreme_lex(10)[0]))
     reduced = reduce_rank_one_rep(rep)
     view = held(reduced, "alice_obs")
-    assert isinstance(view, ChainStack) and view.values is held(rep, "alice_obs").values
+    assert isinstance(view, PauliFamily) and view.coords is held(rep, "alice_obs").coords
     assert not reduced.alice_obs.flags.writeable and np.shares_memory(reduced.alice_obs, rep.alice_obs)
     assert view.spent and held(rep, "alice_obs").spent
     again = reduce_rank_one_rep(rep)  # a spent holder takes the dense path: a read-only view as well
@@ -229,11 +323,33 @@ def test_constructors_and_replace_keep_working():
         CpsdFactorization()
 
 
+# ------------------------------------------------------------ leading slices
+
+
+@pytest.mark.parametrize("r", [8, 12])
+def test_identity_check_on_a_held_slice_builds_no_dense_stack(monkeypatch, r):
+    e = gen_extreme_lex(r)[0]
+    mf = to_form_c(factorize_clifford(e))
+    whole = held(mf, "x_mats")
+    head = whole[:r]
+    assert isinstance(head, PauliFamily) and head.shape == (r, mf.dim, mf.dim)
+    builds = []
+    inner = linalg.scatter_columns
+    monkeypatch.setattr(clifford, "scatter_columns", lambda *a: builds.append(a[0].shape) or inner(*a))
+    report = verify_clifford_identity(e[:r, :r], head, trials=50, seed=r)
+    assert report.passed and builds == [] and not whole.spent and not head.spent
+    _same_outcome(report, verify_clifford_identity(e[:r, :r], mf.x_mats[:r], trials=50, seed=r))
+    # the slice's own dense stack is the first r matrices of the whole one
+    _same_array(head.dense(), mf.x_mats[:r])
+    # a spent family slices as its dense stack does
+    assert type(whole[:r]) is np.ndarray and np.shares_memory(whole[:r], mf.x_mats)
+
+
 # ------------------------------------------------------------ the memory budget
 
 
 def test_a_densify_over_budget_is_refused(monkeypatch, tmp_path):
-    """At r=12 the values take 1.1 MB and the dense stack 10 MB: under a 4 MiB budget the family
+    """At r=12 the coordinates take 20 KB and the dense stack 10 MB: under a 4 MiB budget the family
     is built and verified, and only the dense stack is refused."""
     e = gen_extreme_lex(12)[0]
     monkeypatch.setattr(linalg, "MEMORY_BUDGET", 4 << 20)
@@ -247,9 +363,9 @@ def test_a_densify_over_budget_is_refused(monkeypatch, tmp_path):
 
 
 def test_an_r20_build_is_refused_before_its_tables(tmp_path, capsys, monkeypatch):
-    """r=20 (n=210, d=1024): the Pauli tables alone would take 352 MiB; under a 32 MiB budget the
-    CLI exits 3 with one line naming both sizes, and nothing near either is allocated (the
-    witness and its text take a few MB)."""
+    """r=20 (n=210, d=1024): under a 32 MiB budget the CLI builds the family as its coordinates and
+    exits 3 with one line naming both sizes when the write reads its dense stack, before any
+    Pauli table or value is made (the witness and its text take a few MB)."""
     monkeypatch.setattr(linalg, "MEMORY_BUDGET", 32 << 20)
     path = tmp_path / "E20.json"
     matio.write_matrix(path, gen_extreme_lex(20)[0])
@@ -261,7 +377,7 @@ def test_an_r20_build_is_refused_before_its_tables(tmp_path, capsys, monkeypatch
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 3
-    assert err == "error: the Pauli tables of size 1024 would take 352 MiB, over the memory budget of 32 MiB\n"
+    assert err == "error: a dense stack of 420 matrices of size 1024 would take 6.56 GiB, over the memory budget of 32 MiB\n"
     assert peak < 16 << 20
     assert not (tmp_path / "f").exists()
 
@@ -273,8 +389,30 @@ def test_rank_tol_zero_build_exits_three(tmp_path, capsys, monkeypatch):
     matio.write_matrix(path, gen_extreme_lex(10)[0])
     assert cli.run(["--rank-tol", "0", "factorize", "build", str(path), "-o", str(tmp_path / "f")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: the Pauli tables of size ") and "over the memory budget of 64 MiB" in err
+    assert err == "error: a weight of size 32768 would take 16 GiB, over the memory budget of 64 MiB\n"
     assert err.count("\n") == 1
+
+
+def test_cpsd_check_at_r24_stays_small(tmp_path, capsys):
+    """r=24 (n=300, d=4096): the witness check of the built family runs on its coordinates in a
+    few MB, where its chain values would take 511 MB and its dense stack 150 GiB; a dense read
+    is refused by the budget, and the CLI write exits 3."""
+    e = gen_extreme_lex(24)[0]
+    witness = cpsd.build_pc(e)
+    tracemalloc.start()
+    try:
+        report = verify_cpsd_factorization(witness, build_cpsd_factorization(e))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and peak < 200 << 20
+    with pytest.raises(MemoryBudgetError, match=r"a dense stack of 600 matrices of size 4096 would take 150 GiB"):
+        build_cpsd_factorization(e).mats
+    path = tmp_path / "E24.json"
+    matio.write_matrix(path, e)
+    assert cli.run(["cpsd", "build-pc", str(path), "-o", str(tmp_path / "PC.json"), "--factors", str(tmp_path / "f")]) == 3
+    assert re.fullmatch(r"error: a dense stack of 600 matrices of size 4096 would take 150 GiB, over the memory "
+                        r"budget of [0-9.]+ [GM]iB\n", capsys.readouterr().err)
 
 
 # ------------------------------------------------------------ the CLI's exit codes

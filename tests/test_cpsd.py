@@ -236,3 +236,44 @@ def test_extract_rejects_inconsistent_sums():
     mats[0, 0] *= 0.9
     with pytest.raises(InconsistentSumsError):
         extract_matrix_factorization(CpsdFactorization(mats))
+
+
+def _matmul_extraction(monkeypatch, family):
+    """extract_matrix_factorization with every support basis multiplied in."""
+    from corrfact import linalg, cpsd as module
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "GATHER_MIN_DIM", 1 << 30)
+        return module.extract_matrix_factorization(family)
+
+
+@pytest.mark.parametrize("kind", ["padded", "permuted"])
+def test_padded_and_permuted_extraction_gathers_its_basis(monkeypatch, kind):
+    """A family padded to d = 66 restricts through a 66 x 64 column selection of I, and a permuted one
+    through a permutation: both are gathers, and the X family and the report equal the GEMM
+    path's, but for signs of zeros (a gather keeps a -0.0 that the GEMM's sums turn to +0.0)."""
+    from corrfact import linalg
+
+    e = gen_extreme_lex(12)[0]
+    mats = build_cpsd_factorization(e).mats
+    if kind == "padded":
+        big = np.zeros(mats.shape[:2] + (66, 66), dtype=complex)
+        big[..., 1:65, 1:65] = mats
+    else:
+        # distinct weights make the common sum K a diagonal with distinct entries, out of order
+        root = np.sqrt(np.linspace(1.5, 0.5, 64))
+        perm = np.random.default_rng(12).permutation(64)
+        big = (root[:, None] * mats * root)[..., perm, :][..., perm]
+    family = CpsdFactorization(big)
+    calls = []
+    inner = linalg._monomial
+    monkeypatch.setattr(linalg, "_monomial", lambda m: calls.append(np.shape(m)) or inner(m))
+    mf, report = extract_matrix_factorization(family)
+    assert (64, 66) in calls if kind == "padded" else (64, 64) in calls
+    monkeypatch.setattr(linalg, "_monomial", inner)
+    mf_gemm, report_gemm = _matmul_extraction(monkeypatch, family)
+    assert report == report_gemm and report.passed == (kind == "padded")
+    assert mf.x_mats.shape == mf_gemm.x_mats.shape == (78, 64, 64)
+    assert np.array_equal(mf.x_mats, mf_gemm.x_mats) and mf.k.tobytes() == mf_gemm.k.tobytes()
+    if kind == "padded":
+        assert np.array_equal(recover_correlation(mf), recover_correlation(mf_gemm))

@@ -286,3 +286,36 @@ def test_rank_decision_flips_at_rank_tol(r):
     assert s_above[over.rank - 1] > cutoff * s_above[0]
     # E o E stays full rank on both sides; the flip is in the required rank.
     assert near.hadamard_sv_gap == over.hadamard_sv_gap == math.inf
+
+
+def test_one_rank_decision_at_the_adversarial_cutoff():
+    """rank_tol set to the computed ratio w[r-1]/w[0] of the eigenvalues, or s[r-1]/s[0] of the
+    singular values, sits exactly at the cutoff: check_extreme, gram_factors and
+    certify_lower_bound still agree on the rank in all 1200 trials, since all three cut one
+    sorted_eigh spectrum (an SVD rank and an eigh rank disagreed in 525 of them)."""
+    from corrfact.clifford import rep_dim
+    from corrfact.cpsd import certify_lower_bound
+    from corrfact.errors import NonUnitVectorError
+    from corrfact.linalg import ToleranceConfig, sorted_eigh
+
+    rng = np.random.default_rng(14)
+    disagreements = 0
+    for trial in range(1200):
+        r = 2 + trial % 5
+        e = random_correlation(r * (r + 1) // 2, r, rng)
+        if trial % 2:
+            w = sorted_eigh(e)[0]
+            ratio = w[r - 1] / w[0]
+        else:
+            s = np.linalg.svd(e, compute_uv=False)
+            ratio = s[r - 1] / s[0]
+        tol = ToleranceConfig(rank_tol=float(ratio))
+        rank = check_extreme(e, tol).rank
+        factors = gram_factors(e, tol).shape[1]
+        try:
+            cert = certify_lower_bound(e, tol)
+        except NonUnitVectorError:  # the cutoff dropped a true eigenvalue: no construction at all
+            cert = None
+        if rank != factors or (cert is not None and (cert.rank != rank or cert.construction_dim != rep_dim(rank))):
+            disagreements += 1
+    assert disagreements == 0

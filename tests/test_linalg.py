@@ -297,3 +297,68 @@ def test_sandwich_multiplies_small_matrices_in(monkeypatch):
     mats = _random_complex(np.random.default_rng(d), 2, d, d)
     eye = np.eye(d, dtype=complex)
     assert linalg.sandwich(eye, mats, eye).tobytes() == (eye @ mats @ eye).tobytes()
+
+
+def _svd_schmidt(monkeypatch, psi, d):
+    """schmidt through the SVD, as for any psi that is not a multiple of I."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "identity_multiple", lambda a: None)
+        return linalg.schmidt(psi, d)
+
+
+@pytest.mark.parametrize("d", list(range(2, 66)) + [128, 256])
+def test_schmidt_of_the_maximally_entangled_state_skips_the_svd_with_its_bits(monkeypatch, d):
+    from corrfact.quantum import maximally_entangled
+
+    psi = maximally_entangled(d)
+    want = _svd_schmidt(monkeypatch, psi, d)
+    calls = []
+    inner = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    got = linalg.schmidt(psi, d)
+    assert calls == []
+    for field in ("coefficients", "left_vectors", "right_vectors"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("phase", [1j, -1.0, np.exp(0.3j)])
+def test_schmidt_of_a_complex_multiple_of_the_identity(monkeypatch, phase):
+    d = 32
+    psi = np.eye(d, dtype=complex).reshape(-1) * phase / np.sqrt(d)
+    got = linalg.schmidt(psi, d)
+    want = _svd_schmidt(monkeypatch, psi, d)
+    assert np.max(np.abs(got.reconstruct() - psi)) < 1e-15
+    assert_allclose(got.coefficients, want.coefficients, rtol=0, atol=1e-15)
+    assert np.all(got.left_vectors == np.eye(d))
+    assert np.max(np.abs(got.right_vectors @ got.right_vectors.conj().T - np.eye(d))) < 1e-15
+
+
+def test_schmidt_of_any_other_state_takes_the_svd(monkeypatch):
+    calls = []
+    inner = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    w = np.eye(16, dtype=complex) / 4.0
+    w[3, 3] *= 1.0 + 2.0**-52
+    linalg.schmidt(w.reshape(-1) / np.linalg.norm(w), 16)
+    w = np.eye(16, dtype=complex) / 4.0
+    w[0, 5] = 1e-300
+    linalg.schmidt(w.reshape(-1), 16)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("left_rows, right_cols", [(np.arange(16), np.arange(16)), ([0, 2, 5, 17], [3, 1, 4])])
+def test_a_selection_of_rows_and_columns_of_the_identity_is_gathered(left_rows, right_cols):
+    """A wide (p, d) selection of rows of I on the left and a tall (d, q) one on the right: the
+    product is a gather, equal to the matmul up to the sign of a zero."""
+    d = 20
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    mats[:, 0, 3] = -0.0
+    left, right = np.eye(d)[left_rows], np.eye(d)[:, right_cols]
+    assert linalg.gather_steps(left, right, d) is not None
+    got = linalg.sandwich(left, mats, right)
+    want = left @ mats @ right
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert linalg.gather_steps(np.eye(d)[[0, 0, 1]], None, d) is None  # one column twice
+    assert linalg.gather_steps(np.eye(d + 1)[:, :d], None, d) is None  # tall on the left

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from corrfact import cpsd, factorization, linalg
-from corrfact.clifford import ChainStack, _pauli_tables, combination_values, gamma_generators, pauli_coordinates
+from corrfact.clifford import PauliFamily, _pauli_tables, chain_coordinates, gamma_generators, pauli_coordinates
 from corrfact.cpsd import (
     CpsdFactorization,
     build_cpsd_factorization,
@@ -84,7 +84,7 @@ def test_combinations_invert_pauli_coordinates(ell):
     d = 2**ell
     rng = np.random.default_rng(ell)
     rows = rng.standard_normal((5, 2 * ell + 1))
-    out = ChainStack(combination_values(rows, c0=0.75, scale=0.5), d, (5,)).dense()
+    out = PauliFamily(chain_coordinates(rows, c0=0.75), d, (5,), (0.5,)).dense()
     coords, delta, resid = pauli_coordinates(out)
     assert np.allclose(coords[:, 0], 0.375, rtol=0, atol=1e-15)
     assert np.allclose(coords[:, 1:], 0.5 * rows, rtol=0, atol=1e-15)
@@ -93,11 +93,17 @@ def test_combinations_invert_pauli_coordinates(ell):
     assert not np.delete(out.reshape(5, d * d), pos, axis=1).any()
     want = np.tensordot(rows, gamma_generators(2 * ell + 1).generators, axes=1)
     assert np.allclose(out, 0.5 * (0.75 * np.eye(d) + want), rtol=0, atol=1e-15)
-    flipped = ChainStack(combination_values(rows, c0=0.75, scale=0.5, transpose=True), d, (5,)).dense()
+    flipped = PauliFamily(chain_coordinates(rows, c0=0.75, transpose=True), d, (5,), (0.5,)).dense()
     assert flipped.tobytes() == out.transpose(0, 2, 1).copy().tobytes()
 
 
 # ------------------------------------------------------------ recovery
+
+
+def _dense(mf):
+    """A copy of a factorization as plain arrays, which recovery reads through the support test
+    (a built family held as its coordinates takes the closed form instead)."""
+    return factorization.MatrixFactorization(mf.x_mats.copy(), mf.y_mats.copy(), mf.k)
 
 
 def _full_gram(mf):
@@ -118,8 +124,8 @@ def test_column_restricted_gram_matches_full_gemm(monkeypatch, r):
 
     monkeypatch.setattr(factorization, "gram", spy)
     e = _points(r)[1]
-    mf = to_form_c(factorize_clifford(e))
-    extracted, _ = extract_matrix_factorization(build_cpsd_factorization(e))
+    mf = _dense(to_form_c(factorize_clifford(e)))
+    extracted = _dense(extract_matrix_factorization(build_cpsd_factorization(e))[0])
     for fact in (mf, extracted):
         got = recover_correlation(fact)
         assert np.max(np.abs(got - _full_gram(fact))) < 1e-13
@@ -151,7 +157,7 @@ def test_off_support_bit_in_one_family_takes_the_full_gemm(monkeypatch, value, r
     inner = linalg.gram
     monkeypatch.setattr(factorization, "gram", lambda v: widths.append(v.shape[1]) or inner(v))
     e = _points(r)[1]
-    mf = to_form_c(factorize_clifford(e, e.shape[0] // 2))
+    mf = _dense(to_form_c(factorize_clifford(e, e.shape[0] // 2)))
     d = mf.dim
     off = np.delete(np.arange(d * d), _pauli_tables(d.bit_length() - 1)[0])[d + 1]
     recover_correlation(mf)
