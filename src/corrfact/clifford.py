@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,13 +68,17 @@ def rep_dim(r: int) -> int:
     return 2 if r == 1 else irreducible_dim(r)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same products a_ij b_kl, without its n-d bookkeeping."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+PAULI_STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+"""I, X, Y and Z, indexed by the codes 0..3 of a chain's slots."""
 
 
-def _chain(*factors: np.ndarray) -> np.ndarray:
-    return reduce(_kron, factors)
+def _chain_codes(r: int) -> np.ndarray:
+    """The (r, L) slot codes of the chains of gamma_generators(r), r >= 2: chain i of either type
+    has Z before slot i, its X (or Y) at slot i and I after it; the odd chain is Z throughout."""
+    ell = r // 2
+    slot = np.arange(ell)
+    steps = np.where(slot < slot[:, None], 3, np.where(slot == slot[:, None], 1, 0))
+    return np.concatenate([steps, steps + (steps == 1), np.full((r % 2, ell), 3)])
 
 
 def gamma_generators(r: int) -> CliffordRep:
@@ -83,7 +87,9 @@ def gamma_generators(r: int) -> CliffordRep:
     For r >= 2 the matrices have size 2^floor(r/2); rank 1 uses Z in
     dimension 2 (see module docstring).  Ordering: the X-type chains for
     slots 1..L, then the Y-type chains for slots 1..L, then the all-Z chain
-    when r is odd.
+    when r is odd.  Every chain is the Kronecker product of its slots' Pauli
+    matrices, formed left to right for the whole stack at once: one batched
+    product per slot, each entry the products np.kron would form.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -91,14 +97,12 @@ def gamma_generators(r: int) -> CliffordRep:
         return CliffordRep(1, 2, PAULI_Z[np.newaxis].copy())
     ell = r // 2
     require_budget(r * 16 << 2 * ell, f"{r} generators of size {2**ell}")
-    gens = []
-    for i in range(ell):
-        gens.append(_chain(*([PAULI_Z] * i), PAULI_X, *([PAULI_I] * (ell - 1 - i))))
-    for i in range(ell):
-        gens.append(_chain(*([PAULI_Z] * i), PAULI_Y, *([PAULI_I] * (ell - 1 - i))))
-    if r % 2:
-        gens.append(_chain(*([PAULI_Z] * ell)))
-    return CliffordRep(r, rep_dim(r), np.stack(gens))
+    codes = _chain_codes(r)
+    gens = PAULI_STACK[codes[:, 0]]
+    for code in codes[:, 1:].T:
+        m = gens.shape[-1]
+        gens = (gens[:, :, None, :, None] * PAULI_STACK[code][:, None, :, None, :]).reshape(r, 2 * m, 2 * m)
+    return CliffordRep(r, rep_dim(r), gens)
 
 
 @lru_cache(maxsize=None)
@@ -497,25 +501,41 @@ def pauli_anticommutators(
 
     With M = M' + R and M' = c_0 I + G(c), the closed form
     M'_i M'_j + M'_j M'_i = 2 (c_0i c_0j + c_i . c_j) I + 2 c_0i G(c_j) + 2 c_0j G(c_i)
-    is evaluated at the (L+1) d places where I and the chains are nonzero
-    (every other entry is zero), and its largest entry is taken.  A row or
-    column of M' has at most L+1 nonzeros, so its l1 norm is at most
+    is a Pauli combination, whose largest entry is taken from its
+    coordinates (_largest_entries), with no table and no entry formed.  A row
+    or column of M' has at most L+1 nonzeros, so its l1 norm is at most
     l = |c_0| + sqrt(L+1) ||c||, and every entry of M' R is at most
     l max|R|.  The bound adds 2 (l_i max|R_j| + l_j max|R_i|) + 2 delta_i delta_j
     for the terms that hold R.  A pair (i, i) bounds 2 M_i^2 - s I, twice the
     deviation of M_i^2 from (s/2) I.
     """
     ell = (coords.shape[1] - 2) // 2
-    table = _pauli_tables(ell)[1]
     vec = coords[:, 1:]
     l1 = np.abs(coords[:, 0]) + math.sqrt(ell + 1) * np.sqrt(np.einsum("pk,pk->p", vec, vec))
     ci, cj = coords[rows], coords[cols]
     closed = 2.0 * (ci[:, :1] * cj + cj[:, :1] * ci)
     closed[:, 0] = 2.0 * np.einsum("pk,pk->p", ci, cj) - shifts
-    out = np.empty(len(closed))
-    for part in chunks(len(closed), table.shape[1] * 16):
-        out[part] = np.abs(closed[part] @ table).max(axis=1, initial=0.0)
-    return out + 2.0 * (l1[rows] * resid[cols] + l1[cols] * resid[rows] + delta[rows] * delta[cols])
+    return _largest_entries(closed) + 2.0 * (l1[rows] * resid[cols] + l1[cols] * resid[rows] + delta[rows] * delta[cols])
+
+
+def _largest_entries(coords: np.ndarray) -> np.ndarray:
+    """max_ab |M_ab| of M = b_0 I + G(b) for each row b of Pauli coordinates, with the bits of
+    the largest magnitude of b @ table over the places of _pauli_tables(L), without the table.
+
+    The diagonal holds b_0 +- b_Z, each one rounding as in the product, and the two places of
+    slot i off it hold +-(b_X_i +- i b_Y_i), whose magnitude is one complex abs (numpy's, which
+    np.hypot does not always reproduce).  A row with a non-finite coordinate meets a zero of
+    the table in the product, so it gives NaN, as the product does.  (max_entries gives the
+    same in exact arithmetic, through np.hypot, for the rounding bounds of PauliFamily.fit.)
+    """
+    ell = (coords.shape[1] - 2) // 2
+    slots = np.empty((len(coords), ell), dtype=complex)
+    slots.real, slots.imag = coords[:, 1 : ell + 1], coords[:, ell + 1 : -1]
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal; the row is NaN below anyway
+        diagonal = np.maximum(np.abs(coords[:, 0] + coords[:, -1]), np.abs(coords[:, 0] - coords[:, -1]))
+    out = np.maximum(diagonal, np.abs(slots).max(axis=1, initial=0.0))
+    out[~np.isfinite(coords).all(axis=1)] = np.nan
+    return out
 
 
 def gamma_of_vector(rep: CliffordRep, x) -> np.ndarray:

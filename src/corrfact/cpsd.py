@@ -346,9 +346,11 @@ def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertif
     same way (same errors), so memory stays O(n^2).  One sorted_eigh of c
     gives the psd check, rank(c) and those factors, so lower_bound and
     construction_dim stand on one rank; one eigvalsh gives rank(c o c).
+    Both are the spectra the other checks and builders of c share
+    (elliptope._spectra).
     """
-    a, w, u = factored_correlation(c, tol=tol, unit=True, spectrum=True)
-    ext = extremality(a, w, tol)
+    a, u = factored_correlation(c, tol=tol, unit=True)
+    ext = extremality(a, tol)
     lower = irreducible_dim(ext.rank) if ext.is_extreme else None
     return CpsdRankCertificate(ext.rank, ext.is_extreme, lower, rep_dim(u.shape[1]), ext.hadamard_rank)
 

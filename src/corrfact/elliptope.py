@@ -6,7 +6,8 @@ Extremality is decided by the rank criterion: E is extreme iff the
 entrywise square E o E has rank exactly binomial(rank(E) + 1, 2).  Every
 rank of E is cut from its descending sorted_eigh spectrum, the one
 gram_factors cuts, so the rank a check reports is the rank a construction is
-built at.
+built at.  The spectra of the last matrix decomposed are kept (_spectra), so
+the checks and builders that take the same E decompose it once between them.
 """
 
 from __future__ import annotations
@@ -74,9 +75,41 @@ def require_correlation(e, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matr
     return a.copy()
 
 
+_LAST_SPECTRA = None
+"""(key, w, u, hadamard) of the last matrix _spectra decomposed, or None: one entry, replaced
+whole and never mutated, so a reader that takes it once pairs a key with its own spectra."""
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _spectra(a: np.ndarray, hadamard: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The descending sorted_eigh pair (w, u) of a symmetric matrix and, with `hadamard`, the
+    descending magnitudes of eigvalsh(a o a); None in their place when not asked for and not kept.
+
+    The spectra of the last matrix are kept, keyed by its dtype, shape and bytes, so a repeated
+    matrix is decomposed once and a different one, or the same array edited in place, is
+    decomposed anew.  One entry only: a pipeline takes one E through every check and builder,
+    and spectra of other matrices are not reused.  The arrays are read-only, since every
+    caller that hits the entry gets the same ones.
+    """
+    global _LAST_SPECTRA
+    key = (a.dtype.str, a.shape, a.tobytes())
+    entry = _LAST_SPECTRA
+    if entry is None or entry[0] != key:
+        entry = (key, *map(_frozen, sorted_eigh(a)), None)
+    if hadamard and entry[3] is None:
+        entry = entry[:3] + (_frozen(np.sort(np.abs(np.linalg.eigvalsh(a * a)))[::-1]),)
+    _LAST_SPECTRA = entry
+    return entry[1:]
+
+
 def _psd_spectrum(a: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """sorted_eigh of a symmetric matrix, refused when an eigenvalue lies below -psd_tol."""
-    w, u = sorted_eigh(a)
+    """The kept sorted_eigh pair of a symmetric matrix (_spectra), refused when an eigenvalue lies
+    below -psd_tol."""
+    w, u, _ = _spectra(a)
     if w.size:
         _require_psd(w[-1], tol, "matrix")
     return w, u
@@ -99,23 +132,20 @@ def gram_factors(e, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _cut(*_psd_spectrum(_require_symmetric(e, tol), tol), tol)
 
 
-def factored_correlation(e, factors=None, tol: ToleranceConfig = DEFAULT_TOL, *, unit: bool = False, spectrum=False):
+def factored_correlation(e, factors=None, tol: ToleranceConfig = DEFAULT_TOL, *, unit: bool = False):
     """A validated copy of a correlation matrix and its Gram factors, one row per index.
 
     Without `factors` these are the deterministic gram_factors, and one
-    sorted_eigh serves the psd check, the rank cut and the factors; with
-    `spectrum` its descending eigenvalues come back too, as (a, w, u).
-    Supplied factors must have one row per index and reproduce the matrix
+    sorted_eigh (the kept one, _spectra) serves the psd check, the rank cut
+    and the factors.  Supplied factors must have one row per index and reproduce the matrix
     within max(eq_tol, 1e-12).  With `unit` the rows must also be unit
     vectors within eq_tol.  The column count is the rank the generator
     constructions are built at; a rank cutoff that keeps no eigenvalue
     raises EmptyRankError.
     """
     a = _require_unit_diagonal(e, tol, "matrix").copy()
-    w = None
     if factors is None:
-        w, vecs = _psd_spectrum(a, tol)
-        u = _cut(w, vecs, tol)
+        u = _cut(*_psd_spectrum(a, tol), tol)
         if u.shape[1] == 0:
             raise EmptyRankError(f"rank_tol {tol.rank_tol:g} keeps no eigenvalue of the matrix")
     else:
@@ -130,7 +160,7 @@ def factored_correlation(e, factors=None, tol: ToleranceConfig = DEFAULT_TOL, *,
         norm_dev = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
         if norm_dev > tol.eq_tol:
             raise NonUnitVectorError(f"factor rows must be unit vectors, worst deviation {norm_dev:.3e}")
-    return (a, w, u) if spectrum else (a, u)
+    return a, u
 
 
 def _magnitude_gap(values: np.ndarray, rank: int) -> float:
@@ -167,14 +197,14 @@ def check_extreme(e, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
     gram_factors cuts; E o E is psd (Schur product theorem), so its singular
     values are the magnitudes of one eigvalsh.
     """
-    a = _require_unit_diagonal(e, tol, "matrix")
-    return extremality(a, _psd_spectrum(a, tol)[0], tol)
+    return extremality(_require_unit_diagonal(e, tol, "matrix"), tol)
 
 
-def extremality(a: np.ndarray, w: np.ndarray, tol: ToleranceConfig) -> ExtremalityReport:
-    """check_extreme of a validated correlation matrix a, from its descending spectrum w."""
+def extremality(a: np.ndarray, tol: ToleranceConfig) -> ExtremalityReport:
+    """check_extreme of a validated correlation matrix a, from its kept spectra (_spectra)."""
+    w = _psd_spectrum(a, tol)[0]
     rank = int(np.count_nonzero(rank_mask(w, tol)))
-    had = np.sort(np.abs(np.linalg.eigvalsh(a * a)))[::-1]
+    had = _spectra(a, hadamard=True)[2]
     had_rank = int(np.count_nonzero(rank_mask(had, tol)))
     required = rank * (rank + 1) // 2
     gap = _magnitude_gap(np.sort(np.abs(w))[::-1], rank)

@@ -240,6 +240,25 @@ def _pauli_deviations(
     return gram_dev, float(np.max(pauli_square_bounds(coords, delta, square), initial=0.0))
 
 
+def _weight_deviations(k: np.ndarray, scalar) -> tuple[float, float, float]:
+    """max|K - K^*|, the least eigenvalue of (K + K^*)/2 and |Tr(K^2) - 1| of a weight K.
+
+    When K is a float64 or complex128 c I for a real c (identity_multiple) of moderate size,
+    these are 0, c and |d fl(c^2) - 1|, with the bits of the dense checks: (K + K^*)/2 is
+    c I, whose eigenvalue LAPACK returns as it is (it rescales a matrix only when its norm
+    lies outside about [1e-146, 1e146]); each diagonal entry of K^2 is the one product c c,
+    and the d of them are summed as np.trace sums a diagonal.  Otherwise one Hermitian
+    deviation pass, one eigvalsh and one product K K.
+    """
+    real = scalar is not None and k.dtype in (np.float64, np.complex128) and np.isreal(scalar)
+    if real and 1e-100 <= abs(scalar) <= 1e100:
+        c = float(np.real(scalar))
+        return 0.0, c, abs(float(np.full(k.shape[0], c * c, dtype=k.dtype).sum().real) - 1.0)
+    herm_dev = float(hermitian_deviations(k[None])[0])
+    min_eig = float(eigenvalue_bounds(k[None])[0][0])
+    return herm_dev, min_eig, abs(float(np.trace(k @ k).real) - 1.0)
+
+
 def verify_factorization(
     e,
     fact,
@@ -261,7 +280,8 @@ def verify_factorization(
     formed by batched matmuls (K X, Y K or K Y over the stacks; gathers and
     scalings for a monomial K, see linalg.sandwich) and compared with e over
     p <= q through one GEMM per block of the vectorized stacks; the
-    involution checks square each stack in chunked batched products.
+    involution checks square each stack in chunked batched products.  The
+    weight checks of a K = c I take no eigensolve (_weight_deviations).
     """
     a = _require_symmetric(e, tol, "target")
     if mode not in ("i", "i-prime", "b-form"):
@@ -283,9 +303,7 @@ def verify_factorization(
         first, second = as_family(held(fact, "x_mats"), "X family", d), as_family(held(fact, "y_mats"), "Y family", d)
         scalar = identity_multiple(k)
         weight, square, inv_name = (None if scalar is None else abs(complex(scalar))), 1.0, "involutions"
-        herm_dev = float(hermitian_deviations(k[None])[0])
-        min_eig = float(eigenvalue_bounds(k[None])[0][0])
-        trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
+        herm_dev, min_eig, trace_dev = _weight_deviations(k, scalar)
         checks = (
             CheckResult("weight_hermitian", herm_dev <= tol.eq_tol, herm_dev),
             CheckResult(

@@ -38,6 +38,7 @@ from .linalg import (
     identity_multiple,
     numerical_rank,
     rank_mask,
+    require_budget,
     require_hermitian,
     sandwich,
     schmidt,
@@ -99,9 +100,11 @@ def maximally_entangled(d: int) -> np.ndarray:
     """Unit vector d^{-1/2} sum_i e_i (x) e_i; all Schmidt coefficients equal.
 
     Satisfies psi^* (A (x) B) psi = Tr(A B^T) / d for all d x d matrices.
+    Its d^2 entries are checked against the memory budget before they are made.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    require_budget(16 * d * d, f"the maximally entangled state of size {d}")
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 

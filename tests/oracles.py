@@ -14,7 +14,9 @@ dense verifiers, extraction and Clifford checks that the Pauli-coordinate
 fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
 support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
-the Pauli projection with a residual pass over every entry.
+the Pauli projection with a residual pass over every entry.  The last
+section holds the one-product-at-a-time chain build, the Pauli-table product
+that bounded anticommutators and the dense weight checks.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -23,11 +25,22 @@ from __future__ import annotations
 
 import json
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from corrfact.clifford import CliffordRep, _pauli_tables, gamma_generators, gamma_of_vector
+from corrfact.clifford import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    CliffordRep,
+    _pauli_tables,
+    gamma_generators,
+    gamma_of_vector,
+    rep_dim,
+)
 from corrfact.cpsd import CpsdFactorization
 from corrfact.elliptope import factored_correlation, gram_factors, require_correlation
 from corrfact.errors import (
@@ -1126,3 +1139,72 @@ def dense_verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) ->
         ),
     )
     return VerificationReport(checks)
+
+
+# ------------------------------------------------------------ table products and loops
+#
+# The constructions that closed forms and batched products replaced: the
+# chains built one two-matrix Kronecker product at a time, the largest entry
+# of a Pauli combination as the product of its coordinates with the Pauli
+# table, and the weight checks of verify_factorization on the dense K.
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _chain(*factors: np.ndarray) -> np.ndarray:
+    return reduce(_kron, factors)
+
+
+def gamma_generators_loop(r: int) -> CliffordRep:
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    if r == 1:
+        return CliffordRep(1, 2, PAULI_Z[np.newaxis].copy())
+    ell = r // 2
+    gens = []
+    for i in range(ell):
+        gens.append(_chain(*([PAULI_Z] * i), PAULI_X, *([PAULI_I] * (ell - 1 - i))))
+    for i in range(ell):
+        gens.append(_chain(*([PAULI_Z] * i), PAULI_Y, *([PAULI_I] * (ell - 1 - i))))
+    if r % 2:
+        gens.append(_chain(*([PAULI_Z] * ell)))
+    return CliffordRep(r, rep_dim(r), np.stack(gens))
+
+
+def pauli_table_by_chain(ell: int) -> np.ndarray:
+    """The table of _pauli_tables(ell), I and the 2L+1 chains at their common nonzero places,
+    each chain built densely when it is needed, so one chain of size d is held at a time."""
+    d = 2**ell
+
+    def chains():
+        yield np.eye(d, dtype=complex)
+        for p in (PAULI_X, PAULI_Y):
+            for i in range(ell):
+                yield _chain(*([PAULI_Z] * i), p, *([PAULI_I] * (ell - 1 - i)))
+        yield _chain(*([PAULI_Z] * ell))
+
+    hit = np.zeros(d * d, dtype=bool)
+    for chain in chains():
+        hit |= chain.reshape(-1) != 0
+    pos = np.flatnonzero(hit)
+    return np.stack([chain.reshape(-1)[pos] for chain in chains()])
+
+
+def largest_entries_gemm(coords: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    """max|b @ table| per row of Pauli coordinates, a chunk of rows at a time."""
+    if table is None:
+        table = _pauli_tables((coords.shape[1] - 2) // 2)[1]
+    out = np.empty(len(coords))
+    for part in chunks(len(coords), table.shape[1] * 16):
+        out[part] = np.abs(coords[part] @ table).max(axis=1, initial=0.0)
+    return out
+
+
+def dense_weight_checks(k: np.ndarray) -> tuple[float, float, float]:
+    """(max|K - K^*|, least eigenvalue of (K + K^*)/2, |Tr(K^2) - 1|) of verify_factorization."""
+    herm_dev = float(hermitian_deviations(k[None])[0])
+    min_eig = float(eigenvalue_bounds(k[None])[0][0])
+    trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
+    return herm_dev, min_eig, trace_dev
