@@ -314,8 +314,10 @@ class PauliFamily:
     values are chain_products(coords, scales), the bits every builder has always made.  A
     family derived from such values may hold its own `values` instead, with the coordinates of
     the matrices they round and, in `magnitudes`, coordinatewise bounds on the terms they were
-    formed from.  fit() gives the coordinates and a bound on how far the values lie from them,
-    without forming a value.
+    formed from.  Such `values` may also be a function of a leading slice that forms that
+    slice's values: they are then formed when first read, once for all rows by chain_values()
+    and kept, or for a slice's own rows by a leading slice.  fit() gives the coordinates and a
+    bound on how far the values lie from them, without forming a value.
 
     dense() scatters the values into a writable C-ordered zero stack on its first call and
     keeps it; from then on the holder is spent, and every reader takes that stack, so an edit
@@ -352,6 +354,8 @@ class PauliFamily:
 
     def chain_values(self) -> np.ndarray:
         """The (k, (L+1) d) values at the places of _pauli_tables(L)."""
+        if callable(self.values):
+            self.values = self.values(slice(None))
         return chain_products(self.coords, self.scales) if self.values is None else self.values
 
     def fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,7 +395,8 @@ class PauliFamily:
         if self.spent or len(self.lead) != 1 or not isinstance(key, slice):
             return self.dense()[key]
         coords = self.coords[key]
-        values, mags = (None if a is None else a[key] for a in (self.values, self.magnitudes))
+        values = self.values(key) if callable(self.values) else None if self.values is None else self.values[key]
+        mags = None if self.magnitudes is None else self.magnitudes[key]
         return PauliFamily(
             coords, self.d, coords.shape[:1], self.scales, values=values, magnitudes=mags, kappa=self.kappa
         )
@@ -580,13 +585,15 @@ def _signed_chains(arr: np.ndarray) -> bool:
     """Whether each matrix is + or - a distinct chain, or the family is the single matrix +-I.
 
     Then its Pauli coordinates are integers without a residual and form
-    orthonormal rows, with no I component unless the family has one matrix.
+    orthonormal rows, with no I component unless the family has one matrix,
+    and each matrix is exactly its signed chain, so exactly Hermitian.
     By the closed form M_i M_j + M_j M_i = 2 (c_0i c_0j + c_i . c_j) I
     + 2 c_0i G(c_j) + 2 c_0j G(c_i) every square is I and every distinct
     pair anticommutes, exactly; the entries being 0, +-1 and +-i, the
     batched products come out exactly zero too.
     """
-    fit = pauli_coordinates(arr)
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives a non-finite residual, quietly
+        fit = pauli_coordinates(arr)
     if fit is None:
         return False
     coords, _, resid = fit
@@ -610,21 +617,25 @@ def verify_clifford_relations(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Verif
     first generator and the first pair, in (i, j) order, that attain the
     worst deviation.  A family of signed chains (_signed_chains), such as
     the output of gamma_generators, is decided from its Pauli coordinates:
-    every deviation is exactly zero, as the batched products find.  Any
-    other family's worst generator and pair come from rounding that no
-    bound predicts, so its squares are one batched matmul over the stack
-    and the k(k-1)/2 distinct pairs are formed in chunked batched products.
+    every deviation is exactly zero, as the batched products find, and the
+    family is exactly Hermitian, so it takes no Hermitian pass.  Any other
+    family takes that pass first, so the first non-Hermitian generator
+    raises; its worst generator and pair come from rounding that no bound
+    predicts, so its squares are one batched matmul over the stack and the
+    k(k-1)/2 distinct pairs are formed in chunked batched products.
     """
     arr = as_stack(mats, "generators")
     k = arr.shape[0]
     if k == 0:
         raise ShapeError(f"generators must form a nonempty (k, d, d) stack, got {arr.shape}")
-    bad = np.flatnonzero(~(hermitian_deviations(arr) <= tol.eq_tol))
-    if bad.size:  # the first failing generator raises as its own check would
-        require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
+    chains = _signed_chains(arr)
+    if not chains:
+        bad = np.flatnonzero(~(hermitian_deviations(arr) <= tol.eq_tol))
+        if bad.size:  # the first failing generator raises as its own check would
+            require_hermitian(arr[bad[0]], tol, what=f"generator {bad[0] + 1}")
     rows, cols = np.triu_indices(k, 1)
     return decide(
         partial(_relations_report, rows=rows, cols=cols, tol=tol),
-        (np.zeros(k), np.zeros(rows.size)) if _signed_chains(arr) else None,
+        (np.zeros(k), np.zeros(rows.size)) if chains else None,
         lambda: _dense_relation_deviations(arr, rows, cols),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .clifford import (
     PauliFamily,
     _pauli_tables,
     chain_family,
+    chain_products,
     chain_values,
     family_fit,
     held,
@@ -35,11 +37,12 @@ from .clifford import (
     support_coordinates,
     unspent,
 )
-from .elliptope import extremality, factored_correlation, require_correlation
+from .elliptope import _psd_spectrum, _require_unit_diagonal, extremality, factored_correlation
 from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
 from .linalg import (
     DEFAULT_TOL,
+    GATHER_MIN_DIM,
     ToleranceConfig,
     as_matrix,
     chunks,
@@ -48,6 +51,7 @@ from .linalg import (
     hermitian_deviations,
     hs_gram,
     rank_mask,
+    require_budget,
     sandwich,
     sorted_eigh,
     square_deviations,
@@ -108,16 +112,22 @@ def build_pc(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Row (i, a) maps to index 2i + (0 if a = +1 else 1), zero-based i.  The
     four entries of every block sum to one exactly: the block holds
     (1 + c)/4 and its complement to 1/2, and the complement subtraction is
-    exact because the larger of the two lies in [1/4, 1/2].
+    exact because the larger of the two lies in [1/4, 1/2].  The psd check
+    reads the kept sorted_eigh spectrum of c (elliptope._psd_spectrum), the
+    one its other checks and builders cut.  The witness is written as the
+    four strided blocks of an (n, 2, n, 2) array.
     """
-    a = require_correlation(c, tol)
+    a = _require_unit_diagonal(c, tol, "matrix")
+    _psd_spectrum(a, tol)
     plus = (1.0 + a) / 4.0
     minus = (1.0 - a) / 4.0
     hi = np.maximum(plus, minus)
     lo = 0.5 - hi
-    plus = np.where(a >= 0.0, hi, lo)
-    minus = np.where(a >= 0.0, lo, hi)
-    return np.kron(plus, np.eye(2)) + np.kron(minus, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    n = a.shape[0]
+    out = np.empty((n, 2, n, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = np.where(a >= 0.0, hi, lo)
+    out[:, 0, :, 1] = out[:, 1, :, 0] = np.where(a >= 0.0, lo, hi)
+    return out.reshape(2 * n, 2 * n)
 
 
 def build_cpsd_factorization(
@@ -185,14 +195,21 @@ def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, n
     mats = held(f, "mats")
     if n == 0:
         raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {np.shape(mats)}")
-    mirror = np.arange(d * d).reshape(d, d).T.ravel()
     values = chain_values(mats)
     if values is None:
-        return f.mats.reshape(n, 2, d * d), None, mirror
+        return f.mats.reshape(n, 2, d * d), None, _transposed(np.arange(d * d), d)
     places = _pauli_tables(d.bit_length() - 1)[0]
-    index = np.empty(d * d, dtype=np.intp)
-    index[places] = np.arange(places.size)
-    return values.reshape(n, 2, places.size), places, index[mirror[places]]
+    return values.reshape(n, 2, places.size), places, _place_mirror(places, d)
+
+
+def _transposed(flat: np.ndarray, d: int) -> np.ndarray:
+    """The flat index b*d + a of the transpose of each place a*d + b."""
+    return flat % d * d + flat // d
+
+
+def _place_mirror(places: np.ndarray, d: int) -> np.ndarray:
+    """The position within the ascending `places` of each place's transpose, which they hold."""
+    return np.searchsorted(places, _transposed(places, d))
 
 
 def _unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
@@ -202,6 +219,79 @@ def _unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndar
     out = np.zeros(d * d, dtype=values.dtype)
     out[places] = values
     return out.reshape(d, d)
+
+
+def _held_diagonal(family, n: int) -> np.ndarray | None:
+    """The (n, 2, d) diagonal values of a family of factors held as coordinates whose outcome sums
+    are exact zeros off the diagonal, with the bits chain_products gives them; None otherwise.
+
+    That is an unspent PauliFamily of shape (n, 2, d, d), d >= GATHER_MIN_DIM, whose values are
+    chain_products(coords, scales), with finite coordinates and finite scaled X and Y terms,
+    and whose sums c_i+ + c_i- are exactly zero off the I and Z columns, as
+    build_cpsd_factorization makes them.  Off the diagonal only the X and Y chains of one slot
+    are nonzero, with entries +-1 and +-i, so each part of a value is one exact product +-c,
+    and every scale rounds c and -c alike: the two factors of a pair are negatives there, and
+    their sum is zero.  On the diagonal only I and the Z chain are nonzero, Z's entry at (a, a)
+    being (-1)^popcount(a): each value is one rounding of c_0 +- c_Z, then one per scale.
+    """
+    if not (unspent(family) and family.values is None and family.lead == (n, 2) and family.d >= GATHER_MIN_DIM):
+        return None
+    coords, d = family.coords, family.d
+    top = float(np.max(np.abs(coords[:, 1:-1]), initial=0.0))
+    for scale in family.scales:
+        top *= abs(float(scale))
+    if not (np.isfinite(coords).all() and math.isfinite(top)) or (coords[0::2, 1:-1] + coords[1::2, 1:-1]).any():
+        return None
+    z = np.ones(1)
+    for _ in range(d.bit_length() - 1):
+        z = np.concatenate([z, -z])  # the diagonal of Z (x) ... (x) Z
+    values = np.zeros((2 * n, d), dtype=complex)
+    values.real = coords[:, :1] + coords[:, -1:] * z
+    for scale in family.scales:
+        values *= scale
+    return values.reshape(n, 2, d)
+
+
+def _scaled_differences(work: np.ndarray, scale: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of the scaled differences P+ scale - P- scale of an (m, 2, p) family
+    of flattened factor pairs, `mirror` giving the position of each place's transpose.
+
+    The (m, p) result is allocated before the temporaries, so that they are freed above it.
+    """
+    values = np.empty((len(work), work.shape[-1]), dtype=np.result_type(work, scale))
+    for part in chunks(len(work), work[0:1, 0].nbytes):
+        x = work[part, 0] * scale
+        x -= work[part, 1] * scale
+        hermitian = np.take(x, mirror, axis=1, out=values[part])
+        np.conjugate(hermitian, out=hermitian)
+        hermitian += x
+        hermitian /= 2.0
+    return values.astype(complex, copy=False)
+
+
+def _difference_family(family: PauliFamily, scale, values=None) -> PauliFamily:
+    """X = scale (P+ - P-) of an unspent PauliFamily of factor pairs, up to rounding: coordinates
+    scale (c+ - c-), and each value formed from terms of coordinates at most
+    scale (|c+| + |c-|), with kappa + 7 roundings in all.
+
+    Its values are `values` or, when not given, formed from the chain values of the factors
+    when first read (_replayed_differences): the bits extraction has always given them.
+    """
+    c = family.coordinates()
+    if values is None:
+        values = partial(_replayed_differences, family.coords, family.scales, family.d, scale)
+    return PauliFamily(
+        scale * (c[0::2] - c[1::2]), family.d, (len(c) // 2,), values=values,
+        magnitudes=scale * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=family.kappa + 7,
+    )
+
+
+def _replayed_differences(coords, scales, d: int, scale, rows: slice) -> np.ndarray:
+    """The values of _difference_family for the factor pairs `rows`, from their coordinates."""
+    pairs = coords.reshape(-1, 2, coords.shape[1])[rows]
+    work = chain_products(pairs.reshape(-1, coords.shape[1]), scales).reshape(len(pairs), 2, -1)
+    places = _pauli_tables(d.bit_length() - 1)[0]
+    return _scaled_differences(work, np.full(places.size, scale), _place_mirror(places, d))
 
 
 def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float]:
@@ -380,27 +470,41 @@ def extract_matrix_factorization(
     gives, and its Pauli coordinates come from those values
     (clifford.support_coordinates).  From a family held as its coordinates
     (an unspent clifford.PauliFamily) whose K is a multiple of I, X is a
-    PauliFamily holding those values, with the coordinates s (c+ - c-) and
-    their rounding bound as its fit.  The report is report.decide's: its
-    involutions deviation is the bound clifford.pauli_square_bounds when the
-    report then passes; otherwise, or when the size is not a power of two
-    >= 2, it is the batched squares' (linalg.square_deviations).
+    PauliFamily with the coordinates s (c+ - c-) and their rounding bound as
+    its fit (_difference_family).  When that family's outcome sums are exact
+    zeros off the diagonal, as build_cpsd_factorization makes them
+    (_held_diagonal), K and its check take the d diagonal places alone, with
+    the bits the places give, and X's values are formed only when first read:
+    no chain value of the factors is formed and no Pauli table is built.
+    The report is report.decide's: its involutions deviation is the bound
+    clifford.pauli_square_bounds when the report then passes; otherwise, or
+    when the size is not a power of two >= 2, it is the batched squares'
+    (linalg.square_deviations).
     """
     n, d = f.n, f.dim
-    work, places, mirror = _flat_family(f)
+    family = held(f, "mats")
+    diagonal = _held_diagonal(family, n)
+    if diagonal is None:
+        work, places, mirror = _flat_family(f)
+    else:  # every outcome sum is an exact zero off the diagonal, and so is K
+        work, places, mirror = diagonal, None, np.arange(d)
     with np.errstate(invalid="ignore"):  # a non-finite factor raises below, without warnings
         mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
-    mean_sum = _unflatten(mean_sum, places, d)
+    if diagonal is None:
+        mean_sum = _unflatten(mean_sum, places, d)
+        diag = np.diag(mean_sum)
+        off_diagonal = float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0))
+    else:
+        diag, off_diagonal = mean_sum, 0.0
 
-    diag = np.diag(mean_sum)
-    if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
+    if off_diagonal <= tol.eq_tol:
         # already diagonal, so finite: keep the coordinate basis, where the
         # support basis is a column selection of I that literally strips
         # padded rows and columns
         order = np.argsort(-diag.real, kind="stable")
-        w, u = diag.real[order], np.eye(d, dtype=complex)[:, order]
+        w, u = diag.real[order], None
     else:
         order = None
         w, u = sorted_eigh(mean_sum)
@@ -409,47 +513,38 @@ def extract_matrix_factorization(
     keep = rank_mask(w, tol)
     lam = w[keep]
     inv_sqrt = 1.0 / np.sqrt(lam)
-    scaling = np.outer(inv_sqrt, inv_sqrt)
     s = lam.size
+    require_budget(16 * s * s, f"a weight of size {s}")
     in_place = order is not None and np.array_equal(order[keep], np.arange(d))
 
-    if in_place and places is not None:
-        # every coordinate stays in place: X is formed at the chain places alone, into values
-        # allocated before the temporaries, so that they are freed above them
-        scale = scaling.ravel()[places]
-        values = np.empty((n, places.size), dtype=np.result_type(work, scale))
-        for part in chunks(n, work[0:1, 0].nbytes):
-            x = work[part, 0] * scale
-            x -= work[part, 1] * scale
-            hermitian = np.take(x, mirror, axis=1, out=values[part])
-            np.conjugate(hermitian, out=hermitian)
-            hermitian += x
-            hermitian /= 2.0
-        values = values.astype(complex, copy=False)
-        held_mats = held(f, "mats")
-        if unspent(held_mats) and np.all(scale == scale[0]):
-            # X = s (P+ - P-) up to rounding: coordinates s (c+ - c-), and each value formed from
-            # terms of coordinates at most s (|c+| + |c-|), with kappa + 7 roundings in all
-            c = held_mats.coordinates()
-            x_mats = PauliFamily(
-                scale[0] * (c[0::2] - c[1::2]), d, (n,), values=values,
-                magnitudes=scale[0] * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=held_mats.kappa + 7,
-            )
-            fit = x_mats.fit()
-        else:
-            fit = support_coordinates(values, d)
-            x_mats = np.zeros((n, d, d), dtype=complex)
-            scatter_columns(x_mats.reshape(n, d * d), places, values)
+    if in_place and diagonal is not None:
+        # K = k I: its diagonal takes one value where the Z chain is +1 and one where it is -1,
+        # which lie in descending order only when equal.  X = (P+ - P-)/k, formed when read.
+        x_mats = _difference_family(family, inv_sqrt[0] * inv_sqrt[0])
+        fit = x_mats.fit()
     else:
-        basis = None if in_place else u[:, keep]
-        bh = None if in_place else basis.conj().T
-        x_mats = np.empty((n, s, s), dtype=complex)
-        for part in chunks(n, f.mats[0:1, 0].nbytes):
-            x = sandwich(bh, f.mats[part, 0], basis) * scaling
-            x -= sandwich(bh, f.mats[part, 1], basis) * scaling
-            np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
-            x_mats[part] /= 2.0
-        fit = family_fit(x_mats)
+        scaling = np.outer(inv_sqrt, inv_sqrt)
+        if in_place and places is not None:
+            # every coordinate stays in place: X is formed at the chain places alone
+            scale = scaling.ravel()[places]
+            values = _scaled_differences(work, scale, mirror)
+            if unspent(family) and np.all(scale == scale[0]):
+                x_mats = _difference_family(family, scale[0], values)
+                fit = x_mats.fit()
+            else:
+                fit = support_coordinates(values, d)
+                x_mats = np.zeros((n, d, d), dtype=complex)
+                scatter_columns(x_mats.reshape(n, d * d), places, values)
+        else:
+            basis = None if in_place else (np.eye(d, dtype=complex)[:, order[keep]] if u is None else u[:, keep])
+            bh = None if in_place else basis.conj().T
+            x_mats = np.empty((n, s, s), dtype=complex)
+            for part in chunks(n, f.mats[0:1, 0].nbytes):
+                x = sandwich(bh, f.mats[part, 0], basis) * scaling
+                x -= sandwich(bh, f.mats[part, 1], basis) * scaling
+                np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+                x_mats[part] /= 2.0
+            fit = family_fit(x_mats)
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)
 
     def report(inv_dev: float) -> VerificationReport:

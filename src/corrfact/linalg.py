@@ -484,11 +484,16 @@ def schmidt(psi, d: int, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtDecomposi
     # The right Schmidt vector x_k has components vh[k, :] (no conjugation):
     # vec(u v^*) = u (x) conj(v) and rows of vh are conj(v_k).
     rights = vh[keep, :].copy()
-    for k in range(lefts.shape[0]):
-        row = lefts[k]
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size:
-            phase = row[nz[0]] / abs(row[nz[0]])
-            lefts[k] = row / phase
-            rights[k] = rights[k] * phase
+    found = np.abs(lefts) > 1e-12
+    rows = np.flatnonzero(found.any(axis=1))
+    if rows.size:
+        pivot = lefts[rows, np.argmax(found[rows], axis=1)]
+        # numpy's scalar abs and division, as sorted_eigh takes them; the rows rotate at once
+        phase = np.array([p / abs(p) for p in pivot], dtype=complex)[:, None]
+        if rows.size == lefts.shape[0]:
+            lefts /= phase
+            rights *= phase
+        else:
+            lefts[rows] /= phase
+            rights[rows] *= phase
     return SchmidtDecomposition(coeffs, lefts, rights)

@@ -151,9 +151,11 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
 
     For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi).
     When W is a multiple c I of the identity, as for the maximally entangled
-    state, that is |c|^2 sum_cb M_i[c, b] N_j[c, b].  When both families are
-    held as their Pauli coordinates (unspent clifford.PauliFamily holders),
-    that sum is |c|^2 d sum_p a_p b_p t_p, t_p = -1 for the Y-type chains
+    state, that is |c|^2 sum_cb M_i[c, b] N_j[c, b]; the test reads a
+    read-only view of psi, and W is copied only for the dense path below.
+    When both families are held as their Pauli coordinates (unspent
+    clifford.PauliFamily holders), that sum is
+    |c|^2 d sum_p a_p b_p t_p, t_p = -1 for the Y-type chains
     (Y^T = -Y) and 1 for the others: no value is formed, and the entries may
     differ from a GEMM of the values in the last bits.  When both families
     have values on the chain support, in which clifford.support_values
@@ -177,11 +179,13 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
         norm_dev = abs(float(np.linalg.norm(rep.psi)) - 1.0)
         if norm_dev > tol.eq_tol:
             raise InvariantViolationError(f"state norm deviates from one by {norm_dev:.3e}")
-        w = vec_inv(rep.psi, d)
+        w = rep.psi.reshape(d, d)
+        w.flags.writeable = False
         alice, bob = held(rep, "alice_obs"), held(rep, "bob_obs")
         scalar = identity_multiple(w)
         vals = None if scalar is None else _scalar_state_block(alice, bob, abs(scalar) ** 2)
         if vals is None:
+            w = vec_inv(rep.psi, d)
             wh = w.conj().T
             alice, bob = as_dense(alice), as_dense(bob).reshape(m, d * d)
             vals = np.empty((n, m), dtype=complex)

@@ -15,8 +15,10 @@ fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
 support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
 the Pauli projection with a residual pass over every entry.  The last
-section holds the one-product-at-a-time chain build, the Pauli-table product
-that bounded anticommutators and the dense weight checks.
+section but one holds the one-product-at-a-time chain build, the Pauli-table
+product that bounded anticommutators and the dense weight checks; the last
+holds extraction on the values of every factor and the row-by-row Schmidt
+phases.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -36,12 +38,18 @@ from corrfact.clifford import (
     PAULI_Y,
     PAULI_Z,
     CliffordRep,
+    PauliFamily,
     _pauli_tables,
+    family_fit,
     gamma_generators,
     gamma_of_vector,
+    held,
+    pauli_square_bounds,
     rep_dim,
+    support_coordinates,
+    unspent,
 )
-from corrfact.cpsd import CpsdFactorization
+from corrfact.cpsd import CpsdFactorization, _flat_family, _outcome_sum_check, _unflatten
 from corrfact.elliptope import factored_correlation, gram_factors, require_correlation
 from corrfact.errors import (
     InconsistentSumsError,
@@ -56,6 +64,7 @@ from corrfact.errors import (
 from corrfact.factorization import FormBFactorization, MatrixFactorization
 from corrfact.linalg import (
     DEFAULT_TOL,
+    SchmidtDecomposition,
     ToleranceConfig,
     anticommutator_deviations,
     as_matrix,
@@ -67,13 +76,17 @@ from corrfact.linalg import (
     hs_gram,
     hs_inner,
     identity_deviations,
+    identity_multiple,
+    rank_mask,
+    sandwich,
+    scatter_columns,
     sorted_eigh,
     square_deviations,
     vec,
     vec_inv,
 )
 from corrfact.quantum import TensorProductRep, maximally_entangled
-from corrfact.report import CheckResult, VerificationReport
+from corrfact.report import CheckResult, VerificationReport, decide
 
 
 # ------------------------------------------------------------ contracts
@@ -1208,3 +1221,124 @@ def dense_weight_checks(k: np.ndarray) -> tuple[float, float, float]:
     min_eig = float(eigenvalue_bounds(k[None])[0][0])
     trace_dev = abs(float(np.trace(k @ k).real) - 1.0)
     return herm_dev, min_eig, trace_dev
+
+
+# ------------------------------------------------------------ extraction values, Schmidt phases
+#
+# Extraction as it formed the chain values of every factor, K from all of their
+# places and X's values at once, before a held family was extracted from its
+# diagonal places with X's values formed on read; and the Schmidt step that
+# rotated one row at a time.
+
+
+def values_extract_matrix_factorization(
+    f: CpsdFactorization,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[MatrixFactorization, VerificationReport]:
+    """extract_matrix_factorization on the places _flat_family keeps, X's values formed at once."""
+    n, d = f.n, f.dim
+    work, places, mirror = _flat_family(f)
+    with np.errstate(invalid="ignore"):
+        mean_sum, sum_dev = _outcome_sum_check(work, mirror)
+    if not sum_dev <= tol.eq_tol:
+        raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
+    mean_sum = _unflatten(mean_sum, places, d)
+
+    diag = np.diag(mean_sum)
+    if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
+        order = np.argsort(-diag.real, kind="stable")
+        w, u = diag.real[order], np.eye(d, dtype=complex)[:, order]
+    else:
+        order = None
+        w, u = sorted_eigh(mean_sum)
+    if w.size == 0 or w[0] <= 0.0:
+        raise ZeroSumError("common outcome sum is numerically zero")
+    keep = rank_mask(w, tol)
+    lam = w[keep]
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    scaling = np.outer(inv_sqrt, inv_sqrt)
+    s = lam.size
+    in_place = order is not None and np.array_equal(order[keep], np.arange(d))
+
+    if in_place and places is not None:
+        scale = scaling.ravel()[places]
+        values = np.empty((n, places.size), dtype=np.result_type(work, scale))
+        for part in chunks(n, work[0:1, 0].nbytes):
+            x = work[part, 0] * scale
+            x -= work[part, 1] * scale
+            hermitian = np.take(x, mirror, axis=1, out=values[part])
+            np.conjugate(hermitian, out=hermitian)
+            hermitian += x
+            hermitian /= 2.0
+        values = values.astype(complex, copy=False)
+        held_mats = held(f, "mats")
+        if unspent(held_mats) and np.all(scale == scale[0]):
+            c = held_mats.coordinates()
+            x_mats = PauliFamily(
+                scale[0] * (c[0::2] - c[1::2]), d, (n,), values=values,
+                magnitudes=scale[0] * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=held_mats.kappa + 7,
+            )
+            fit = x_mats.fit()
+        else:
+            fit = support_coordinates(values, d)
+            x_mats = np.zeros((n, d, d), dtype=complex)
+            scatter_columns(x_mats.reshape(n, d * d), places, values)
+    else:
+        basis = None if in_place else u[:, keep]
+        bh = None if in_place else basis.conj().T
+        x_mats = np.empty((n, s, s), dtype=complex)
+        for part in chunks(n, f.mats[0:1, 0].nbytes):
+            x = sandwich(bh, f.mats[part, 0], basis) * scaling
+            x -= sandwich(bh, f.mats[part, 1], basis) * scaling
+            np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+            x_mats[part] /= 2.0
+        fit = family_fit(x_mats)
+    trace_dev = abs(float(np.sum(lam**2)) - 1.0)
+
+    def report(inv_dev: float) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult(
+                    "involutions",
+                    inv_dev <= tol.eq_tol,
+                    inv_dev,
+                    note="squares strictly below identity indicate a sub-unit factor system",
+                ),
+                CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+                CheckResult("outcome_sums_consistent", True, sum_dev),
+                CheckResult("support_dimension", True, 0.0, note=f"restricted {f.dim} -> {s}", value=s),
+            )
+        )
+
+    bound = None if fit is None else (float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0)),)
+    mf = MatrixFactorization(x_mats, x_mats, np.diag(lam.astype(complex)))
+    return mf, decide(report, bound, lambda: (float(np.max(square_deviations(mf.x_mats), initial=0.0)),))
+
+
+def schmidt_loop(psi, d: int, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtDecomposition:
+    """linalg.schmidt with the phase of each left vector taken and applied one row at a time."""
+    a = np.asarray(psi, dtype=complex).reshape(-1)
+    if a.size != d * d:
+        raise ShapeError(f"expected a vector of length {d * d}, got {a.size}")
+    c = identity_multiple(a.reshape(d, d)) if d else None
+    if c is not None and c != 0:
+        size = abs(c)
+        if d > 25:
+            size = (size * (1.0 / size)) * size
+        u, s, vh = np.eye(d, dtype=complex), np.full(d, size), np.eye(d, dtype=complex)
+        if c != abs(c):
+            vh *= c / abs(c)
+    else:
+        u, s, vh = np.linalg.svd(a.reshape(d, d))
+    keep = rank_mask(s, tol)
+    coeffs = s[keep].copy()
+    lefts = u[:, keep].T.copy()
+    rights = vh[keep, :].copy()
+    for k in range(lefts.shape[0]):
+        row = lefts[k]
+        nz = np.flatnonzero(np.abs(row) > 1e-12)
+        if nz.size:
+            phase = row[nz[0]] / abs(row[nz[0]])
+            lefts[k] = row / phase
+            rights[k] = rights[k] * phase
+    return SchmidtDecomposition(coeffs, lefts, rights)

@@ -1,0 +1,284 @@
+"""Extraction from a held psd-factor family (cpsd._held_diagonal, cpsd._difference_family).
+
+A family held as its Pauli coordinates whose outcome sums are exact zeros off
+the diagonal, as build_cpsd_factorization makes them, is extracted from its d
+diagonal places, and X's values are formed only when read.  Reports, weights and
+the dense X are the bytes of the values path (oracles.values_extract_matrix_factorization);
+any other held family takes that path.  Also here: the witness, the Schmidt
+phases, the scalar-state test of eval_correlations and the relation check of
+signed chains, each against the code it replaced.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+from corrfact import cpsd, linalg
+from corrfact.clifford import PauliFamily, _pauli_tables, chain_products, gamma_generators, held, verify_clifford_relations
+from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, build_pc, extract_matrix_factorization
+from corrfact.elliptope import gen_extreme_lex
+from corrfact.errors import InconsistentSumsError, MemoryBudgetError, NotHermitianError, NotPsdError
+from corrfact.factorization import recover_correlation
+from corrfact.linalg import DEFAULT_TOL, schmidt
+from corrfact.quantum import build_tensor_rep, eval_correlations, maximally_entangled
+from corrfact.report import report_json
+
+from test_support import _bipartite, _points
+
+CASES = [(r, k) for r in range(8, 17) for k in range(3)]
+
+
+def _text(report) -> str:
+    return json.dumps(report_json("cpsd extract", report, DEFAULT_TOL, None))
+
+
+def _lazy(x) -> bool:
+    return isinstance(x, PauliFamily) and callable(x.values) and not x.spent
+
+
+def _pair(e):
+    """The extraction of a held family and the values path's, each from a family of its own."""
+    return extract_matrix_factorization(build_cpsd_factorization(e)), oracles.values_extract_matrix_factorization(
+        build_cpsd_factorization(e)
+    )
+
+
+# ------------------------------------------------------------ the held path
+
+
+@pytest.mark.parametrize("r, k", CASES)
+def test_held_extraction_is_the_values_path(r, k):
+    (mf, report), (mf_old, report_old) = _pair(_points(r)[k])
+    x = held(mf, "x_mats")
+    assert _lazy(x) and held(mf, "y_mats") is x
+    assert _text(report) == _text(report_old)
+    assert mf.k.tobytes() == mf_old.k.tobytes()
+    assert recover_correlation(mf).tobytes() == recover_correlation(mf_old).tobytes()
+    old = held(mf_old, "x_mats")
+    for a, b in zip(x.fit(), old.fit()):
+        assert a.tobytes() == b.tobytes()
+    assert _lazy(x)
+    assert mf.x_mats.tobytes() == mf_old.x_mats.tobytes()
+    assert x.spent and mf.y_mats is mf.x_mats
+
+
+@pytest.mark.parametrize("r", [8, 11, 16])
+def test_chain_values_are_formed_once_and_kept(r):
+    (mf, _), (mf_old, _) = _pair(_points(r)[1])
+    x = held(mf, "x_mats")
+    values = x.chain_values()
+    assert values.tobytes() == held(mf_old, "x_mats").chain_values().tobytes()
+    assert x.values is values and x.chain_values() is values and not x.spent
+
+
+@pytest.mark.parametrize("r, k", [(8, 0), (9, 1), (12, 2), (15, 0)])
+def test_held_leading_slices_form_their_own_rows(r, k):
+    (mf, _), (mf_old, _) = _pair(_points(r)[k])
+    x, old = held(mf, "x_mats"), held(mf_old, "x_mats")
+    n = x.lead[0]
+    for key in (slice(None, r), slice(3, n - 2), slice(1, None, 3), slice(None, None, -2)):
+        part, want = x[key], old[key]
+        assert isinstance(part, PauliFamily) and not callable(part.values)
+        assert part.lead == want.lead and part.coords.tobytes() == want.coords.tobytes()
+        assert part.chain_values().tobytes() == want.chain_values().tobytes()
+        assert part.dense().tobytes() == want.dense().tobytes()
+    assert _lazy(x)
+
+
+@pytest.mark.parametrize("r", range(8, 18))
+def test_diagonal_values_are_the_chain_products_there(r):
+    """The (n, 2, d) diagonal values of the held path are the real parts chain_products gives at
+    the places (a, a), and every outcome sum is an exact zero at every other place."""
+    family = held(build_cpsd_factorization(_points(r)[2]), "mats")
+    n, d = family.lead[0], family.d
+    diagonal = cpsd._held_diagonal(family, n)
+    places = _pauli_tables(d.bit_length() - 1)[0]
+    values = chain_products(family.coords, family.scales).reshape(n, 2, -1)
+    on = np.searchsorted(places, np.arange(d) * (d + 1))
+    assert diagonal.real.tobytes() == values[:, :, on].real.tobytes()
+    assert not diagonal.imag.any() and not values[:, :, on].imag.any()
+    sums = values[:, 0] + values[:, 1]
+    assert not np.delete(sums, on, axis=1).any()
+
+
+def test_held_extraction_at_r20_makes_no_pauli_tables():
+    """r=20 (n=210, d=1024): extraction of the held family forms no chain value and no Pauli table
+    (704 MB at L=10); its report and weight come from the d diagonal places."""
+    family = build_cpsd_factorization(gen_extreme_lex(20)[0])
+    info = _pauli_tables.cache_info()
+    tracemalloc.start()
+    try:
+        mf, report = extract_matrix_factorization(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    after = _pauli_tables.cache_info()
+    assert report.passed and _lazy(held(mf, "x_mats"))
+    assert after.hits + after.misses == info.hits + info.misses
+    assert peak < 50 << 20
+
+
+def test_held_extraction_budgets_its_weight(monkeypatch):
+    """With no Pauli table to refuse first, the dense (d, d) weight is checked against the budget."""
+    family = build_cpsd_factorization(gen_extreme_lex(20)[0])
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 8 << 20)
+    with pytest.raises(MemoryBudgetError, match=r"^a weight of size 1024 would take 16 MiB, over the memory budget of 8 MiB$"):
+        extract_matrix_factorization(family)
+
+
+# ------------------------------------------------------------ other held families
+
+
+def _family_with(coords_edit, r=9):
+    """A held family of the r lex point with its coordinates edited, and a copy for the oracle."""
+    family = held(build_cpsd_factorization(gen_extreme_lex(r)[0]), "mats")
+    coords = family.coords.copy()
+    coords_edit(coords)
+
+    def make():
+        return CpsdFactorization(PauliFamily(coords.copy(), family.d, family.lead, family.scales))
+
+    return make
+
+
+@pytest.fixture
+def values_path(monkeypatch):
+    """Count the calls of the values path's flattening."""
+    calls = []
+    inner = cpsd._flat_family
+
+    def spy(f):
+        calls.append(f.n)
+        return inner(f)
+
+    monkeypatch.setattr(cpsd, "_flat_family", spy)
+    return calls
+
+
+def _edit_x(coords):
+    coords[1::2, 1] += 1e-13  # the minus factors' first X coordinate: sums nonzero off the diagonal
+
+
+def _edit_z(coords):
+    coords[1::2, -1] += 1e-13  # a Z part in every sum: diagonal, but K is not a multiple of I
+
+
+def _edit_nan(coords):
+    coords[3, 2] = np.nan
+
+
+@pytest.mark.parametrize("edit, flattened", [(_edit_x, True), (_edit_z, False)])
+def test_other_held_families_give_the_values_path_report(values_path, edit, flattened):
+    """Sums nonzero off the diagonal take the values path; sums with a Z part take K from the
+    diagonal places, and a K that is not a multiple of I restricts the dense factors."""
+    make = _family_with(edit)
+    mf, report = extract_matrix_factorization(make())
+    assert bool(values_path) == flattened
+    mf_old, report_old = oracles.values_extract_matrix_factorization(make())
+    assert _text(report) == _text(report_old) and mf.k.tobytes() == mf_old.k.tobytes()
+    assert type(held(mf, "x_mats")) is type(held(mf_old, "x_mats"))
+    assert not callable(getattr(held(mf, "x_mats"), "values", None))
+    assert mf.x_mats.tobytes() == mf_old.x_mats.tobytes()
+
+
+def test_a_nan_coordinate_takes_the_values_path(values_path):
+    make = _family_with(_edit_nan)
+    with pytest.raises(InconsistentSumsError) as got:
+        extract_matrix_factorization(make())
+    assert values_path
+    with pytest.raises(InconsistentSumsError) as want:
+        oracles.values_extract_matrix_factorization(make())
+    assert str(got.value) == str(want.value)
+
+
+def test_dense_and_small_families_take_the_values_path(values_path):
+    for e in (gen_extreme_lex(7)[0], gen_extreme_lex(9)[0]):
+        family = build_cpsd_factorization(e)
+        dense = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
+        for f in (family, dense):
+            values_path.clear()
+            extract_matrix_factorization(f)
+            assert values_path == ([] if f is family and f.dim >= 16 else [f.n])
+
+
+# ------------------------------------------------------------ satellites
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_witness_is_the_kron_sum(r):
+    for e in (gen_extreme_lex(r)[0], *(_points(r)[1:] if r >= 2 else ())):
+        a = linalg.as_matrix(e)
+        plus, minus = (1.0 + a) / 4.0, (1.0 - a) / 4.0
+        hi = np.maximum(plus, minus)
+        lo = 0.5 - hi
+        want = np.kron(np.where(a >= 0.0, hi, lo), np.eye(2)) + np.kron(np.where(a >= 0.0, lo, hi), [[0.0, 1.0], [1.0, 0.0]])
+        got = build_pc(e)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_witness_refuses_a_non_psd_matrix():
+    e = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    with pytest.raises(NotPsdError, match=r"^matrix has eigenvalue -8\.000e-01$"):
+        build_pc(e)
+
+
+def _same_schmidt(a, b) -> bool:
+    pairs = zip((a.coefficients, a.left_vectors, a.right_vectors), (b.coefficients, b.left_vectors, b.right_vectors))
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 16, 25, 26, 64, 100, 299, 512])
+def test_schmidt_phases_are_the_loop_on_maximally_entangled_states(d):
+    psi = maximally_entangled(d)
+    for state in (psi, psi * np.exp(0.7j), -psi):
+        assert _same_schmidt(schmidt(state, d), oracles.schmidt_loop(state, d))
+
+
+def test_schmidt_phases_are_the_loop_on_random_states():
+    rng = np.random.default_rng(17)
+    for t in range(300):
+        d = int(rng.integers(1, 12))
+        psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        if t % 3 == 0:
+            psi = psi.real.astype(complex)
+        if t % 5 == 0:  # rank at most 2, so some rows are dropped
+            psi = ((rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))) @ rng.standard_normal((2, d))).ravel()
+        psi /= np.linalg.norm(psi)
+        assert _same_schmidt(schmidt(psi, d), oracles.schmidt_loop(psi, d)), t
+
+
+@pytest.mark.parametrize("r", [16, 18])
+def test_eval_correlations_reads_the_state_without_a_copy(r):
+    """W = c I is found on a view of psi: the closed form takes a small fraction of the state."""
+    block, system = _bipartite(gen_extreme_lex(r)[0])
+    rep = build_tensor_rep(block, system)
+    before = rep.psi.copy()
+    eval_correlations(rep)
+    tracemalloc.start()
+    try:
+        got = eval_correlations(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - block)) < 1e-14 and peak < rep.psi.nbytes // 4
+    assert rep.psi.flags.writeable and rep.psi.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8, 9])
+def test_signed_chains_take_no_hermitian_pass(monkeypatch, r):
+    gens = gamma_generators(r).generators
+    want = oracles.dense_verify_clifford_relations(gens)
+    monkeypatch.setattr("corrfact.clifford.hermitian_deviations", None)
+    got = verify_clifford_relations(gens)
+    assert got == want
+
+
+def test_the_first_non_hermitian_generator_still_raises():
+    gens = gamma_generators(6).generators.copy()
+    gens[2, 0, 1] += 1e-6
+    gens[4, 1, 0] += 1e-3
+    with pytest.raises(NotHermitianError, match=r"^generator 3 deviates from Hermitian by 1\.000e-06$"):
+        verify_clifford_relations(gens)

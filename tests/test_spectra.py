@@ -20,7 +20,7 @@ import pytest
 import oracles
 from corrfact import cli, clifford, cpsd, elliptope, linalg, matio
 from corrfact.clifford import _largest_entries, _pauli_tables, gamma_generators, held
-from corrfact.cpsd import build_cpsd_factorization, certify_lower_bound
+from corrfact.cpsd import build_cpsd_factorization, build_pc, certify_lower_bound
 from corrfact.elliptope import check_extreme, gen_extreme_lex, gram_factors
 from corrfact.errors import MemoryBudgetError
 from corrfact.factorization import _weight_deviations, factorize_clifford, to_form_c, verify_clifford_identity
@@ -97,14 +97,15 @@ def test_one_matrix_is_kept(cold, monkeypatch):
 
 
 def test_a_pipeline_decomposes_its_matrix_once(cold, monkeypatch):
-    """check_extreme, gram_factors, the builders and the certificate of one E share one sorted_eigh
-    and one eigvalsh of E o E, whichever runs first."""
+    """check_extreme, gram_factors, the builders, the witness and the certificate of one E share one
+    sorted_eigh and one eigvalsh of E o E, whichever runs first."""
     e = gen_extreme_lex(8)[0]
     calls = _counting(monkeypatch)
     certify_lower_bound(e)
     check_extreme(e)
     gram_factors(e)
     factorize_clifford(e, 10)
+    build_pc(e)
     build_cpsd_factorization(e)
     assert calls == {"eigh": 1, "eigvalsh": 1}
 
