@@ -154,11 +154,11 @@ def support_values(stack: np.ndarray) -> np.ndarray | None:
     (k, (L+1) d) array of the stack's dtype, when one bitwise-OR pass over the
     stack's 64-bit words (linalg.nonzero_places) proves every other entry +0.0.
 
-    This is the one test of where a family may be nonzero: every caller works
-    on these values, or on all d^2 entries when it returns None.  None when
-    some other entry holds a set bit (-0.0, a NaN or a nonzero), when d is not
-    a power of two >= GATHER_MIN_DIM (below it the dense pass costs less than
-    the scan) or when the stack is neither float64 nor complex128.
+    The fast path of pauli_coordinates, its one caller; every other reader of
+    a dense family takes all d^2 entries.  None when some other entry
+    holds a set bit (-0.0, a NaN or a nonzero), when d is not a power of two
+    >= GATHER_MIN_DIM (below it the dense pass costs less than the scan) or
+    when the stack is neither float64 nor complex128.
     """
     k, d = stack.shape[0], stack.shape[-1]
     ell = d.bit_length() - 1
@@ -418,17 +418,6 @@ def unspent(family) -> bool:
 def as_dense(family):
     """The dense stack of a PauliFamily (PauliFamily.dense); anything else as it is."""
     return family.dense() if isinstance(family, PauliFamily) else family
-
-
-def chain_values(family) -> np.ndarray | None:
-    """The (k, (L+1) d) values of a (..., d, d) family at the places of _pauli_tables(L), k being
-    the product of its leading axes: an unspent PauliFamily's (PauliFamily.chain_values), else
-    support_values of the dense stack (None when it is not +0.0 off them)."""
-    if unspent(family):
-        return family.chain_values()
-    stack = as_dense(family)
-    d = stack.shape[-1]
-    return support_values(stack.reshape(-1, d, d)) if d else None
 
 
 def family_fit(family) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -26,7 +26,6 @@ from .clifford import (
     _pauli_tables,
     chain_family,
     chain_products,
-    chain_values,
     family_fit,
     held,
     irreducible_dim,
@@ -34,7 +33,6 @@ from .clifford import (
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
-    support_coordinates,
     unspent,
 )
 from .elliptope import _psd_spectrum, _require_unit_diagonal, extremality, factored_correlation
@@ -47,7 +45,6 @@ from .linalg import (
     as_matrix,
     chunks,
     eigenvalue_bounds,
-    scatter_columns,
     hermitian_deviations,
     hs_gram,
     rank_mask,
@@ -153,7 +150,8 @@ def build_cpsd_factorization(
 
 def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, float]:
     """Mean outcome sum K = mean_i (P^i_+ + P^i_-) and max_i |P^i_+ + P^i_- - K| of an (n, 2, m)
-    family of flattened factors: the m = d^2 entries of each, or the places _flat_family keeps.
+    family of flattened factors: the m = d^2 entries of each (_flat_factors), or the d diagonal
+    places of a held family (_held_diagonal).
 
     With `mirror`, the place of each place's transpose, K is Hermitized first,
     (K + K^*)/2.  No (n, m) stack of sums is built: each chunk of sums is
@@ -177,29 +175,13 @@ def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.
     return mean_sum, float(np.max(devs))
 
 
-def _flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2),
-    and the position within them of each place's transpose.
-
-    The places are the (L+1) d of the chain support when the family is held
-    as its coordinates, or clifford.support_values proves every factor +0.0
-    off them (clifford.chain_values), and then the values there serve the
-    Pauli coordinates too (clifford.support_coordinates).  Every factor is +0.0 at
-    every other place, and so are its sums, means, scaled differences and
-    Hermitian parts, so work on the places alone loses nothing.  The places
-    hold their transposes: I and the Z chain are diagonal, and the X- and
-    Y-type chains of a slot share theirs.  Raises ShapeError on an empty
-    family, whose outcome sums have no mean.
-    """
+def _flat_factors(f: CpsdFactorization) -> np.ndarray:
+    """The factors flattened to an (n, 2, d^2) array of all their entries.  Raises ShapeError on
+    an empty family, whose outcome sums have no mean."""
     n, d = f.n, f.dim
-    mats = held(f, "mats")
     if n == 0:
-        raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {np.shape(mats)}")
-    values = chain_values(mats)
-    if values is None:
-        return f.mats.reshape(n, 2, d * d), None, _transposed(np.arange(d * d), d)
-    places = _pauli_tables(d.bit_length() - 1)[0]
-    return values.reshape(n, 2, places.size), places, _place_mirror(places, d)
+        raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {np.shape(held(f, 'mats'))}")
+    return f.mats.reshape(n, 2, d * d)
 
 
 def _transposed(flat: np.ndarray, d: int) -> np.ndarray:
@@ -210,15 +192,6 @@ def _transposed(flat: np.ndarray, d: int) -> np.ndarray:
 def _place_mirror(places: np.ndarray, d: int) -> np.ndarray:
     """The position within the ascending `places` of each place's transpose, which they hold."""
     return np.searchsorted(places, _transposed(places, d))
-
-
-def _unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
-    """The d x d matrix holding a flattened one's entries at its places (None: all d^2), +0.0 elsewhere."""
-    if places is None:
-        return values.reshape(d, d)
-    out = np.zeros(d * d, dtype=values.dtype)
-    out[places] = values
-    return out.reshape(d, d)
 
 
 def _held_diagonal(family, n: int) -> np.ndarray | None:
@@ -269,19 +242,18 @@ def _scaled_differences(work: np.ndarray, scale: np.ndarray, mirror: np.ndarray)
     return values.astype(complex, copy=False)
 
 
-def _difference_family(family: PauliFamily, scale, values=None) -> PauliFamily:
+def _difference_family(family: PauliFamily, scale) -> PauliFamily:
     """X = scale (P+ - P-) of an unspent PauliFamily of factor pairs, up to rounding: coordinates
     scale (c+ - c-), and each value formed from terms of coordinates at most
     scale (|c+| + |c-|), with kappa + 7 roundings in all.
 
-    Its values are `values` or, when not given, formed from the chain values of the factors
-    when first read (_replayed_differences): the bits extraction has always given them.
+    Its values are formed from the chain values of the factors when first read
+    (_replayed_differences): the bits extraction has always given them.
     """
     c = family.coordinates()
-    if values is None:
-        values = partial(_replayed_differences, family.coords, family.scales, family.d, scale)
     return PauliFamily(
-        scale * (c[0::2] - c[1::2]), family.d, (len(c) // 2,), values=values,
+        scale * (c[0::2] - c[1::2]), family.d, (len(c) // 2,),
+        values=partial(_replayed_differences, family.coords, family.scales, family.d, scale),
         magnitudes=scale * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=family.kappa + 7,
     )
 
@@ -344,14 +316,14 @@ def verify_cpsd_factorization(
     taken in Pauli coordinates (_pauli_deviations), which hold for every
     family and are tight for a generator-built one.  That report stands only
     when every check passes; otherwise the dense checks (_dense_deviations)
-    decide, so a pass is a proof and a failure is the dense report.  The
-    outcome sums are compared a chunk at a time, at the places _flat_family
-    keeps, so each temporary stays near linalg.CHUNK_BYTES; when those are
-    the chain support, the Pauli coordinates are taken from the same values,
-    so the family is scanned and gathered once.  A family held as its
-    coordinates (an unspent clifford.PauliFamily) is decided from them
-    alone, outcome sums included (_coordinate_deviations): no value is
-    formed, and its dense stack is built only when the bounds do not decide.
+    decide, so a pass is a proof and a failure is the dense report.  A
+    family held as its coordinates (an unspent clifford.PauliFamily) is
+    decided from them alone, outcome sums included (_coordinate_deviations):
+    no value is formed, and its dense stack is built only when the bounds do
+    not decide.  Any other family is dense: its outcome sums are compared
+    over all d^2 entries a chunk at a time, so each temporary stays near
+    linalg.CHUNK_BYTES, and its Pauli coordinates are measured from its
+    stack (clifford.pauli_coordinates).
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -377,24 +349,20 @@ def verify_cpsd_factorization(
     def stack() -> np.ndarray:
         return f.mats.reshape(2 * n, f.dim, f.dim)
 
-    def sums():
-        """The sum and trace deviations at the places _flat_family keeps, and the Pauli fit of
-        their values when those are the chain support (else None)."""
-        work, places, _ = _flat_family(f)
-        mean_sum, sum_dev = _outcome_sum_check(work, None)
-        mean_sum = _unflatten(mean_sum, places, f.dim)
-        trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
-        fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), f.dim)
-        return (sum_dev, trace_dev), fit
+    def sums() -> tuple[float, float]:
+        """The outcome-sum and trace deviations, over all d^2 entries of every factor."""
+        mean_sum, sum_dev = _outcome_sum_check(_flat_factors(f), None)
+        mean_sum = mean_sum.reshape(f.dim, f.dim)
+        return sum_dev, abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
 
     mats = held(f, "mats")
     with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
         if n and unspent(mats):
             # the dense stack, built first, is what the sums then read
             fast = _coordinate_deviations(mats, mat)
-            return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums()[0])
-        checks, fit = sums()
-        fast = _pauli_deviations(stack() if fit is None else mats, mat, fit)
+            return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums())
+        checks = sums()
+        fast = _pauli_deviations(stack(), mat)
         return decide(report, None if fast is None else fast + checks, lambda: _dense_deviations(stack(), mat) + checks)
 
 
@@ -464,18 +432,17 @@ def extract_matrix_factorization(
     when K is already diagonal the basis is a column selection of I, which
     sandwich gathers when it is a square permutation, and no basis at all
     when the selection keeps every column in place; any other basis is
-    multiplied in.  K and its check take the places _flat_family keeps alone
-    (a chain-built family keeps (L+1)/d of them); on those places, when the
-    basis is the identity, X is formed there too, with the bits a dense pass
-    gives, and its Pauli coordinates come from those values
-    (clifford.support_coordinates).  From a family held as its coordinates
-    (an unspent clifford.PauliFamily) whose K is a multiple of I, X is a
-    PauliFamily with the coordinates s (c+ - c-) and their rounding bound as
-    its fit (_difference_family).  When that family's outcome sums are exact
-    zeros off the diagonal, as build_cpsd_factorization makes them
-    (_held_diagonal), K and its check take the d diagonal places alone, with
-    the bits the places give, and X's values are formed only when first read:
-    no chain value of the factors is formed and no Pauli table is built.
+    multiplied in.  A family held as its coordinates (an unspent
+    clifford.PauliFamily) whose outcome sums are exact zeros off the
+    diagonal, as build_cpsd_factorization makes them (_held_diagonal), takes
+    K and its check from the d diagonal places alone, with the bits the
+    places give; when K is then a multiple k I, X is a PauliFamily with the
+    coordinates (c+ - c-)/k and their rounding bound as its fit
+    (_difference_family), whose values are formed only when first read: no
+    chain value of the factors is formed and no Pauli table is built.  Any
+    other family is dense: K and its check take all d^2 entries of every
+    factor, X is formed by the restriction above, and X's Pauli coordinates
+    are measured from its stack (clifford.pauli_coordinates).
     The report is report.decide's: its involutions deviation is the bound
     clifford.pauli_square_bounds when the report then passes; otherwise, or
     when the size is not a power of two >= 2, it is the batched squares'
@@ -485,15 +452,15 @@ def extract_matrix_factorization(
     family = held(f, "mats")
     diagonal = _held_diagonal(family, n)
     if diagonal is None:
-        work, places, mirror = _flat_family(f)
+        work, mirror = _flat_factors(f), _transposed(np.arange(d * d), d)
     else:  # every outcome sum is an exact zero off the diagonal, and so is K
-        work, places, mirror = diagonal, None, np.arange(d)
+        work, mirror = diagonal, np.arange(d)
     with np.errstate(invalid="ignore"):  # a non-finite factor raises below, without warnings
         mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
     if diagonal is None:
-        mean_sum = _unflatten(mean_sum, places, d)
+        mean_sum = mean_sum.reshape(d, d)
         diag = np.diag(mean_sum)
         off_diagonal = float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0))
     else:
@@ -524,27 +491,15 @@ def extract_matrix_factorization(
         fit = x_mats.fit()
     else:
         scaling = np.outer(inv_sqrt, inv_sqrt)
-        if in_place and places is not None:
-            # every coordinate stays in place: X is formed at the chain places alone
-            scale = scaling.ravel()[places]
-            values = _scaled_differences(work, scale, mirror)
-            if unspent(family) and np.all(scale == scale[0]):
-                x_mats = _difference_family(family, scale[0], values)
-                fit = x_mats.fit()
-            else:
-                fit = support_coordinates(values, d)
-                x_mats = np.zeros((n, d, d), dtype=complex)
-                scatter_columns(x_mats.reshape(n, d * d), places, values)
-        else:
-            basis = None if in_place else (np.eye(d, dtype=complex)[:, order[keep]] if u is None else u[:, keep])
-            bh = None if in_place else basis.conj().T
-            x_mats = np.empty((n, s, s), dtype=complex)
-            for part in chunks(n, f.mats[0:1, 0].nbytes):
-                x = sandwich(bh, f.mats[part, 0], basis) * scaling
-                x -= sandwich(bh, f.mats[part, 1], basis) * scaling
-                np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
-                x_mats[part] /= 2.0
-            fit = family_fit(x_mats)
+        basis = None if in_place else (np.eye(d, dtype=complex)[:, order[keep]] if u is None else u[:, keep])
+        bh = None if in_place else basis.conj().T
+        x_mats = np.empty((n, s, s), dtype=complex)
+        for part in chunks(n, f.mats[0:1, 0].nbytes):
+            x = sandwich(bh, f.mats[part, 0], basis) * scaling
+            x -= sandwich(bh, f.mats[part, 1], basis) * scaling
+            np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+            x_mats[part] /= 2.0
+        fit = family_fit(x_mats)
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)
 
     def report(inv_dev: float) -> VerificationReport:

@@ -21,11 +21,9 @@ import numpy as np
 from .clifford import (
     Family,
     PauliFamily,
-    _pauli_tables,
     as_dense,
     as_family,
     chain_family,
-    chain_values,
     family_fit,
     held,
     pauli_anticommutators,
@@ -44,7 +42,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _monomial,
     anticommutator_deviations,
     as_matrix,
     chunks,
@@ -160,40 +157,25 @@ def recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_
     clifford.PauliFamily holders, that Gram matrix is |k|^2 d C C^T for C
     their coordinates (Tr(M'_p M'_q) = d c_p . c_q), and no value is formed;
     its entries may differ from the GEMM of the values in the last bits.
-    Otherwise the family is formed by two batched matmuls (row or column
-    scalings when K is diagonal) into one stack, whose complex rows viewed
-    as interleaved real vectors go through one real GEMM.  When both X and Y
-    have values on the chain support, or clifford.support_values proves them
-    +0.0 off it (clifford.chain_values), and K is diagonal, the family is
-    formed from their values there alone, K scaling each by its row or
-    column as linalg.sandwich would, and the GEMM runs over the columns of
-    those values that hold a nonzero: a chain-built family keeps (L+1)/d of
-    the places, and zero columns add nothing to the Gram.  When X and Y are
-    one array or one holder, as extraction returns them, it is read once.
+    Otherwise the family is dense, and is formed by two batched matmuls (row
+    or column scalings when K is diagonal, linalg.sandwich) into one stack,
+    whose complex rows viewed as interleaved real vectors, all d^2 entries
+    of each, go through one real GEMM.
     """
     k = as_matrix(mf.k)
     d = k.shape[0]
     x, y = as_family(held(mf, "x_mats"), "X family", d), as_family(held(mf, "y_mats"), "Y family", d)
     n = x.shape[0]
-    scalar = identity_multiple(k)
-    if scalar is not None and unspent(x) and unspent(y):
+    scalar = identity_multiple(k) if unspent(x) and unspent(y) else None
+    if scalar is not None:
         coords = x.coordinates()
         g = gram(np.concatenate((coords, coords if y is x else y.coordinates()))) * (abs(scalar) ** 2 * d)
         return _unit_diagonal(g, tol)
-    xs = chain_values(x)
-    ys = xs if y is x else chain_values(y)
-    weight = None if xs is None or ys is None else _monomial(k)
-    if weight is not None and weight[0] is None:
-        rows, cols = np.divmod(_pauli_tables(d.bit_length() - 1)[0], d)
-        flat = np.concatenate((xs * weight[1][rows], ys * weight[1][cols])).view(float)
-        flat = flat[:, flat.any(axis=0)]
-    else:
-        x, y = as_dense(x), as_dense(y)
-        family = np.empty((n + y.shape[0], d, d), dtype=complex)
-        sandwich(k, x, out=family[:n])
-        sandwich(None, y, k, out=family[n:])
-        flat = family.reshape(family.shape[0], d * d).view(float)
-    return _unit_diagonal(gram(flat), tol)
+    x, y = as_dense(x), as_dense(y)
+    family = np.empty((n + y.shape[0], d, d), dtype=complex)
+    sandwich(k, x, out=family[:n])
+    sandwich(None, y, k, out=family[n:])
+    return _unit_diagonal(gram(family.reshape(family.shape[0], d * d).view(float)), tol)
 
 
 def _unit_diagonal(g: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -123,8 +123,9 @@ MEMORY_BUDGET = (_physical_memory() or 1 << 62) // 2
 """The most bytes one array may take (half of physical memory): require_budget refuses more.
 
 Checked before the Pauli tables are built, before a family's chain-support
-values are allocated and before a dense stack is built from them, each size
-computed from (k, d) before anything is allocated.
+values are allocated, before a dense stack is built from them and before a
+bundle's family is read from its files (matio), each size computed from
+(k, d) before anything is allocated.
 """
 
 
@@ -243,7 +244,8 @@ def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarra
 
 GATHER_MIN_DIM = 16
 """Least matrix size d at which two readers look for structure: sandwich for monomial
-factors, and clifford.support_values for a family that is zero off the chain support.
+factors, and clifford.pauli_coordinates, whose fit takes a stack that is zero off the
+chain support from its values there (clifford.support_values, which has no other reader).
 
 Below it a batched matmul costs less than telling whether a factor is
 monomial: W^* M W with a diagonal W takes 15 us by matmul and 29 us by

@@ -39,7 +39,7 @@ import numpy as np
 from .cpsd import CpsdFactorization
 from .errors import MatrixFormatError
 from .factorization import FormBFactorization, MatrixFactorization
-from .linalg import BATCH_BYTES
+from .linalg import BATCH_BYTES, require_budget
 from .quantum import TensorProductRep
 
 MANIFEST_NAME = "manifest.json"
@@ -427,8 +427,31 @@ def _role_files(kind: str, manifest) -> list[tuple[Role, str, tuple[int, ...], l
     return out
 
 
+def _require_family_budget(path: Path, count: int, name: str) -> None:
+    """Refuse a family of `count` matrices of the size of the first, in `path`, whose stack would
+    take more than the memory budget (linalg.require_budget).
+
+    The size is taken from the file's canonical header, without decoding an entry, when the
+    file is long enough for the entries the header declares (three bytes each at least); any
+    other file is read through read_matrix, which reports a malformed one.
+    """
+    with open(path, "rb") as file:
+        head = _HEADER.match(file.read(128))
+        length = file.seek(0, 2)
+    if head and length >= 3 * int(head[1]) * int(head[2]):
+        shape, itemsize = (int(head[1]), int(head[2])), 16 if head[3] == b"true" else 8
+    else:
+        m = read_matrix(path)
+        shape, itemsize = m.shape, m.itemsize
+    require_budget(count * itemsize * math.prod(shape), f"{count} {name} matrices of {shape[0]} x {shape[1]}")
+
+
 def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
-    """Validate a bundle's manifest and read each role's matrices, keyed by role name in table order."""
+    """Validate a bundle's manifest and read each role's matrices, keyed by role name in table order.
+
+    Each family role is checked against the memory budget before its files are read
+    (_require_family_budget).
+    """
     directory = Path(dirpath)
     if not (directory / MANIFEST_NAME).is_file():
         raise MatrixFormatError(f"no {MANIFEST_NAME} in {directory}")
@@ -436,7 +459,10 @@ def _load(dirpath, kind: str) -> dict[str, np.ndarray]:
     roles = _read_json(directory / MANIFEST_NAME, lambda obj: _role_files(kind, obj))
     for role, name, family, files in roles:
         # no later role can repeat the texts of the last one, so they are not kept
-        mats = _read_matrices([directory / file for file in files], None if role is roles[-1][0] else known)
+        paths = [directory / file for file in files]
+        if family and paths:
+            _require_family_budget(paths[0], len(paths), name)
+        mats = _read_matrices(paths, None if role is roles[-1][0] else known)
         odd = [file for file, m in zip(files, mats) if m.shape != mats[0].shape or m.shape[0] != m.shape[1]]
         if family and odd:
             shapes = sorted({m.shape for m in mats})

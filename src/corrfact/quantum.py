@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Family, as_dense, as_family, chain_family, chain_values, held, unspent
+from .clifford import Family, as_dense, as_family, chain_family, held, unspent
 from .elliptope import CSystem
 from .errors import (
     CSystemMismatchError,
@@ -150,19 +150,15 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
     """Realized block: entry (i, j) is Tr((M_i (x) N_j) rho).
 
     For vector states the entry is Tr(M_i W N_j^T W^*) with W = vec_inv(psi).
-    When W is a multiple c I of the identity, as for the maximally entangled
-    state, that is |c|^2 sum_cb M_i[c, b] N_j[c, b]; the test reads a
-    read-only view of psi, and W is copied only for the dense path below.
     When both families are held as their Pauli coordinates (unspent
-    clifford.PauliFamily holders), that sum is
-    |c|^2 d sum_p a_p b_p t_p, t_p = -1 for the Y-type chains
-    (Y^T = -Y) and 1 for the others: no value is formed, and the entries may
-    differ from a GEMM of the values in the last bits.  When both families
-    have values on the chain support, in which clifford.support_values
-    proves them +0.0 off it (clifford.chain_values), the block is one GEMM
-    of those values, (L+1) d of the d^2 places, since both are zero at every
-    other.
-    Otherwise the entry equals sum_cb Z_i[c, b] N_j[c, b] for
+    clifford.PauliFamily holders) and W is a multiple c I of the identity,
+    as for the maximally entangled state, that is
+    |c|^2 sum_cb M_i[c, b] N_j[c, b] = |c|^2 d sum_p a_p b_p t_p,
+    t_p = -1 for the Y-type chains (Y^T = -Y) and 1 for the others: no value
+    is formed, and the entries may differ from a GEMM of the values in the
+    last bits.  The test of W reads a read-only view of psi, and W is copied
+    only for the dense path below.  Otherwise the families are dense, and
+    the entry equals sum_cb Z_i[c, b] N_j[c, b] for
     Z_i = W^* M_i W: the Z_i are batched matmuls over chunks of Alice's
     observables (a gather and real scalings when W is monomial, as a
     diagonal W is: linalg.sandwich) and the block is one GEMM per chunk
@@ -182,9 +178,12 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
         w = rep.psi.reshape(d, d)
         w.flags.writeable = False
         alice, bob = held(rep, "alice_obs"), held(rep, "bob_obs")
-        scalar = identity_multiple(w)
-        vals = None if scalar is None else _scalar_state_block(alice, bob, abs(scalar) ** 2)
-        if vals is None:
+        scalar = identity_multiple(w) if unspent(alice) and unspent(bob) else None
+        if scalar is not None:
+            a = alice.coordinates().copy()
+            a[:, alice.d.bit_length() : -1] *= -1.0  # Y^T = -Y: the Y-type coordinates, slots 1..L
+            vals = (a @ bob.coordinates().T) * (abs(scalar) ** 2 * d)
+        else:
             w = vec_inv(rep.psi, d)
             wh = w.conj().T
             alice, bob = as_dense(alice), as_dense(bob).reshape(m, d * d)
@@ -202,18 +201,6 @@ def eval_correlations(rep: TensorProductRep, tol: ToleranceConfig = DEFAULT_TOL)
     if residue > tol.eq_tol:
         raise InvariantViolationError(f"imaginary residue {residue:.3e} exceeds eq_tol")
     return vals.real.copy()
-
-
-def _scalar_state_block(alice, bob, scale: float) -> np.ndarray | None:
-    """scale sum_cb M_i[c, b] N_j[c, b]: from the coordinates of two unspent PauliFamily holders,
-    or one GEMM of the chain values of two families that have them; None otherwise."""
-    if unspent(alice) and unspent(bob):
-        a = alice.coordinates().copy()
-        a[:, alice.d.bit_length() : -1] *= -1.0  # Y^T = -Y: the Y-type coordinates, slots 1..L
-        return (a @ bob.coordinates().T) * (scale * alice.d)
-    alice_values = chain_values(alice)
-    bob_values = None if alice_values is None else chain_values(bob)
-    return None if bob_values is None else (alice_values @ bob_values.T) * scale
 
 
 def _rank_one_vector(rep: TensorProductRep, tol: ToleranceConfig) -> np.ndarray:

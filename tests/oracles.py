@@ -15,10 +15,11 @@ fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
 support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
 the Pauli projection with a residual pass over every entry.  The last
-section but one holds the one-product-at-a-time chain build, the Pauli-table
+section but two holds the one-product-at-a-time chain build, the Pauli-table
 product that bounded anticommutators and the dense weight checks; the last
-holds extraction on the values of every factor and the row-by-row Schmidt
-phases.
+but one holds extraction on the values of every factor and the row-by-row
+Schmidt phases; the last holds the readers that took a dense family proven
+zero off the chain support from its values there.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -40,6 +41,8 @@ from corrfact.clifford import (
     CliffordRep,
     PauliFamily,
     _pauli_tables,
+    as_dense,
+    as_family,
     family_fit,
     gamma_generators,
     gamma_of_vector,
@@ -47,9 +50,18 @@ from corrfact.clifford import (
     pauli_square_bounds,
     rep_dim,
     support_coordinates,
+    support_values,
     unspent,
 )
-from corrfact.cpsd import CpsdFactorization, _flat_family, _outcome_sum_check, _unflatten
+from corrfact.cpsd import (
+    CpsdFactorization,
+    _coordinate_deviations,
+    _dense_deviations,
+    _outcome_sum_check,
+    _pauli_deviations,
+    _place_mirror,
+    _transposed,
+)
 from corrfact.elliptope import factored_correlation, gram_factors, require_correlation
 from corrfact.errors import (
     InconsistentSumsError,
@@ -66,6 +78,7 @@ from corrfact.linalg import (
     DEFAULT_TOL,
     SchmidtDecomposition,
     ToleranceConfig,
+    _monomial,
     anticommutator_deviations,
     as_matrix,
     as_stack,
@@ -1235,14 +1248,14 @@ def values_extract_matrix_factorization(
     f: CpsdFactorization,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[MatrixFactorization, VerificationReport]:
-    """extract_matrix_factorization on the places _flat_family keeps, X's values formed at once."""
+    """extract_matrix_factorization on the places flat_family keeps, X's values formed at once."""
     n, d = f.n, f.dim
-    work, places, mirror = _flat_family(f)
+    work, places, mirror = flat_family(f)
     with np.errstate(invalid="ignore"):
         mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:
         raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
-    mean_sum = _unflatten(mean_sum, places, d)
+    mean_sum = unflatten(mean_sum, places, d)
 
     diag = np.diag(mean_sum)
     if float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0)) <= tol.eq_tol:
@@ -1342,3 +1355,128 @@ def schmidt_loop(psi, d: int, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtDeco
             lefts[k] = row / phase
             rights[k] = rights[k] * phase
     return SchmidtDecomposition(coeffs, lefts, rights)
+
+
+# ------------------------------------------------------------ chain-support values
+#
+# The readers as they took a family at the (L+1) d places of the chain support,
+# when it was held as its coordinates or one bitwise-OR scan proved its dense
+# stack +0.0 everywhere else, before a dense family was read at all d^2 entries.
+
+
+def chain_values(family) -> np.ndarray | None:
+    """The (k, (L+1) d) values of a (..., d, d) family at the places of _pauli_tables(L), k being
+    the product of its leading axes: an unspent PauliFamily's (PauliFamily.chain_values), else
+    support_values of the dense stack (None when it is not +0.0 off them)."""
+    if unspent(family):
+        return family.chain_values()
+    stack = as_dense(family)
+    d = stack.shape[-1]
+    return support_values(stack.reshape(-1, d, d)) if d else None
+
+
+def flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The factors flattened to an (n, 2, m) array, the places a*d + b they keep (None: all d^2),
+    and the position within them of each place's transpose."""
+    n, d = f.n, f.dim
+    mats = held(f, "mats")
+    if n == 0:
+        raise ShapeError(f"cpsd family must be a nonempty (n, 2, d, d) stack, got {np.shape(mats)}")
+    values = chain_values(mats)
+    if values is None:
+        return f.mats.reshape(n, 2, d * d), None, _transposed(np.arange(d * d), d)
+    places = _pauli_tables(d.bit_length() - 1)[0]
+    return values.reshape(n, 2, places.size), places, _place_mirror(places, d)
+
+
+def unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
+    """The d x d matrix holding a flattened one's entries at its places (None: all d^2), +0.0 elsewhere."""
+    if places is None:
+        return values.reshape(d, d)
+    out = np.zeros(d * d, dtype=values.dtype)
+    out[places] = values
+    return out.reshape(d, d)
+
+
+def values_verify_cpsd_factorization(p, f: CpsdFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+    """verify_cpsd_factorization with the outcome sums at the places flat_family keeps, and the
+    Pauli fit of their values when those are the chain support."""
+    mat = as_matrix(p, "witness")
+    n = f.n
+    if mat.shape != (2 * n, 2 * n):
+        raise ShapeError(f"witness shape {mat.shape} does not match family size {(2 * n, 2 * n)}")
+
+    def report(herm_dev, min_eig, entry_dev, sum_dev, trace_dev) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult("factors_hermitian", herm_dev <= tol.eq_tol, herm_dev),
+                CheckResult("factors_psd", min_eig >= -tol.psd_tol, max(0.0, -min_eig), note=f"min eigenvalue {min_eig:.6g}"),
+                CheckResult("entry_reconstruction", entry_dev <= tol.eq_tol, float(entry_dev)),
+                CheckResult("outcome_sums_consistent", sum_dev <= tol.eq_tol, sum_dev),
+                CheckResult("sum_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+            )
+        )
+
+    def stack() -> np.ndarray:
+        return f.mats.reshape(2 * n, f.dim, f.dim)
+
+    def sums():
+        work, places, _ = flat_family(f)
+        mean_sum, sum_dev = _outcome_sum_check(work, None)
+        mean_sum = unflatten(mean_sum, places, f.dim)
+        trace_dev = abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
+        fit = None if places is None else support_coordinates(work.reshape(2 * n, -1), f.dim)
+        return (sum_dev, trace_dev), fit
+
+    mats = held(f, "mats")
+    with np.errstate(invalid="ignore"):
+        if n and unspent(mats):
+            fast = _coordinate_deviations(mats, mat)
+            return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums()[0])
+        checks, fit = sums()
+        fast = _pauli_deviations(stack() if fit is None else mats, mat, fit)
+        return decide(report, None if fast is None else fast + checks, lambda: _dense_deviations(stack(), mat) + checks)
+
+
+def values_recover_correlation(mf: MatrixFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """recover_correlation with the GEMM over the nonzero columns of the chain values of X and Y,
+    when both have them and K is diagonal."""
+    k = as_matrix(mf.k)
+    d = k.shape[0]
+    x, y = as_family(held(mf, "x_mats"), "X family", d), as_family(held(mf, "y_mats"), "Y family", d)
+    n = x.shape[0]
+    scalar = identity_multiple(k)
+    if scalar is not None and unspent(x) and unspent(y):
+        coords = x.coordinates()
+        g = gram(np.concatenate((coords, coords if y is x else y.coordinates()))) * (abs(scalar) ** 2 * d)
+    else:
+        xs = chain_values(x)
+        ys = xs if y is x else chain_values(y)
+        weight = None if xs is None or ys is None else _monomial(k)
+        if weight is not None and weight[0] is None:
+            rows, cols = np.divmod(_pauli_tables(d.bit_length() - 1)[0], d)
+            flat = np.concatenate((xs * weight[1][rows], ys * weight[1][cols])).view(float)
+            flat = flat[:, flat.any(axis=0)]
+        else:
+            x, y = as_dense(x), as_dense(y)
+            family = np.empty((n + y.shape[0], d, d), dtype=complex)
+            sandwich(k, x, out=family[:n])
+            sandwich(None, y, k, out=family[n:])
+            flat = family.reshape(family.shape[0], d * d).view(float)
+        g = gram(flat)
+    diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
+    if diag_dev > tol.eq_tol:
+        raise InvariantViolationError(
+            f"recovered diagonal deviates from one by {diag_dev:.3e}; weight or involutions invalid"
+        )
+    return g
+
+
+def values_eval_correlations(rep: TensorProductRep) -> np.ndarray | None:
+    """The block eval_correlations gave for a vector state W = c I when both families have chain
+    values: one GEMM of those values, scaled by |c|^2; None otherwise."""
+    d = rep.local_dim
+    scalar = identity_multiple(rep.psi.reshape(d, d))
+    alice_values = None if scalar is None else chain_values(held(rep, "alice_obs"))
+    bob_values = None if alice_values is None else chain_values(held(rep, "bob_obs"))
+    return None if bob_values is None else ((alice_values @ bob_values.T) * abs(scalar) ** 2).real.copy()

@@ -1,5 +1,5 @@
 """One support pass per Clifford family: the Pauli projection read from the chain
-support, the verifiers and recovery that scan and gather a family once, the
+support, the verifiers that scan a dense family once, the
 builders' bits across write chunks, and the reduction that shares its stacks.
 
 A family proven +0.0 off the (L+1) d places of clifford._pauli_tables by one
@@ -148,8 +148,10 @@ def scans(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [8, 9, 12])
-def test_verifier_and_extraction_scan_the_family_once(monkeypatch, scans, r):
-    """A dense family (here a copy of a built one) is scanned once by each reader."""
+def test_verifier_and_extraction_scan_the_family_once(scans, r):
+    """A dense family (here a copy of a built one) is scanned once, by the verifier's Pauli fit.
+    Extraction reads all d^2 entries of the factors unscanned and scans the X it forms once, for
+    X's fit; recovery takes the GEMM over all d^2 entries and scans nothing."""
     e = _points(r)[1]
     family = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
     scans.clear()
@@ -157,14 +159,12 @@ def test_verifier_and_extraction_scan_the_family_once(monkeypatch, scans, r):
     report = verify_cpsd_factorization(cpsd.build_pc(e), family)
     assert report.passed and scans == [(2 * n, d * d)]
     scans.clear()
-    # X's coordinates come from the values extraction holds, so X is never scanned
-    monkeypatch.setattr(cpsd, "family_fit", None)
     mf, diagnostics = extract_matrix_factorization(family)
-    assert diagnostics.passed and scans == [(2 * n, d * d)]
+    assert diagnostics.passed and scans == [(n, d * d)]
     scans.clear()
     assert mf.y_mats is mf.x_mats
     recover_correlation(mf)
-    assert scans == [(n, d * d)]
+    assert scans == []
 
 
 @pytest.mark.parametrize("r", [8, 12])

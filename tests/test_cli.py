@@ -1,16 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from corrfact import cli, matio
+from corrfact import cli, linalg, matio
 from corrfact.clifford import PAULI_X
 from corrfact.cli import run
-from corrfact.elliptope import gen_extreme_lex
+from corrfact.elliptope import gen_extreme_lex, gram_factors
 from corrfact.errors import MatrixFormatError
 from corrfact.quantum import TensorProductRep, maximally_entangled
 
+import oracles
 from conftest import CHSH, CHSH_COLS, CHSH_ROWS, E3
 
 
@@ -497,3 +499,71 @@ def test_shorthand_after_global_options_builds(tmp_path, capsys, options):
 def test_every_table_row_has_help(capsys, group, action):
     assert run([group, action, "--help"]) == 0
     assert capsys.readouterr().out
+
+
+def _r8_bundles(tmp_path):
+    """A bundle of each of the five kinds at r=8 (d=16), each with the command that reads it, its
+    directory, the name of its loader (in matio and in the oracles) and its first family role."""
+    e = gen_extreme_lex(8)[0]
+    u = gram_factors(e)
+    h = e.shape[0] // 2
+    epath, pc = _write(tmp_path, "E.json", e), str(tmp_path / "PC.json")
+    c, left, right = _write(tmp_path, "C.json", e[:h, h:]), _write(tmp_path, "U.json", u[:h]), _write(tmp_path, "V.json", u[h:])
+    d = {name: str(tmp_path / name) for name in ("g", "fc", "fb", "f", "q")}
+    for argv in (
+        ["clifford", "gen", "-r", "8", "-o", d["g"]],
+        ["factorize", "build", epath, "-o", d["fc"]],
+        ["factorize", "build", epath, "-o", d["fb"], "--form", "b"],
+        ["cpsd", "build-pc", epath, "-o", pc, "--factors", d["f"]],
+        ["quantum", "rep", c, "--gram", left, right, "-o", d["q"]],
+    ):
+        assert run(argv) == 0
+    return [
+        (["clifford", "verify", d["g"]], d["g"], "load_generators", "generator"),
+        (["factorize", "verify", epath, d["fc"]], d["fc"], "load_matrix_factorization", "x"),
+        (["factorize", "verify", epath, d["fb"], "--mode", "b-form"], d["fb"], "load_form_b", "a"),
+        (["cpsd", "verify", pc, d["f"]], d["f"], "load_cpsd_factorization", "psd_factor"),
+        (["quantum", "eval", d["q"]], d["q"], "load_tensor_rep", "alice_obs"),
+    ]
+
+
+def _arrays(loaded) -> list[bytes]:
+    if isinstance(loaded, np.ndarray):
+        return [loaded.tobytes()]
+    return [np.asarray(v).tobytes() for v in vars(loaded).values() if v is not None]
+
+
+def test_bundle_reads_keep_to_the_memory_budget(tmp_path, capsys, monkeypatch):
+    """Each family role is checked against the budget from its first file before the rest is read:
+    one byte under a family's size exits 3 with the MemoryBudgetError text, and at the budget
+    every bundle reads the oracle's bits."""
+    bundles = _r8_bundles(tmp_path)
+    capsys.readouterr()
+    for argv, directory, loader, role in bundles:
+        directory = Path(directory)
+        entries = json.loads((directory / matio.MANIFEST_NAME).read_text())["entries"]
+        files = [entry["file"] for entry in entries if entry["role"] == role]
+        nbytes = len(files) * matio.read_matrix(directory / files[0]).nbytes
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET", nbytes - 1)
+        assert run(argv) == 3, argv
+        want = f"{len(files)} {role} matrices of 16 x 16 would take {linalg._size_text(nbytes)}, "
+        assert capsys.readouterr().err == f"error: {want}over the memory budget of {linalg._size_text(nbytes - 1)}\n"
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET", nbytes)
+        got = getattr(matio, loader)(directory)
+        assert _arrays(got) == _arrays(getattr(oracles, loader)(directory)), loader
+
+
+def test_bundle_budget_reads_a_first_file_in_another_layout(tmp_path, capsys, monkeypatch):
+    """A first file that is not canonical is parsed for its size; one whose header claims more
+    entries than its bytes can hold is left to the reader, which refuses it as malformed."""
+    argv, directory, _, role = _r8_bundles(tmp_path)[3]
+    first = Path(directory) / "factor_01_p.json"
+    text = first.read_text()
+    first.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 72 * 16 * 256 - 1)
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: 72 {role} matrices of 16 x 16 would take ")
+    first.write_text(text.replace('"rows": 16, "cols": 16', '"rows": 1000000, "cols": 16', 1))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {first}: ")

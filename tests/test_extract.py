@@ -1,12 +1,17 @@
-"""Extraction from a held psd-factor family (cpsd._held_diagonal, cpsd._difference_family).
+"""Extraction from a held psd-factor family (cpsd._held_diagonal, cpsd._difference_family),
+and the readers of a dense family.
 
 A family held as its Pauli coordinates whose outcome sums are exact zeros off
 the diagonal, as build_cpsd_factorization makes them, is extracted from its d
 diagonal places, and X's values are formed only when read.  Reports, weights and
 the dense X are the bytes of the values path (oracles.values_extract_matrix_factorization);
-any other held family takes that path.  Also here: the witness, the Schmidt
-phases, the scalar-state test of eval_correlations and the relation check of
-signed chains, each against the code it replaced.
+any other held family reports as its dense copy does.  A dense family is read at
+all d^2 entries: the verifier's and extraction's reports, K and X are the bytes
+the chain-support readers gave (oracles.values_verify_cpsd_factorization and the
+values path), and recovered and evaluated entries lie within 1e-14 of theirs.
+Also here: the witness, the Schmidt phases, the scalar-state test of
+eval_correlations and the relation check of signed chains, each against the code
+it replaced.
 """
 
 import json
@@ -18,12 +23,12 @@ import pytest
 import oracles
 from corrfact import cpsd, linalg
 from corrfact.clifford import PauliFamily, _pauli_tables, chain_products, gamma_generators, held, verify_clifford_relations
-from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, build_pc, extract_matrix_factorization
+from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, build_pc, extract_matrix_factorization, verify_cpsd_factorization
 from corrfact.elliptope import gen_extreme_lex
-from corrfact.errors import InconsistentSumsError, MemoryBudgetError, NotHermitianError, NotPsdError
-from corrfact.factorization import recover_correlation
+from corrfact.errors import InconsistentSumsError, MemoryBudgetError, NotHermitianError, NotPsdError, NumericalContractError
+from corrfact.factorization import MatrixFactorization, factorize_clifford, recover_correlation, to_form_c
 from corrfact.linalg import DEFAULT_TOL, schmidt
-from corrfact.quantum import build_tensor_rep, eval_correlations, maximally_entangled
+from corrfact.quantum import TensorProductRep, build_tensor_rep, eval_correlations, maximally_entangled
 from corrfact.report import report_json
 
 from test_support import _bipartite, _points
@@ -145,17 +150,21 @@ def _family_with(coords_edit, r=9):
 
 
 @pytest.fixture
-def values_path(monkeypatch):
-    """Count the calls of the values path's flattening."""
+def dense_path(monkeypatch):
+    """Count the calls of the flattening of every entry of the factors."""
     calls = []
-    inner = cpsd._flat_family
+    inner = cpsd._flat_factors
 
     def spy(f):
         calls.append(f.n)
         return inner(f)
 
-    monkeypatch.setattr(cpsd, "_flat_family", spy)
+    monkeypatch.setattr(cpsd, "_flat_factors", spy)
     return calls
+
+
+def _dense_copy(make) -> CpsdFactorization:
+    return CpsdFactorization(make().mats.copy())
 
 
 def _edit_x(coords):
@@ -171,37 +180,110 @@ def _edit_nan(coords):
 
 
 @pytest.mark.parametrize("edit, flattened", [(_edit_x, True), (_edit_z, False)])
-def test_other_held_families_give_the_values_path_report(values_path, edit, flattened):
-    """Sums nonzero off the diagonal take the values path; sums with a Z part take K from the
-    diagonal places, and a K that is not a multiple of I restricts the dense factors."""
+def test_other_held_families_report_as_their_dense_copies(dense_path, edit, flattened):
+    """Sums nonzero off the diagonal fail _held_diagonal, and the factors are read at every entry;
+    sums with a Z part take K from the diagonal places, and a K that is not a multiple of I
+    restricts the dense factors.  Either way the report, K and X are the dense copy's."""
     make = _family_with(edit)
     mf, report = extract_matrix_factorization(make())
-    assert bool(values_path) == flattened
-    mf_old, report_old = oracles.values_extract_matrix_factorization(make())
+    assert bool(dense_path) == flattened
+    mf_old, report_old = extract_matrix_factorization(_dense_copy(make))
     assert _text(report) == _text(report_old) and mf.k.tobytes() == mf_old.k.tobytes()
-    assert type(held(mf, "x_mats")) is type(held(mf_old, "x_mats"))
-    assert not callable(getattr(held(mf, "x_mats"), "values", None))
+    assert type(held(mf, "x_mats")) is np.ndarray and type(held(mf_old, "x_mats")) is np.ndarray
     assert mf.x_mats.tobytes() == mf_old.x_mats.tobytes()
 
 
-def test_a_nan_coordinate_takes_the_values_path(values_path):
+def test_a_nan_coordinate_takes_the_dense_path(dense_path):
     make = _family_with(_edit_nan)
     with pytest.raises(InconsistentSumsError) as got:
         extract_matrix_factorization(make())
-    assert values_path
+    assert dense_path
     with pytest.raises(InconsistentSumsError) as want:
-        oracles.values_extract_matrix_factorization(make())
+        extract_matrix_factorization(_dense_copy(make))
     assert str(got.value) == str(want.value)
 
 
-def test_dense_and_small_families_take_the_values_path(values_path):
+def test_dense_and_small_families_take_the_dense_path(dense_path):
     for e in (gen_extreme_lex(7)[0], gen_extreme_lex(9)[0]):
         family = build_cpsd_factorization(e)
         dense = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
         for f in (family, dense):
-            values_path.clear()
+            dense_path.clear()
             extract_matrix_factorization(f)
-            assert values_path == ([] if f is family and f.dim >= 16 else [f.n])
+            assert dense_path == ([] if f is family and f.dim >= 16 else [f.n])
+
+
+# ------------------------------------------------------------ dense families
+
+
+def _outcome(reader, *args):
+    """What a reader of a cpsd family gives: its report's JSON, with extraction's K and X bytes,
+    or its error."""
+    try:
+        out = reader(*args)
+    except NumericalContractError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        mf, report = out
+        return _text(report), mf.k.tobytes(), mf.x_mats.tobytes(), mf.y_mats is mf.x_mats
+    return json.dumps(report_json("cpsd verify", out, DEFAULT_TOL, None))
+
+
+def _same_as_chain_support_readers(e, mats):
+    """Verification and extraction of a dense family, each on a copy of its own, give the bytes
+    of the chain-support readers."""
+    witness = build_pc(e)
+    for reader, oracle, args in (
+        (verify_cpsd_factorization, oracles.values_verify_cpsd_factorization, (witness,)),
+        (extract_matrix_factorization, oracles.values_extract_matrix_factorization, ()),
+    ):
+        got = _outcome(reader, *args, CpsdFactorization(mats.copy()))
+        assert got == _outcome(oracle, *args, CpsdFactorization(mats.copy())), reader.__name__
+
+
+@pytest.mark.parametrize("r", [8, 9, 10, 12, 13])
+def test_dense_families_on_the_support_read_as_the_chain_support_readers(r):
+    for e in _points(r):
+        mats = build_cpsd_factorization(e).mats.copy()
+        assert oracles.chain_values(mats) is not None
+        _same_as_chain_support_readers(e, mats)
+
+
+@pytest.mark.parametrize("value", [-0.0, 1e-6])
+@pytest.mark.parametrize("r", [8, 10])
+def test_dense_families_off_the_support_read_as_the_chain_support_readers(r, value):
+    e = _points(r)[1]
+    mats = build_cpsd_factorization(e).mats.copy()
+    d = mats.shape[-1]
+    off = np.delete(np.arange(d * d), _pauli_tables(d.bit_length() - 1)[0])[d + 1]
+    mats[2, 1].reshape(-1)[off] = value
+    assert oracles.chain_values(mats) is None
+    _same_as_chain_support_readers(e, mats)
+
+
+@pytest.mark.parametrize("r", [8, 9])
+def test_a_dense_family_holding_a_nan_reads_as_the_chain_support_readers(r):
+    e = _points(r)[2]
+    mats = build_cpsd_factorization(e).mats.copy()
+    mats[3, 0, 1, 1] = np.nan
+    _same_as_chain_support_readers(e, mats)
+
+
+@pytest.mark.parametrize("r", range(8, 14))
+def test_dense_recovery_and_evaluation_are_within_1e14_of_the_chain_support_gemms(r):
+    """Dense families on the chain support: the full GEMMs against the GEMMs over their chain values."""
+    e = _points(r)[1]
+    h = e.shape[0] // 2
+    mf = to_form_c(factorize_clifford(e, h))
+    extracted, _ = extract_matrix_factorization(build_cpsd_factorization(e))
+    for fact in (mf, extracted):
+        dense = MatrixFactorization(fact.x_mats.copy(), fact.y_mats.copy(), fact.k)
+        assert oracles.chain_values(dense.x_mats) is not None
+        assert np.max(np.abs(recover_correlation(dense) - oracles.values_recover_correlation(dense))) <= 1e-14
+    rep = build_tensor_rep(*_bipartite(e))
+    dense = TensorProductRep(rep.alice_obs.copy(), rep.bob_obs.copy(), psi=rep.psi)
+    want = oracles.values_eval_correlations(dense)
+    assert want is not None and np.max(np.abs(eval_correlations(dense) - want)) <= 1e-14
 
 
 # ------------------------------------------------------------ satellites

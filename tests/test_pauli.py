@@ -275,8 +275,7 @@ def test_weight_that_is_not_a_multiple_of_identity_falls_back(dense_calls):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8, 10])
 def test_diagonal_weight_scales_like_matmul(r):
-    """The recovery Gram is the GEMM over the columns it keeps: every column below d = 16, and
-    from there the nonzero ones when they are at most half."""
+    """The recovery Gram of a dense family is the GEMM over all d^2 entries of the matmul family."""
     e = gen_extreme_lex(r)[0]
     x = to_form_c(factorize_clifford(e)).x_mats
     d = x.shape[-1]
@@ -288,11 +287,7 @@ def test_diagonal_weight_scales_like_matmul(r):
         assert np.array_equal(linalg.sandwich(None, x, k), np.matmul(x, k))
     for k in (np.eye(d) / math.sqrt(d), diagonal / np.linalg.norm(diagonal)):
         family = np.concatenate([np.matmul(k, x), np.matmul(x, k)])
-        flat = family.reshape(len(family), d * d).view(float)
-        cols = np.flatnonzero(flat.any(axis=0))
-        if d < linalg.GATHER_MIN_DIM or 2 * cols.size > flat.shape[1]:
-            cols = np.arange(flat.shape[1])
-        want = linalg.gram(flat[:, cols])
+        want = linalg.gram(family.reshape(len(family), d * d).view(float))
         assert np.array_equal(recover_correlation(MatrixFactorization(x, x, k), linalg.ToleranceConfig(eq_tol=1.0)), want)
 
 

@@ -1,5 +1,5 @@
-"""Generator combinations written on the chain support, the column-restricted
-recovery Gram, the Pauli square bound of extraction, the loops they replaced,
+"""Generator combinations written on the chain support, the recovery Gram of a
+dense family, the Pauli square bound of extraction, the loops they replaced,
 and the exit code of the walkthrough script.
 
 Every family corrfact builds is c_0 I + sum_k c_k G_k over I and the Pauli
@@ -101,8 +101,8 @@ def test_combinations_invert_pauli_coordinates(ell):
 
 
 def _dense(mf):
-    """A copy of a factorization as plain arrays, which recovery reads through the support test
-    (a built family held as its coordinates takes the closed form instead)."""
+    """A copy of a factorization as plain arrays, which recovery reads at all d^2 entries (a built
+    family held as its coordinates takes the closed form instead)."""
     return factorization.MatrixFactorization(mf.x_mats.copy(), mf.y_mats.copy(), mf.k)
 
 
@@ -114,7 +114,8 @@ def _full_gram(mf):
 
 @pytest.mark.parametrize("r", range(8, 13))
 def test_column_restricted_gram_matches_full_gemm(monkeypatch, r):
-    """From d = 16 the recovery Gram runs over the nonzero columns alone, within 1e-13 of the full GEMM."""
+    """A dense family is not restricted to its nonzero columns, even on the chain support: the
+    recovery Gram is the full GEMM over its 2 d^2 real columns."""
     widths = []
     inner = linalg.gram
 
@@ -127,13 +128,10 @@ def test_column_restricted_gram_matches_full_gemm(monkeypatch, r):
     mf = _dense(to_form_c(factorize_clifford(e)))
     extracted = _dense(extract_matrix_factorization(build_cpsd_factorization(e))[0])
     for fact in (mf, extracted):
-        got = recover_correlation(fact)
-        assert np.max(np.abs(got - _full_gram(fact))) < 1e-13
+        assert np.array_equal(recover_correlation(fact), _full_gram(fact))
     d = mf.dim
     assert d >= linalg.GATHER_MIN_DIM
-    # X_i and Y_i share L d places off the diagonal, with real and imaginary parts; the Z chain
-    # of odd rank adds the d real diagonal entries
-    assert widths == [(2 * (r // 2) + r % 2) * d] * 2
+    assert widths == [2 * d * d] * 2
 
 
 def test_dense_family_takes_the_full_gemm(monkeypatch):
@@ -151,8 +149,8 @@ def test_dense_family_takes_the_full_gemm(monkeypatch):
 @pytest.mark.parametrize("value", [-0.0, 1e-9])
 @pytest.mark.parametrize("r", [8, 10])
 def test_off_support_bit_in_one_family_takes_the_full_gemm(monkeypatch, value, r):
-    """A set bit off the chain support of X alone, or of Y alone, sends recovery to the GEMM over
-    all 2 d^2 columns; the compact Gram is taken only when both families pass the support test."""
+    """A set bit off the chain support of X alone, or of Y alone, leaves recovery where a dense
+    family on the support takes it: the GEMM over all 2 d^2 columns."""
     widths = []
     inner = linalg.gram
     monkeypatch.setattr(factorization, "gram", lambda v: widths.append(v.shape[1]) or inner(v))
@@ -161,7 +159,7 @@ def test_off_support_bit_in_one_family_takes_the_full_gemm(monkeypatch, value, r
     d = mf.dim
     off = np.delete(np.arange(d * d), _pauli_tables(d.bit_length() - 1)[0])[d + 1]
     recover_correlation(mf)
-    assert widths == [r * d]  # even rank: L d places off the diagonal, real and imaginary parts
+    assert widths == [2 * d * d]
     for side in ("x_mats", "y_mats"):
         mats = getattr(mf, side).copy()
         mats[1].reshape(-1)[off] = value
