@@ -13,7 +13,9 @@ certificate layer.
 Every family the builders make is c_0 I + G(c), nonzero only at the (L+1) d
 places of _pauli_tables; from d = GATHER_MIN_DIM on it is kept as its Pauli
 coordinates (PauliFamily), which decide its checks (family_fit), and its dense
-stack is built when a dataclass field holding it is first read (Family).
+stack is built when a dataclass field holding it is first read (Family).  Any
+other family is dense, and its fit (pauli_coordinates) takes all d^2 entries
+of every matrix in one chunked pass.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .linalg import (
     as_stack,
     chunks,
     hermitian_deviations,
-    nonzero_places,
     require_budget,
     require_hermitian,
     scatter_columns,
@@ -149,27 +150,6 @@ def _support_tables(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx, sign, floats
 
 
-def support_values(stack: np.ndarray) -> np.ndarray | None:
-    """The entries of a (k, d, d) stack at the (L+1) d places of _pauli_tables, as a
-    (k, (L+1) d) array of the stack's dtype, when one bitwise-OR pass over the
-    stack's 64-bit words (linalg.nonzero_places) proves every other entry +0.0.
-
-    The fast path of pauli_coordinates, its one caller; every other reader of
-    a dense family takes all d^2 entries.  None when some other entry
-    holds a set bit (-0.0, a NaN or a nonzero), when d is not a power of two
-    >= GATHER_MIN_DIM (below it the dense pass costs less than the scan) or
-    when the stack is neither float64 nor complex128.
-    """
-    k, d = stack.shape[0], stack.shape[-1]
-    ell = d.bit_length() - 1
-    if d < GATHER_MIN_DIM or d != 1 << ell or stack.dtype not in (np.float64, np.complex128):
-        return None
-    flat = stack.reshape(k, d * d)
-    hit = nonzero_places(flat)
-    pos = _pauli_tables(ell)[0]
-    return np.take(flat, pos, axis=1) if np.count_nonzero(hit) == np.count_nonzero(hit[pos]) else None
-
-
 def _support_fit(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Pauli coordinates of matrices from their C-ordered complex values at the places of
     _pauli_tables(ell), and |M - M'| there, with M' rebuilt from the coordinates.
@@ -190,27 +170,6 @@ def _support_fit(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return coords, np.abs(rest.view(complex))
 
 
-def support_coordinates(values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """pauli_coordinates of a stack that is +0.0 off the chain support, from its (k, (L+1) d)
-    values there (support_values): the same coords and resid, and delta summed
-    over the support alone.
-
-    Works a chunk of rows at a time; a chunk's temporaries (the gathered
-    terms, the rebuilt values and their magnitudes) come to about twice its
-    values, so the chunks hold a quarter of linalg.CHUNK_BYTES of them.
-    """
-    ell = d.bit_length() - 1
-    values = np.ascontiguousarray(values, dtype=complex)
-    k = len(values)
-    coords = np.empty((k, 2 * ell + 2))
-    delta, resid = np.empty(k), np.empty(k)
-    for part in chunks(k, 4 * values[0:1].nbytes):
-        coords[part], mags = _support_fit(values[part], ell)
-        delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
-        resid[part] = np.max(mags, axis=1, initial=0.0)
-    return coords, delta, resid
-
-
 def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Pauli coordinates of each matrix of a (k, d, d) stack, and how far the matrix lies from them.
 
@@ -226,19 +185,16 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     I and the G_j are orthogonal with Tr(G_j G_l) = d delta_jl and
     G(c)^2 = ||c||^2 I, so M' has the eigenvalues c_0 +- ||c|| and
-    Tr(M'_p M'_q) = d c_p . c_q.  When support_values proves the stack zero
-    off the (L+1) d places of the chains, everything is computed from its
-    values there (support_coordinates).  Otherwise the residual takes every
-    entry, a chunk of the stack at a time.  Returns None when d is not a
-    power of two >= 2.  (A held PauliFamily has its own fit: family_fit.)
+    Tr(M'_p M'_q) = d c_p . c_q.  One pass over every entry, a chunk of the
+    stack at a time: the coordinates and the rebuilt values come from the
+    (L+1) d places of the chains (_support_fit), and the residual takes all
+    d^2 entries, so delta sums over the whole matrix.  Returns None when d is
+    not a power of two >= 2.  (A held PauliFamily has its own fit: family_fit.)
     """
     k, d = stack.shape[0], stack.shape[-1]
     ell = d.bit_length() - 1
     if d < 2 or d != 1 << ell:
         return None
-    values = support_values(stack)
-    if values is not None:
-        return support_coordinates(values, d)
     pos = _pauli_tables(ell)[0]
     flat = stack.reshape(k, d * d)
     coords = np.empty((k, 2 * ell + 2))

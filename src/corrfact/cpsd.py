@@ -158,20 +158,26 @@ def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.
     added up in index order by np.add.reduce, its first member having taken
     the running total, so K is bit-identical to sums.mean(axis=0) for d >= 2.
     (numpy reduces the leading axis of a C-ordered array member by member; in
-    another layout it may sum pairwise, so the chunk is made C-ordered.)  The
-    deviation takes a second pass, a chunk of indices at a time.
+    another layout it may sum pairwise, so the chunk is C-ordered.)  The
+    deviation takes a second pass, a chunk of indices at a time, K subtracted
+    in place: both passes form their sums in one C-ordered chunk buffer.
     """
     parts = chunks(len(mats), mats[0:1, 0].nbytes)
+    buf = np.empty((parts[0].stop if parts else 0,) + mats.shape[2:], dtype=mats.dtype)
     total = None
     for p in parts:
-        sums = np.add(mats[p, 0], mats[p, 1], order="C")
+        sums = np.add(mats[p, 0], mats[p, 1], out=buf[: p.stop - p.start])
         if total is not None:
             sums[0] += total
         total = np.add.reduce(sums, axis=0)
     mean_sum = total / len(mats)
     if mirror is not None:
         mean_sum = (mean_sum + mean_sum[mirror].conj()) / 2.0
-    devs = [np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0) for p in parts]
+    devs = []
+    for p in parts:
+        sums = np.add(mats[p, 0], mats[p, 1], out=buf[: p.stop - p.start])
+        sums = np.subtract(sums, mean_sum, out=sums if sums.dtype == mean_sum.dtype else None)
+        devs.append(np.max(np.abs(sums), initial=0.0))
     return mean_sum, float(np.max(devs))
 
 
@@ -493,11 +499,16 @@ def extract_matrix_factorization(
         scaling = np.outer(inv_sqrt, inv_sqrt)
         basis = None if in_place else (np.eye(d, dtype=complex)[:, order[keep]] if u is None else u[:, keep])
         bh = None if in_place else basis.conj().T
-        x_mats = np.empty((n, s, s), dtype=complex)
+        x_mats = np.zeros((n, s, s), dtype=complex)
         for part in chunks(n, f.mats[0:1, 0].nbytes):
-            x = sandwich(bh, f.mats[part, 0], basis) * scaling
+            plus = sandwich(bh, f.mats[part, 0], basis)
+            # X accumulates in place, in the products' own arithmetic: a real product in X's real
+            # part, whose imaginary part stays zero
+            x = x_mats[part] if np.iscomplexobj(plus) else x_mats[part].real
+            np.multiply(plus, scaling, out=x)
+            del plus  # before the minus product: one chunk-sized temporary at a time
             x -= sandwich(bh, f.mats[part, 1], basis) * scaling
-            np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+            x += np.conjugate(x.swapaxes(-1, -2))
             x_mats[part] /= 2.0
         fit = family_fit(x_mats)
     trace_dev = abs(float(np.sum(lam**2)) - 1.0)

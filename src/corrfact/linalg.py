@@ -243,9 +243,9 @@ def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarra
 
 
 GATHER_MIN_DIM = 16
-"""Least matrix size d at which two readers look for structure: sandwich for monomial
-factors, and clifford.pauli_coordinates, whose fit takes a stack that is zero off the
-chain support from its values there (clifford.support_values, which has no other reader).
+"""Least matrix size d at which structure is used: sandwich (through gather_steps) gathers
+monomial factors, clifford.chain_family keeps a built family as its Pauli coordinates, and
+cpsd._held_diagonal extracts such a family from its d diagonal places.
 
 Below it a batched matmul costs less than telling whether a factor is
 monomial: W^* M W with a diagonal W takes 15 us by matmul and 29 us by
@@ -253,20 +253,6 @@ gather for 10 matrices at d = 8, 51 us against 45 us for 18 at d = 16, and
 599 us against 100 us for 27 at d = 32 (numpy 2.4, one OpenBLAS thread,
 2-core x86 VM).
 """
-
-
-def nonzero_places(flat: np.ndarray) -> np.ndarray:
-    """Which of the m columns of a (k, m) array hold a set bit in some row, so that -0.0 and a
-    NaN count as nonzero: one bitwise-OR pass over the array's 64-bit words
-    (bytes for an item size that is not a multiple of 8).
-
-    Rows may be strided; a column stride other than the item size takes a copy.
-    """
-    if flat.strides[-1] != flat.itemsize:
-        flat = np.ascontiguousarray(flat)
-    unit = np.int64 if flat.itemsize % 8 == 0 else np.uint8
-    words = np.bitwise_or.reduce(flat.view(unit), axis=0)
-    return words.reshape(flat.shape[1], -1).any(axis=1)
 
 
 def scatter_columns(out: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:

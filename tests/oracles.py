@@ -15,11 +15,13 @@ fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
 support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
 the Pauli projection with a residual pass over every entry.  The last
-section but two holds the one-product-at-a-time chain build, the Pauli-table
+section but three holds the one-product-at-a-time chain build, the Pauli-table
 product that bounded anticommutators and the dense weight checks; the last
-but one holds extraction on the values of every factor and the row-by-row
-Schmidt phases; the last holds the readers that took a dense family proven
-zero off the chain support from its values there.
+but two holds extraction on the values of every factor and the row-by-row
+Schmidt phases; the last but one holds the readers that took a dense family
+proven zero off the chain support from its values there, with the scan and the
+compact fit of the Pauli projection; the last holds extraction as it formed X
+and compared the outcome sums in chunk temporaries of their own.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -41,6 +43,7 @@ from corrfact.clifford import (
     CliffordRep,
     PauliFamily,
     _pauli_tables,
+    _support_fit,
     as_dense,
     as_family,
     family_fit,
@@ -49,14 +52,15 @@ from corrfact.clifford import (
     held,
     pauli_square_bounds,
     rep_dim,
-    support_coordinates,
-    support_values,
     unspent,
 )
 from corrfact.cpsd import (
     CpsdFactorization,
     _coordinate_deviations,
     _dense_deviations,
+    _difference_family,
+    _flat_factors,
+    _held_diagonal,
     _outcome_sum_check,
     _pauli_deviations,
     _place_mirror,
@@ -76,6 +80,7 @@ from corrfact.errors import (
 from corrfact.factorization import FormBFactorization, MatrixFactorization
 from corrfact.linalg import (
     DEFAULT_TOL,
+    GATHER_MIN_DIM,
     SchmidtDecomposition,
     ToleranceConfig,
     _monomial,
@@ -1361,7 +1366,80 @@ def schmidt_loop(psi, d: int, tol: ToleranceConfig = DEFAULT_TOL) -> SchmidtDeco
 #
 # The readers as they took a family at the (L+1) d places of the chain support,
 # when it was held as its coordinates or one bitwise-OR scan proved its dense
-# stack +0.0 everywhere else, before a dense family was read at all d^2 entries.
+# stack +0.0 everywhere else, before a dense family was read at all d^2 entries;
+# with the scan and the compact fit that pauli_coordinates took on such a stack
+# before every dense family was fitted in one pass over its entries.
+
+
+def nonzero_places(flat: np.ndarray) -> np.ndarray:
+    """Which of the m columns of a (k, m) array hold a set bit in some row, so that -0.0 and a
+    NaN count as nonzero: one bitwise-OR pass over the array's 64-bit words
+    (bytes for an item size that is not a multiple of 8).
+
+    Rows may be strided; a column stride other than the item size takes a copy.
+    """
+    if flat.strides[-1] != flat.itemsize:
+        flat = np.ascontiguousarray(flat)
+    unit = np.int64 if flat.itemsize % 8 == 0 else np.uint8
+    words = np.bitwise_or.reduce(flat.view(unit), axis=0)
+    return words.reshape(flat.shape[1], -1).any(axis=1)
+
+
+def support_values(stack: np.ndarray) -> np.ndarray | None:
+    """The entries of a (k, d, d) stack at the (L+1) d places of _pauli_tables, as a
+    (k, (L+1) d) array of the stack's dtype, when one bitwise-OR pass over the
+    stack's 64-bit words (nonzero_places) proves every other entry +0.0.  None when some
+    other entry holds a set bit (-0.0, a NaN or a nonzero), when d is not a power of two
+    >= GATHER_MIN_DIM or when the stack is neither float64 nor complex128.
+    """
+    k, d = stack.shape[0], stack.shape[-1]
+    ell = d.bit_length() - 1
+    if d < GATHER_MIN_DIM or d != 1 << ell or stack.dtype not in (np.float64, np.complex128):
+        return None
+    flat = stack.reshape(k, d * d)
+    hit = nonzero_places(flat)
+    pos = _pauli_tables(ell)[0]
+    return np.take(flat, pos, axis=1) if np.count_nonzero(hit) == np.count_nonzero(hit[pos]) else None
+
+
+def support_coordinates(values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pauli_coordinates of a stack that is +0.0 off the chain support, from its (k, (L+1) d)
+    values there (support_values): the same coords and resid, and delta summed
+    over the support alone, a quarter of linalg.CHUNK_BYTES of values at a time."""
+    ell = d.bit_length() - 1
+    values = np.ascontiguousarray(values, dtype=complex)
+    k = len(values)
+    coords = np.empty((k, 2 * ell + 2))
+    delta, resid = np.empty(k), np.empty(k)
+    for part in chunks(k, 4 * values[0:1].nbytes):
+        coords[part], mags = _support_fit(values[part], ell)
+        delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        resid[part] = np.max(mags, axis=1, initial=0.0)
+    return coords, delta, resid
+
+
+def scan_pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """clifford.pauli_coordinates with the scan: a stack that support_values proves +0.0 off the
+    chain support is fitted from its values there (support_coordinates), any other by the
+    pass over every entry."""
+    k, d = stack.shape[0], stack.shape[-1]
+    ell = d.bit_length() - 1
+    if d < 2 or d != 1 << ell:
+        return None
+    values = support_values(stack)
+    if values is not None:
+        return support_coordinates(values, d)
+    pos = _pauli_tables(ell)[0]
+    flat = stack.reshape(k, d * d)
+    coords = np.empty((k, 2 * ell + 2))
+    delta, resid = np.empty(k), np.empty(k)
+    for part in chunks(k, d * d * 16):
+        block = np.ascontiguousarray(flat[part], dtype=complex)
+        mags = np.abs(block)
+        coords[part], mags[:, pos] = _support_fit(np.take(block, pos, axis=1), ell)
+        delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        resid[part] = np.max(mags, axis=1, initial=0.0)
+    return coords, delta, resid
 
 
 def chain_values(family) -> np.ndarray | None:
@@ -1480,3 +1558,100 @@ def values_eval_correlations(rep: TensorProductRep) -> np.ndarray | None:
     alice_values = None if scalar is None else chain_values(held(rep, "alice_obs"))
     bob_values = None if alice_values is None else chain_values(held(rep, "bob_obs"))
     return None if bob_values is None else ((alice_values @ bob_values.T) * abs(scalar) ** 2).real.copy()
+
+
+# ------------------------------------------------------------ chunk temporaries
+#
+# Extraction as it formed each chunk of X in temporaries of its own (the plus
+# product, the minus product and the conjugate transpose) and compared the
+# outcome sums with K in two more, with X's fit taken by the scan, before X was
+# accumulated in place and K subtracted in place.
+
+
+def temporaries_outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """cpsd._outcome_sum_check with a new array for every chunk of sums and for their deviation."""
+    parts = chunks(len(mats), mats[0:1, 0].nbytes)
+    total = None
+    for p in parts:
+        sums = np.add(mats[p, 0], mats[p, 1], order="C")
+        if total is not None:
+            sums[0] += total
+        total = np.add.reduce(sums, axis=0)
+    mean_sum = total / len(mats)
+    if mirror is not None:
+        mean_sum = (mean_sum + mean_sum[mirror].conj()) / 2.0
+    devs = [np.max(np.abs(mats[p, 0] + mats[p, 1] - mean_sum), initial=0.0) for p in parts]
+    return mean_sum, float(np.max(devs))
+
+
+def temporaries_extract_matrix_factorization(
+    f: CpsdFactorization,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[MatrixFactorization, VerificationReport]:
+    """extract_matrix_factorization with each chunk of X formed in temporaries and X fitted with the scan."""
+    n, d = f.n, f.dim
+    family = held(f, "mats")
+    diagonal = _held_diagonal(family, n)
+    if diagonal is None:
+        work, mirror = _flat_factors(f), _transposed(np.arange(d * d), d)
+    else:
+        work, mirror = diagonal, np.arange(d)
+    with np.errstate(invalid="ignore"):
+        mean_sum, sum_dev = temporaries_outcome_sum_check(work, mirror)
+    if not sum_dev <= tol.eq_tol:
+        raise InconsistentSumsError(f"outcome sums differ across indices by {sum_dev:.3e}")
+    if diagonal is None:
+        mean_sum = mean_sum.reshape(d, d)
+        diag = np.diag(mean_sum)
+        off_diagonal = float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0))
+    else:
+        diag, off_diagonal = mean_sum, 0.0
+
+    if off_diagonal <= tol.eq_tol:
+        order = np.argsort(-diag.real, kind="stable")
+        w, u = diag.real[order], None
+    else:
+        order = None
+        w, u = sorted_eigh(mean_sum)
+    if w.size == 0 or w[0] <= 0.0:
+        raise ZeroSumError("common outcome sum is numerically zero")
+    keep = rank_mask(w, tol)
+    lam = w[keep]
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    s = lam.size
+    in_place = order is not None and np.array_equal(order[keep], np.arange(d))
+
+    if in_place and diagonal is not None:
+        x_mats = _difference_family(family, inv_sqrt[0] * inv_sqrt[0])
+        fit = x_mats.fit()
+    else:
+        scaling = np.outer(inv_sqrt, inv_sqrt)
+        basis = None if in_place else (np.eye(d, dtype=complex)[:, order[keep]] if u is None else u[:, keep])
+        bh = None if in_place else basis.conj().T
+        x_mats = np.empty((n, s, s), dtype=complex)
+        for part in chunks(n, f.mats[0:1, 0].nbytes):
+            x = sandwich(bh, f.mats[part, 0], basis) * scaling
+            x -= sandwich(bh, f.mats[part, 1], basis) * scaling
+            np.add(x, x.conj().swapaxes(-1, -2), out=x_mats[part])
+            x_mats[part] /= 2.0
+        fit = scan_pauli_coordinates(x_mats)
+    trace_dev = abs(float(np.sum(lam**2)) - 1.0)
+
+    def report(inv_dev: float) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult(
+                    "involutions",
+                    inv_dev <= tol.eq_tol,
+                    inv_dev,
+                    note="squares strictly below identity indicate a sub-unit factor system",
+                ),
+                CheckResult("weight_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+                CheckResult("outcome_sums_consistent", True, sum_dev),
+                CheckResult("support_dimension", True, 0.0, note=f"restricted {f.dim} -> {s}", value=s),
+            )
+        )
+
+    bound = None if fit is None else (float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0)),)
+    mf = MatrixFactorization(x_mats, x_mats, np.diag(lam.astype(complex)))
+    return mf, decide(report, bound, lambda: (float(np.max(square_deviations(mf.x_mats), initial=0.0)),))

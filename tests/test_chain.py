@@ -1,20 +1,22 @@
-"""One support pass per Clifford family: the Pauli projection read from the chain
-support, the verifiers that scan a dense family once, the
-builders' bits across write chunks, and the reduction that shares its stacks.
+"""One fit per dense Clifford family: the Pauli projection in one pass over every entry, the
+verifiers that fit a dense family once, the builders' bits across write chunks, and the
+reduction that shares its stacks.
 
-A family proven +0.0 off the (L+1) d places of clifford._pauli_tables by one
-bitwise-OR pass is projected from its values there; any set bit off them
-sends it to the residual pass over every entry.  Both must give the
-coordinates and the largest residual entry of the projection they replaced
-(``oracles.dense_pauli_coordinates``) bit for bit, and its residual norm
-within 1e-15.
+A dense stack is fitted in one chunked pass: the coordinates and the rebuilt values at the
+(L+1) d places of clifford._pauli_tables, the residual over all d^2 entries.  It must give the
+projection it replaced (``oracles.dense_pauli_coordinates``) bit for bit, residual norm
+included, and the fit that first scanned for a stack +0.0 off the chain support
+(``oracles.scan_pauli_coordinates``) bit for bit but for a residual norm on the support, which
+that fit summed over the support alone.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
 
-from corrfact import clifford, cpsd, factorization, linalg, quantum
-from corrfact.clifford import _pauli_tables, pauli_coordinates, support_values
+from corrfact import clifford, cpsd, factorization, linalg, matio, quantum
+from corrfact.clifford import _pauli_tables, gamma_generators, pauli_coordinates
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, extract_matrix_factorization, verify_cpsd_factorization
 from corrfact.elliptope import gen_extreme_lex
 from corrfact.factorization import factorize_clifford, recover_correlation
@@ -25,18 +27,30 @@ from test_pauli import _same_exactly
 from test_support import _bipartite, _points
 
 
-def _assert_matches_oracle(stack, exact_delta=False):
+def _assert_matches_oracle(stack):
     got, want = pauli_coordinates(stack), oracles.dense_pauli_coordinates(stack)
+    if want is None:
+        assert got is None
+        return
+    for part, part_old in zip(got, want):
+        assert part.tobytes() == part_old.tobytes()
+
+
+def _assert_matches_scan(stack, ulps=0):
+    """The fit that first scanned for a stack +0.0 off the chain support gives the coordinates and
+    the largest residual entry bit for bit, and the residual norm within `ulps` units in the last
+    place (bit for bit when 0): on such a stack it summed the squares of the support alone."""
+    got, want = pauli_coordinates(stack), oracles.scan_pauli_coordinates(stack)
     if want is None:
         assert got is None
         return
     (coords, delta, resid), (coords_old, delta_old, resid_old) = got, want
     assert coords.tobytes() == coords_old.tobytes()
     assert resid.tobytes() == resid_old.tobytes()
-    if exact_delta:
-        assert delta.tobytes() == delta_old.tobytes()
+    if ulps:
+        assert np.all(np.abs(delta - delta_old) <= ulps * np.spacing(delta_old))
     else:
-        assert np.all(np.abs(delta - delta_old) <= 1e-15)
+        assert delta.tobytes() == delta_old.tobytes()
 
 
 def _built_stacks(r):
@@ -52,8 +66,8 @@ def _built_stacks(r):
 @pytest.mark.parametrize("r", range(1, 13))
 def test_built_families_match_the_dense_projection(r):
     for stack in _built_stacks(r):
-        assert (support_values(stack) is not None) == (stack.shape[-1] >= linalg.GATHER_MIN_DIM)
         _assert_matches_oracle(stack)
+        _assert_matches_scan(stack)
 
 
 def _off_support_place(d):
@@ -63,30 +77,29 @@ def _off_support_place(d):
 @pytest.mark.parametrize("value", [1e-6, -0.0, np.nan, np.inf])
 @pytest.mark.parametrize("r", [8, 9, 12])
 def test_an_off_support_bit_takes_the_full_pass(value, r):
-    """One off-support entry set, even to -0.0, sends the stack to the residual pass over
-    every entry, which gives the dense projection's bits, its residual norm included."""
+    """One off-support entry set, even to -0.0, counts in the residual as the dense projection
+    counts it, and gives the bits of the fit that scanned for it."""
     stack = _built_stacks(r)[2].copy()
     d = stack.shape[-1]
     stack.reshape(len(stack), d * d)[3, _off_support_place(d)] = value
-    assert support_values(stack) is None
-    _assert_matches_oracle(stack, exact_delta=True)
+    assert oracles.support_values(stack) is None
+    with np.errstate(invalid="ignore"):
+        _assert_matches_oracle(stack)
+        _assert_matches_scan(stack)
 
 
 @pytest.mark.parametrize("r", [8, 11])
 def test_non_finite_support_entries_stay_on_the_support(r):
-    """A NaN or an inf at a support place sets no bit off the support: the support pass reports it
-    as the dense projection does."""
+    """A NaN or an inf at a support place: the fit reports it as the dense projection and the
+    scanning fit, which took such a stack at its support places, do."""
     stack = _built_stacks(r)[0].copy()
     flat = stack.reshape(len(stack), -1)
     pos = _pauli_tables(stack.shape[-1].bit_length() - 1)[0]
     flat[1, pos[5]], flat[4, pos[-1]] = np.nan, np.inf
-    assert support_values(stack) is not None
+    assert oracles.support_values(stack) is not None
     with np.errstate(invalid="ignore"):
-        coords, delta, resid = pauli_coordinates(stack)
-        coords_old, delta_old, resid_old = oracles.dense_pauli_coordinates(stack)
-    assert np.array_equal(coords, coords_old, equal_nan=True)
-    assert np.array_equal(resid, resid_old, equal_nan=True)
-    assert np.array_equal(np.isnan(delta), np.isnan(delta_old))
+        _assert_matches_oracle(stack)
+        _assert_matches_scan(stack)
 
 
 @pytest.mark.parametrize("r", [8, 10])
@@ -96,8 +109,8 @@ def test_rotated_family_takes_the_full_pass(r):
     rng = np.random.default_rng(r)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     rotated = q @ stack @ q.conj().T
-    assert support_values(rotated) is None
-    _assert_matches_oracle(rotated, exact_delta=True)
+    _assert_matches_oracle(rotated)
+    _assert_matches_scan(rotated)
 
 
 @pytest.mark.parametrize("r", [8, 9])
@@ -113,10 +126,9 @@ def test_layouts_and_dtypes(r):
         "empty": stack[:0],
         "complex64": stack.astype(np.complex64),
     }
-    for name, case in cases.items():
+    for case in cases.values():
         _assert_matches_oracle(case)
-        on_support = name not in ("complex64",)
-        assert (support_values(case) is not None) == on_support, name
+        _assert_matches_scan(case)
     assert pauli_coordinates(stack[:0])[0].shape == (0, 2 * (r // 2) + 2)
 
 
@@ -127,44 +139,92 @@ def test_chunk_borders(monkeypatch, chunk_bytes, r):
     for stack in _built_stacks(r)[:2]:
         _assert_matches_oracle(stack)
         noisy = stack + 1e-9 * np.random.default_rng(r).standard_normal(stack.shape)
-        _assert_matches_oracle(noisy, exact_delta=True)
+        _assert_matches_oracle(noisy)
 
 
-# ------------------------------------------------------------ one scan per family
+def _dense_stacks(r):
+    """gamma_generators(r) and, for the lex point and two random points of rank r, dense copies of
+    the built psd factors, both form-b families, form c's X and the X extracted from the factors."""
+    out = [gamma_generators(r).generators]
+    for e in _points(r):
+        mats = build_cpsd_factorization(e).mats
+        fb = factorize_clifford(e, e.shape[0] // 2)
+        out += [mats.reshape((-1,) + mats.shape[-2:]), fb.a_mats, fb.b_mats]
+        out.append(factorization.to_form_c(factorize_clifford(e)).x_mats)
+        out.append(extract_matrix_factorization(CpsdFactorization(mats.copy()))[0].x_mats)
+    return out
+
+
+@pytest.mark.parametrize("r", range(8, 14))
+def test_dense_stacks_are_fitted_as_the_dense_projection_and_the_scan(r):
+    for stack in _dense_stacks(r):
+        _assert_matches_oracle(stack)
+        _assert_matches_scan(stack)
+
+
+@pytest.mark.parametrize("r", [8, 10])
+def test_families_read_from_files_are_fitted_as_the_scan(r):
+    e = _points(r)[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        matio.save_cpsd_factorization(tmp, build_cpsd_factorization(e))
+        family = matio.load_cpsd_factorization(tmp)
+    mf, _ = extract_matrix_factorization(family)
+    for stack in (family.mats.reshape(-1, family.dim, family.dim), mf.x_mats):
+        _assert_matches_oracle(stack)
+        _assert_matches_scan(stack)
+
+
+@pytest.mark.parametrize("r", range(8, 14))
+def test_a_residual_on_the_support_moves_the_residual_norm_by_ulps(r):
+    """Noise of 1e-12 at the support places alone: the fit sums all d^2 squares where the scanning
+    fit summed the support's, so delta may differ from it in the last bits (at most 2 units
+    in the last place measured here), and nothing else does."""
+    rng = np.random.default_rng(700 + r)
+    for stack in _dense_stacks(r)[1:]:
+        d = stack.shape[-1]
+        pos = _pauli_tables(d.bit_length() - 1)[0]
+        noisy = stack.reshape(len(stack), d * d).astype(complex)
+        noisy[:, pos] += 1e-12 * (rng.standard_normal((len(noisy), pos.size)) + 1j * rng.standard_normal((len(noisy), pos.size)))
+        noisy = noisy.reshape(stack.shape)
+        _assert_matches_oracle(noisy)
+        _assert_matches_scan(noisy, ulps=2)
+
+
+# ------------------------------------------------------------ one fit per family
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """Count the bitwise-OR scans, which clifford.support_values alone runs."""
+def fits(monkeypatch):
+    """Count the fits of dense stacks (clifford.pauli_coordinates) and their sizes."""
     calls = []
-    inner = linalg.nonzero_places
+    inner = clifford.pauli_coordinates
 
-    def spy(flat):
-        calls.append(flat.shape)
-        return inner(flat)
+    def spy(stack):
+        calls.append(stack.shape)
+        return inner(stack)
 
-    monkeypatch.setattr(clifford, "nonzero_places", spy)
+    monkeypatch.setattr(clifford, "pauli_coordinates", spy)
     return calls
 
 
 @pytest.mark.parametrize("r", [8, 9, 12])
-def test_verifier_and_extraction_scan_the_family_once(scans, r):
-    """A dense family (here a copy of a built one) is scanned once, by the verifier's Pauli fit.
-    Extraction reads all d^2 entries of the factors unscanned and scans the X it forms once, for
-    X's fit; recovery takes the GEMM over all d^2 entries and scans nothing."""
+def test_verifier_and_extraction_fit_the_family_once(fits, r):
+    """A dense family (here a copy of a built one) is fitted once, by the verifier's Pauli bounds.
+    Extraction reads all d^2 entries of the factors and fits the X it forms once; recovery takes
+    the GEMM over all d^2 entries and fits nothing."""
     e = _points(r)[1]
     family = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
-    scans.clear()
+    fits.clear()
     n, d = family.n, family.dim
     report = verify_cpsd_factorization(cpsd.build_pc(e), family)
-    assert report.passed and scans == [(2 * n, d * d)]
-    scans.clear()
+    assert report.passed and fits == [(2 * n, d, d)]
+    fits.clear()
     mf, diagnostics = extract_matrix_factorization(family)
-    assert diagnostics.passed and scans == [(n, d * d)]
-    scans.clear()
+    assert diagnostics.passed and fits == [(n, d, d)]
+    fits.clear()
     assert mf.y_mats is mf.x_mats
     recover_correlation(mf)
-    assert scans == []
+    assert fits == []
 
 
 @pytest.mark.parametrize("r", [8, 12])

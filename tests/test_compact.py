@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 from corrfact import cli, clifford, cpsd, linalg, matio
-from corrfact.clifford import PauliFamily, held, support_values
+from corrfact.clifford import PauliFamily, held
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, extract_matrix_factorization, verify_cpsd_factorization
 from corrfact.elliptope import gen_extreme_lex, gram_factors
 from corrfact.errors import MemoryBudgetError
@@ -65,15 +65,19 @@ def _measured_residual(coords, dense):
 
 
 def _holds_its_values(family):
-    """An unspent holder's chain values are the ones support_values reads from its dense stack, bit
-    for bit, and its fit bounds how far those values lie from its coordinates."""
+    """An unspent holder's chain values are its dense stack's entries at the places of
+    clifford._pauli_tables, bit for bit, with +0.0 at every other entry, and its fit bounds how far
+    those values lie from its coordinates."""
     assert isinstance(family, PauliFamily) and not family.spent
     coords, delta, resid = family.fit()
     values = family.chain_values()
     dense = family.dense()
     assert family.spent and dense.flags.c_contiguous and dense.dtype == complex
-    read = support_values(dense.reshape((-1,) + dense.shape[-2:]))
-    assert read is not None and read.tobytes() == values.tobytes()
+    d = dense.shape[-1]
+    pos = clifford._pauli_tables(d.bit_length() - 1)[0]
+    flat = dense.reshape(-1, d * d)
+    assert flat[:, pos].tobytes() == values.tobytes()
+    assert not np.ascontiguousarray(np.delete(flat, pos, axis=1)).view(np.int64).any()
     frob, top = _measured_residual(coords, dense)
     assert np.all(frob <= delta) and np.all(top <= resid)
     assert np.all(delta > 0.0) and np.all(resid > 0.0)

@@ -9,9 +9,11 @@ any other held family reports as its dense copy does.  A dense family is read at
 all d^2 entries: the verifier's and extraction's reports, K and X are the bytes
 the chain-support readers gave (oracles.values_verify_cpsd_factorization and the
 values path), and recovered and evaluated entries lie within 1e-14 of theirs.
-Also here: the witness, the Schmidt phases, the scalar-state test of
-eval_correlations and the relation check of signed chains, each against the code
-it replaced.
+Extraction forms X in place and compares the outcome sums in one chunk buffer,
+with the bytes of the code that formed them in temporaries of their own
+(oracles.temporaries_extract_matrix_factorization).  Also here: the witness, the
+Schmidt phases, the scalar-state test of eval_correlations and the relation check
+of signed chains, each against the code it replaced.
 """
 
 import json
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 import oracles
-from corrfact import cpsd, linalg
+from corrfact import cpsd, linalg, matio
 from corrfact.clifford import PauliFamily, _pauli_tables, chain_products, gamma_generators, held, verify_clifford_relations
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, build_pc, extract_matrix_factorization, verify_cpsd_factorization
 from corrfact.elliptope import gen_extreme_lex
@@ -284,6 +286,111 @@ def test_dense_recovery_and_evaluation_are_within_1e14_of_the_chain_support_gemm
     dense = TensorProductRep(rep.alice_obs.copy(), rep.bob_obs.copy(), psi=rep.psi)
     want = oracles.values_eval_correlations(dense)
     assert want is not None and np.max(np.abs(eval_correlations(dense) - want)) <= 1e-14
+
+
+# ------------------------------------------------------------ one chunk temporary
+
+
+def _hand_family(d, complex_entries, shape, seed):
+    """Five factor pairs (D/2 + A_i, D/2 - A_i) / ||w||, D = diag(w), A_i Hermitian: K = D/||w||
+    lies out of descending order ("unsorted"), has zeros the support restriction strips
+    ("restricted"), or is rotated by a random unitary, so that it is not diagonal ("rotated")."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, d)
+    if shape == "restricted":
+        w[rng.choice(d, d // 4, replace=False)] = 0.0
+    a = rng.standard_normal((5, d, d)) + (1j * rng.standard_normal((5, d, d)) if complex_entries else 0.0)
+    a = (a + a.conj().transpose(0, 2, 1)) / 200.0 * (np.outer(w, w) > 0.0)
+    half = np.diag(w / 2.0).astype(a.dtype)
+    mats = np.stack([half + a, half - a], axis=1)
+    if shape == "rotated":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_entries else 0.0))
+        mats = q @ mats @ q.conj().T
+    return mats / np.linalg.norm(w)
+
+
+def _families(r):
+    """Dense copies of the built psd factors of rank r, complex and real-valued."""
+    for e in _points(r):
+        mats = build_cpsd_factorization(e).mats
+        yield e, mats.copy()
+        yield e, mats.real.copy()
+
+
+@pytest.mark.parametrize("r", [2, 5, 8, 9, 10, 12])
+def test_built_families_extract_as_with_chunk_temporaries(monkeypatch, r):
+    """X accumulated in place and K subtracted in place give the report, K and X of the X pass that
+    formed each chunk in temporaries of its own, for complex and real-valued factors alike; the
+    verifier's outcome sums give the report of the sum check with temporaries."""
+    for e, mats in _families(r):
+        got = _outcome(extract_matrix_factorization, CpsdFactorization(mats.copy()))
+        assert got == _outcome(oracles.temporaries_extract_matrix_factorization, CpsdFactorization(mats.copy()))
+        witness = build_pc(e)
+        got = _outcome(verify_cpsd_factorization, witness, CpsdFactorization(mats))
+        with monkeypatch.context() as m:
+            m.setattr(cpsd, "_outcome_sum_check", oracles.temporaries_outcome_sum_check)
+            assert got == _outcome(verify_cpsd_factorization, witness, CpsdFactorization(mats))
+
+
+@pytest.mark.parametrize("shape", ["unsorted", "restricted", "rotated"])
+@pytest.mark.parametrize("complex_entries", [True, False])
+@pytest.mark.parametrize("d", [4, 8, 16, 32])
+def test_hand_made_families_extract_as_with_chunk_temporaries(d, complex_entries, shape):
+    """Gathered, restricted and multiplied-in bases, below and above GATHER_MIN_DIM."""
+    mats = _hand_family(d, complex_entries, shape, seed=d + 2 * complex_entries + len(shape))
+    got = _outcome(extract_matrix_factorization, CpsdFactorization(mats))
+    assert got == _outcome(oracles.temporaries_extract_matrix_factorization, CpsdFactorization(mats))
+    work = mats.reshape(5, 2, d * d)
+    for mirror in (None, cpsd._transposed(np.arange(d * d), d)):
+        mean_sum, dev = cpsd._outcome_sum_check(work, mirror)
+        mean_old, dev_old = oracles.temporaries_outcome_sum_check(work, mirror)
+        assert mean_sum.tobytes() == mean_old.tobytes() and dev == dev_old
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 5000, 3 * 16 * 16 * 16 + 7])
+def test_chunk_temporaries_across_chunk_borders(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    for _, mats in _families(9):
+        got = _outcome(extract_matrix_factorization, CpsdFactorization(mats.copy()))
+        assert got == _outcome(oracles.temporaries_extract_matrix_factorization, CpsdFactorization(mats.copy()))
+
+
+def _traced_peak(fn, *args) -> int:
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_outcome_sum_check_holds_one_chunk_and_its_magnitudes():
+    """r=10 (one chunk holds all 55 factor pairs): both passes form their sums in one buffer, and
+    the deviation adds the sums' magnitudes, half a chunk; a new array per step took twice that."""
+    f = CpsdFactorization(build_cpsd_factorization(gen_extreme_lex(10)[0]).mats.copy())
+    work = cpsd._flat_factors(f)
+    rows = linalg.chunks(f.n, work[0:1, 0].nbytes)[0]
+    chunk = (rows.stop - rows.start) * work[0:1, 0].nbytes
+    buffers = 3 * np.getbufsize() * 16
+    assert _traced_peak(cpsd._outcome_sum_check, work, None) <= 1.5 * chunk + buffers
+    assert _traced_peak(oracles.temporaries_outcome_sum_check, work, None) > 3 * chunk
+
+
+def test_extraction_from_files_holds_x_and_one_chunk(tmp_path):
+    """The r=10 lex family read from files (one chunk holds all 55 factor pairs): extraction peaks
+    at X and one chunk-sized temporary, besides numpy's iteration buffers for strided operands
+    (np.getbufsize() items each); forming each chunk in temporaries of its own took a chunk more."""
+    matio.save_cpsd_factorization(tmp_path, build_cpsd_factorization(gen_extreme_lex(10)[0]))
+    f = matio.load_cpsd_factorization(tmp_path)
+    rows = linalg.chunks(f.n, f.mats[0:1, 0].nbytes)[0]
+    chunk = (rows.stop - rows.start) * f.mats[0:1, 0].nbytes
+    buffers = 3 * np.getbufsize() * 16
+    mf, report = extract_matrix_factorization(f)
+    assert report.passed
+    assert _traced_peak(extract_matrix_factorization, f) <= mf.x_mats.nbytes + chunk + buffers
+    assert _traced_peak(oracles.temporaries_extract_matrix_factorization, f) > mf.x_mats.nbytes + 2 * chunk
 
 
 # ------------------------------------------------------------ satellites
