@@ -188,8 +188,11 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     Tr(M'_p M'_q) = d c_p . c_q.  One pass over every entry, a chunk of the
     stack at a time: the coordinates and the rebuilt values come from the
     (L+1) d places of the chains (_support_fit), and the residual takes all
-    d^2 entries, so delta sums over the whole matrix.  Returns None when d is
-    not a power of two >= 2.  (A held PauliFamily has its own fit: family_fit.)
+    d^2 entries, so delta sums over the whole matrix.  Only the values at
+    those places are copied to complex: the magnitudes of a real stack are
+    taken in its own arithmetic (an integer one's as floats), so no chunk is
+    copied whole.  Returns None when d is not a power of two >= 2.  (A held
+    PauliFamily has its own fit: family_fit.)
     """
     k, d = stack.shape[0], stack.shape[-1]
     ell = d.bit_length() - 1
@@ -200,9 +203,10 @@ def pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     coords = np.empty((k, 2 * ell + 2))
     delta, resid = np.empty(k), np.empty(k)
     for part in chunks(k, d * d * 16):
-        block = np.ascontiguousarray(flat[part], dtype=complex)
-        mags = np.abs(block)
-        coords[part], mags[:, pos] = _support_fit(np.take(block, pos, axis=1), ell)
+        block = flat[part]
+        mags = np.abs(block.astype(complex if np.iscomplexobj(block) else float, copy=False))
+        values = np.take(block, pos, axis=1).astype(complex, copy=False)
+        coords[part], mags[:, pos] = _support_fit(values, ell)
         delta[part] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
         resid[part] = np.max(mags, axis=1, initial=0.0)
     return coords, delta, resid
@@ -259,6 +263,9 @@ def max_entries(coords: np.ndarray) -> np.ndarray:
 
 
 UNIT_ROUNDOFF = 2.0**-53
+UNDERFLOW = 2.0**-1074
+"""The least positive subnormal: a rounding near zero errs by up to half of it, whatever its
+relative error, and a square below it may vanish."""
 
 
 class PauliFamily:
@@ -267,13 +274,9 @@ class PauliFamily:
     Clifford algebra, so (2L+2) reals describe each of them).
 
     `coords` is the (k, 2L+2) array of chain_coordinates, k the product of `lead`, and the
-    values are chain_products(coords, scales), the bits every builder has always made.  A
-    family derived from such values may hold its own `values` instead, with the coordinates of
-    the matrices they round and, in `magnitudes`, coordinatewise bounds on the terms they were
-    formed from.  Such `values` may also be a function of a leading slice that forms that
-    slice's values: they are then formed when first read, once for all rows by chain_values()
-    and kept, or for a slice's own rows by a leading slice.  fit() gives the coordinates and a
-    bound on how far the values lie from them, without forming a value.
+    values are chain_products(coords, scales), the bits every builder has always made.  fit()
+    gives the coordinates and a bound on how far the values lie from them, without forming a
+    value.
 
     dense() scatters the values into a writable C-ordered zero stack on its first call and
     keeps it; from then on the holder is spent, and every reader takes that stack, so an edit
@@ -282,15 +285,10 @@ class PauliFamily:
     family with one leading axis is a family over those rows, with a dense stack of its own.
     """
 
-    __slots__ = ("coords", "d", "lead", "scales", "values", "magnitudes", "kappa", "_dense", "_base")
+    __slots__ = ("coords", "d", "lead", "scales", "_dense", "_base")
 
-    def __init__(self, coords, d, lead, scales=(), *, values=None, magnitudes=None, kappa=None, base=None):
+    def __init__(self, coords, d, lead, scales=(), *, base=None):
         self.coords, self.d, self.lead, self.scales = coords, d, tuple(lead), tuple(scales)
-        self.values, self.magnitudes = values, magnitudes
-        # a value is one rounding of at most two exact chain terms and one more per scale, a
-        # scaled coordinate one per scale: 2 len(scales) + 1 roundings, and one unit to spare
-        # for the second-order terms
-        self.kappa = 2 * len(self.scales) + 2 if kappa is None else kappa
         self._dense, self._base = None, base
 
     @property
@@ -308,26 +306,30 @@ class PauliFamily:
             out = out * scale
         return out
 
-    def chain_values(self) -> np.ndarray:
-        """The (k, (L+1) d) values at the places of _pauli_tables(L)."""
-        if callable(self.values):
-            self.values = self.values(slice(None))
-        return chain_products(self.coords, self.scales) if self.values is None else self.values
-
     def fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """pauli_coordinates of the matrices, from the coordinates: (c, delta, resid) with the
         rounding bound in place of the measured residual.
 
-        Entry (a, b) of a matrix lies within kappa u A_ab of c_0 I + G(c), u = 2^-53, where
-        A = sum_p m_p |G_p| for the magnitudes m (|c| unless given): each real and imaginary
-        part holds at most two chain terms.  So delta <= kappa u sqrt(2 d) ||m|| and
-        resid <= kappa u sqrt(2) max_entries(m).  Zero only for a family of exact zeros.
+        A value is one rounding of at most two exact chain terms and one more per scale, and a
+        scaled coordinate one per scale: kappa = 2 (#scales) + 1 roundings, and one unit to
+        spare for the second-order terms.  Each rounding errs by at most u |x| + eta/2
+        (u = 2^-53, eta = UNDERFLOW), and a later scale s carries an earlier error on, so
+        entry (a, b) of a matrix lies within kappa (u A_ab + eta S) of c_0 I + G(c) in each
+        part, where A = sum_p |c_p| |G_p| and S = prod max(1, |s|).  With (L+1) d places, that
+        gives delta <= kappa (u sqrt(2 d) ||c|| + eta S sqrt(2 (L+1) d)) and
+        resid <= kappa sqrt(2) (u max_entries(c) + eta S); ||c||^2 takes (2L+2) eta more, for
+        squares that underflow.  A non-finite bound proves nothing: its check fails, and the
+        dense path decides.
         """
         coords = self.coordinates()
-        mags = np.abs(coords) if self.magnitudes is None else self.magnitudes
-        err = self.kappa * UNIT_ROUNDOFF
-        delta = err * math.sqrt(2 * self.d) * np.sqrt(np.einsum("ij,ij->i", mags, mags))
-        return coords, delta, err * math.sqrt(2.0) * max_entries(mags)
+        mags = np.abs(coords)
+        kappa = 2 * len(self.scales) + 2
+        err = kappa * UNIT_ROUNDOFF
+        floor = kappa * UNDERFLOW * math.prod(max(1.0, abs(float(s))) for s in self.scales)
+        places = coords.shape[1] // 2 * self.d
+        norms = np.sqrt(np.einsum("ij,ij->i", mags, mags) + coords.shape[1] * UNDERFLOW)
+        delta = err * math.sqrt(2 * self.d) * norms + floor * math.sqrt(2 * places)
+        return coords, delta, math.sqrt(2.0) * (err * max_entries(mags) + floor)
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
@@ -335,7 +337,8 @@ class PauliFamily:
                 k, d = math.prod(self.lead), self.d
                 require_budget(k * 16 * d * d, f"a dense stack of {k} matrices of size {d}")
                 out = np.zeros(self.shape, dtype=complex)
-                scatter_columns(out.reshape(k, d * d), _pauli_tables(d.bit_length() - 1)[0], self.chain_values())
+                places = _pauli_tables(d.bit_length() - 1)[0]
+                scatter_columns(out.reshape(k, d * d), places, chain_products(self.coords, self.scales))
             else:
                 out = self._base.dense().view()
                 out.flags.writeable = False
@@ -344,18 +347,13 @@ class PauliFamily:
 
     def view(self) -> PauliFamily:
         base = self if self._base is None else self._base
-        return PauliFamily(self.coords, self.d, self.lead, self.scales, values=self.values,
-                           magnitudes=self.magnitudes, kappa=self.kappa, base=base)
+        return PauliFamily(self.coords, self.d, self.lead, self.scales, base=base)
 
     def __getitem__(self, key):
         if self.spent or len(self.lead) != 1 or not isinstance(key, slice):
             return self.dense()[key]
         coords = self.coords[key]
-        values = self.values(key) if callable(self.values) else None if self.values is None else self.values[key]
-        mags = None if self.magnitudes is None else self.magnitudes[key]
-        return PauliFamily(
-            coords, self.d, coords.shape[:1], self.scales, values=values, magnitudes=mags, kappa=self.kappa
-        )
+        return PauliFamily(coords, self.d, coords.shape[:1], self.scales)
 
 
 def chain_family(rows, lead: tuple[int, ...], c0: float = 0.0, scale: float = 1.0, transpose: bool = False):

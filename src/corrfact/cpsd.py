@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -23,9 +22,7 @@ from .clifford import (
     UNIT_ROUNDOFF,
     Family,
     PauliFamily,
-    _pauli_tables,
     chain_family,
-    chain_products,
     family_fit,
     held,
     irreducible_dim,
@@ -195,25 +192,20 @@ def _transposed(flat: np.ndarray, d: int) -> np.ndarray:
     return flat % d * d + flat // d
 
 
-def _place_mirror(places: np.ndarray, d: int) -> np.ndarray:
-    """The position within the ascending `places` of each place's transpose, which they hold."""
-    return np.searchsorted(places, _transposed(places, d))
-
-
 def _held_diagonal(family, n: int) -> np.ndarray | None:
     """The (n, 2, d) diagonal values of a family of factors held as coordinates whose outcome sums
     are exact zeros off the diagonal, with the bits chain_products gives them; None otherwise.
 
-    That is an unspent PauliFamily of shape (n, 2, d, d), d >= GATHER_MIN_DIM, whose values are
-    chain_products(coords, scales), with finite coordinates and finite scaled X and Y terms,
-    and whose sums c_i+ + c_i- are exactly zero off the I and Z columns, as
-    build_cpsd_factorization makes them.  Off the diagonal only the X and Y chains of one slot
-    are nonzero, with entries +-1 and +-i, so each part of a value is one exact product +-c,
-    and every scale rounds c and -c alike: the two factors of a pair are negatives there, and
-    their sum is zero.  On the diagonal only I and the Z chain are nonzero, Z's entry at (a, a)
-    being (-1)^popcount(a): each value is one rounding of c_0 +- c_Z, then one per scale.
+    That is an unspent PauliFamily of shape (n, 2, d, d), d >= GATHER_MIN_DIM, with finite
+    coordinates and finite scaled X and Y terms, and whose sums c_i+ + c_i- are exactly zero
+    off the I and Z columns, as build_cpsd_factorization makes them.  Off the diagonal only
+    the X and Y chains of one slot are nonzero, with entries +-1 and +-i, so each part of a
+    value is one exact product +-c, and every scale rounds c and -c alike: the two factors of
+    a pair are negatives there, and their sum is zero.  On the diagonal only I and the Z chain
+    are nonzero, Z's entry at (a, a) being (-1)^popcount(a): each value is one rounding of
+    c_0 +- c_Z, then one per scale.
     """
-    if not (unspent(family) and family.values is None and family.lead == (n, 2) and family.d >= GATHER_MIN_DIM):
+    if not (unspent(family) and family.lead == (n, 2) and family.d >= GATHER_MIN_DIM):
         return None
     coords, d = family.coords, family.d
     top = float(np.max(np.abs(coords[:, 1:-1]), initial=0.0))
@@ -229,47 +221,6 @@ def _held_diagonal(family, n: int) -> np.ndarray | None:
     for scale in family.scales:
         values *= scale
     return values.reshape(n, 2, d)
-
-
-def _scaled_differences(work: np.ndarray, scale: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    """The Hermitian parts of the scaled differences P+ scale - P- scale of an (m, 2, p) family
-    of flattened factor pairs, `mirror` giving the position of each place's transpose.
-
-    The (m, p) result is allocated before the temporaries, so that they are freed above it.
-    """
-    values = np.empty((len(work), work.shape[-1]), dtype=np.result_type(work, scale))
-    for part in chunks(len(work), work[0:1, 0].nbytes):
-        x = work[part, 0] * scale
-        x -= work[part, 1] * scale
-        hermitian = np.take(x, mirror, axis=1, out=values[part])
-        np.conjugate(hermitian, out=hermitian)
-        hermitian += x
-        hermitian /= 2.0
-    return values.astype(complex, copy=False)
-
-
-def _difference_family(family: PauliFamily, scale) -> PauliFamily:
-    """X = scale (P+ - P-) of an unspent PauliFamily of factor pairs, up to rounding: coordinates
-    scale (c+ - c-), and each value formed from terms of coordinates at most
-    scale (|c+| + |c-|), with kappa + 7 roundings in all.
-
-    Its values are formed from the chain values of the factors when first read
-    (_replayed_differences): the bits extraction has always given them.
-    """
-    c = family.coordinates()
-    return PauliFamily(
-        scale * (c[0::2] - c[1::2]), family.d, (len(c) // 2,),
-        values=partial(_replayed_differences, family.coords, family.scales, family.d, scale),
-        magnitudes=scale * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=family.kappa + 7,
-    )
-
-
-def _replayed_differences(coords, scales, d: int, scale, rows: slice) -> np.ndarray:
-    """The values of _difference_family for the factor pairs `rows`, from their coordinates."""
-    pairs = coords.reshape(-1, 2, coords.shape[1])[rows]
-    work = chain_products(pairs.reshape(-1, coords.shape[1]), scales).reshape(len(pairs), 2, -1)
-    places = _pauli_tables(d.bit_length() - 1)[0]
-    return _scaled_differences(work, np.full(places.size, scale), _place_mirror(places, d))
 
 
 def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float]:
@@ -392,7 +343,8 @@ def _coordinate_deviations(family: PauliFamily, mat: np.ndarray) -> tuple[float,
     err = big_r + UNIT_ROUNDOFF * (5.0 * big_e + big_r)
     sum_dev = float(np.max(max_entries(sums - mean))) + 2.0 * err + UNIT_ROUNDOFF * big_e
     trace = d * float(mean @ mean)
-    slack = 2.0 * err * d * float(np.sum(np.abs(mean))) + coords.shape[1] // 2 * d * err**2
+    # err * err, not err**2: a float's ** raises OverflowError where * gives inf, and the check fails
+    slack = 2.0 * err * d * float(np.sum(np.abs(mean))) + coords.shape[1] // 2 * d * (err * err)
     trace_dev = abs(trace - 1.0) + slack + coords.shape[1] * UNIT_ROUNDOFF * trace
     return herm_dev, min_eig, entry_dev, sum_dev, trace_dev
 
@@ -442,9 +394,9 @@ def extract_matrix_factorization(
     clifford.PauliFamily) whose outcome sums are exact zeros off the
     diagonal, as build_cpsd_factorization makes them (_held_diagonal), takes
     K and its check from the d diagonal places alone, with the bits the
-    places give; when K is then a multiple k I, X is a PauliFamily with the
-    coordinates (c+ - c-)/k and their rounding bound as its fit
-    (_difference_family), whose values are formed only when first read: no
+    places give; when K is then a multiple k I, X is the PauliFamily of the
+    coordinates (c+ - c-)/k, c the factors' scaled coordinates, with the fit
+    and values every held family has (PauliFamily.fit, chain_products): no
     chain value of the factors is formed and no Pauli table is built.  Any
     other family is dense: K and its check take all d^2 entries of every
     factor, X is formed by the restriction above, and X's Pauli coordinates
@@ -492,8 +444,9 @@ def extract_matrix_factorization(
 
     if in_place and diagonal is not None:
         # K = k I: its diagonal takes one value where the Z chain is +1 and one where it is -1,
-        # which lie in descending order only when equal.  X = (P+ - P-)/k, formed when read.
-        x_mats = _difference_family(family, inv_sqrt[0] * inv_sqrt[0])
+        # which lie in descending order only when equal.  X = (P+ - P-)/k, held as its coordinates.
+        c = family.coordinates()
+        x_mats = PauliFamily(inv_sqrt[0] * inv_sqrt[0] * (c[0::2] - c[1::2]), d, (n,))
         fit = x_mats.fit()
     else:
         scaling = np.outer(inv_sqrt, inv_sqrt)

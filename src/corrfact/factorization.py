@@ -141,7 +141,7 @@ def to_form_c(fb: FormBFactorization) -> MatrixFactorization:
     k = np.eye(d, dtype=complex) / scale
 
     def rescaled(mats):
-        if unspent(mats) and mats.values is None:
+        if unspent(mats):
             return PauliFamily(mats.coords, d, mats.lead, mats.scales + (scale,))
         return as_dense(mats) * scale
 

@@ -15,13 +15,16 @@ fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
 support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
 the Pauli projection with a residual pass over every entry.  The last
-section but three holds the one-product-at-a-time chain build, the Pauli-table
+section but five holds the one-product-at-a-time chain build, the Pauli-table
 product that bounded anticommutators and the dense weight checks; the last
-but two holds extraction on the values of every factor and the row-by-row
-Schmidt phases; the last but one holds the readers that took a dense family
+but four holds extraction on the values of every factor and the row-by-row
+Schmidt phases; the last but three holds the readers that took a dense family
 proven zero off the chain support from its values there, with the scan and the
-compact fit of the Pauli projection; the last holds extraction as it formed X
-and compared the outcome sums in chunk temporaries of their own.
+compact fit of the Pauli projection; the last but two holds extraction as it
+formed X and compared the outcome sums in chunk temporaries of their own; the
+last but one holds the holder that gave a held extraction's X values replayed
+from the factors' values, with the helpers that formed them; the last holds
+the distance of chain values from their coordinates in exact arithmetic.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from functools import reduce
+from fractions import Fraction
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +44,19 @@ from corrfact.clifford import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    UNIT_ROUNDOFF,
     CliffordRep,
     PauliFamily,
     _pauli_tables,
     _support_fit,
     as_dense,
     as_family,
+    chain_products,
     family_fit,
     gamma_generators,
     gamma_of_vector,
     held,
+    max_entries,
     pauli_square_bounds,
     rep_dim,
     unspent,
@@ -58,12 +65,10 @@ from corrfact.cpsd import (
     CpsdFactorization,
     _coordinate_deviations,
     _dense_deviations,
-    _difference_family,
     _flat_factors,
     _held_diagonal,
     _outcome_sum_check,
     _pauli_deviations,
-    _place_mirror,
     _transposed,
 )
 from corrfact.elliptope import factored_correlation, gram_factors, require_correlation
@@ -96,6 +101,7 @@ from corrfact.linalg import (
     identity_deviations,
     identity_multiple,
     rank_mask,
+    require_budget,
     sandwich,
     scatter_columns,
     sorted_eigh,
@@ -1292,9 +1298,9 @@ def values_extract_matrix_factorization(
         held_mats = held(f, "mats")
         if unspent(held_mats) and np.all(scale == scale[0]):
             c = held_mats.coordinates()
-            x_mats = PauliFamily(
+            x_mats = ReplayedFamily(
                 scale[0] * (c[0::2] - c[1::2]), d, (n,), values=values,
-                magnitudes=scale[0] * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=held_mats.kappa + 7,
+                magnitudes=scale[0] * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=_kappa(held_mats) + 7,
             )
             fit = x_mats.fit()
         else:
@@ -1444,10 +1450,13 @@ def scan_pauli_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 def chain_values(family) -> np.ndarray | None:
     """The (k, (L+1) d) values of a (..., d, d) family at the places of _pauli_tables(L), k being
-    the product of its leading axes: an unspent PauliFamily's (PauliFamily.chain_values), else
-    support_values of the dense stack (None when it is not +0.0 off them)."""
-    if unspent(family):
+    the product of its leading axes: an unspent ReplayedFamily's (ReplayedFamily.chain_values), an
+    unspent PauliFamily's chain_products, else support_values of the dense stack (None when it is
+    not +0.0 off them)."""
+    if isinstance(family, ReplayedFamily) and not family.spent:
         return family.chain_values()
+    if unspent(family):
+        return chain_products(family.coords, family.scales)
     stack = as_dense(family)
     d = stack.shape[-1]
     return support_values(stack.reshape(-1, d, d)) if d else None
@@ -1464,7 +1473,7 @@ def flat_family(f: CpsdFactorization) -> tuple[np.ndarray, np.ndarray | None, np
     if values is None:
         return f.mats.reshape(n, 2, d * d), None, _transposed(np.arange(d * d), d)
     places = _pauli_tables(d.bit_length() - 1)[0]
-    return values.reshape(n, 2, places.size), places, _place_mirror(places, d)
+    return values.reshape(n, 2, places.size), places, place_mirror(places, d)
 
 
 def unflatten(values: np.ndarray, places: np.ndarray | None, d: int) -> np.ndarray:
@@ -1622,7 +1631,7 @@ def temporaries_extract_matrix_factorization(
     in_place = order is not None and np.array_equal(order[keep], np.arange(d))
 
     if in_place and diagonal is not None:
-        x_mats = _difference_family(family, inv_sqrt[0] * inv_sqrt[0])
+        x_mats = difference_family(family, inv_sqrt[0] * inv_sqrt[0])
         fit = x_mats.fit()
     else:
         scaling = np.outer(inv_sqrt, inv_sqrt)
@@ -1655,3 +1664,148 @@ def temporaries_extract_matrix_factorization(
     bound = None if fit is None else (float(np.max(pauli_square_bounds(fit[0], fit[1], 1.0), initial=0.0)),)
     mf = MatrixFactorization(x_mats, x_mats, np.diag(lam.astype(complex)))
     return mf, decide(report, bound, lambda: (float(np.max(square_deviations(mf.x_mats), initial=0.0)),))
+
+
+# ------------------------------------------------------------ replayed values
+#
+# The holder a held extraction gave X before X was held by its own coordinates:
+# values replayed from the factors' chain values when first read, with the
+# coordinatewise magnitudes of the terms they were formed from and a rounding
+# count of their own, and the cpsd helpers that formed them.
+
+
+def _kappa(family: PauliFamily) -> int:
+    """The rounding count of a holder: its own, or 2 (#scales) + 2 for a plain PauliFamily."""
+    return family.kappa if isinstance(family, ReplayedFamily) else 2 * len(family.scales) + 2
+
+
+class ReplayedFamily(PauliFamily):
+    """PauliFamily with `values` of its own (or a function of a leading slice that forms them),
+    `magnitudes` in place of |coords| and a `kappa` in place of 2 (#scales) + 2."""
+
+    __slots__ = ("values", "magnitudes", "kappa")
+
+    def __init__(self, coords, d, lead, scales=(), *, values=None, magnitudes=None, kappa=None, base=None):
+        self.coords, self.d, self.lead, self.scales = coords, d, tuple(lead), tuple(scales)
+        self.values, self.magnitudes = values, magnitudes
+        self.kappa = 2 * len(self.scales) + 2 if kappa is None else kappa
+        self._dense, self._base = None, base
+
+    def chain_values(self) -> np.ndarray:
+        """The (k, (L+1) d) values at the places of _pauli_tables(L)."""
+        if callable(self.values):
+            self.values = self.values(slice(None))
+        return chain_products(self.coords, self.scales) if self.values is None else self.values
+
+    def fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """delta <= kappa u sqrt(2 d) ||m|| and resid <= kappa u sqrt(2) max_entries(m), m the
+        magnitudes (|c| unless given)."""
+        coords = self.coordinates()
+        mags = np.abs(coords) if self.magnitudes is None else self.magnitudes
+        err = self.kappa * UNIT_ROUNDOFF
+        delta = err * math.sqrt(2 * self.d) * np.sqrt(np.einsum("ij,ij->i", mags, mags))
+        return coords, delta, err * math.sqrt(2.0) * max_entries(mags)
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            if self._base is None:
+                k, d = math.prod(self.lead), self.d
+                require_budget(k * 16 * d * d, f"a dense stack of {k} matrices of size {d}")
+                out = np.zeros(self.shape, dtype=complex)
+                scatter_columns(out.reshape(k, d * d), _pauli_tables(d.bit_length() - 1)[0], self.chain_values())
+            else:
+                out = self._base.dense().view()
+                out.flags.writeable = False
+            self._dense = out
+        return self._dense
+
+    def view(self) -> ReplayedFamily:
+        base = self if self._base is None else self._base
+        return ReplayedFamily(self.coords, self.d, self.lead, self.scales, values=self.values,
+                              magnitudes=self.magnitudes, kappa=self.kappa, base=base)
+
+    def __getitem__(self, key):
+        if self.spent or len(self.lead) != 1 or not isinstance(key, slice):
+            return self.dense()[key]
+        coords = self.coords[key]
+        values = self.values(key) if callable(self.values) else None if self.values is None else self.values[key]
+        mags = None if self.magnitudes is None else self.magnitudes[key]
+        return ReplayedFamily(
+            coords, self.d, coords.shape[:1], self.scales, values=values, magnitudes=mags, kappa=self.kappa
+        )
+
+
+def place_mirror(places: np.ndarray, d: int) -> np.ndarray:
+    """The position within the ascending `places` of each place's transpose, which they hold."""
+    return np.searchsorted(places, _transposed(places, d))
+
+
+def scaled_differences(work: np.ndarray, scale: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of the scaled differences P+ scale - P- scale of an (m, 2, p) family
+    of flattened factor pairs, `mirror` giving the position of each place's transpose.
+
+    The (m, p) result is allocated before the temporaries, so that they are freed above it.
+    """
+    values = np.empty((len(work), work.shape[-1]), dtype=np.result_type(work, scale))
+    for part in chunks(len(work), work[0:1, 0].nbytes):
+        x = work[part, 0] * scale
+        x -= work[part, 1] * scale
+        hermitian = np.take(x, mirror, axis=1, out=values[part])
+        np.conjugate(hermitian, out=hermitian)
+        hermitian += x
+        hermitian /= 2.0
+    return values.astype(complex, copy=False)
+
+
+def difference_family(family: PauliFamily, scale) -> ReplayedFamily:
+    """X = scale (P+ - P-) of an unspent PauliFamily of factor pairs, up to rounding: coordinates
+    scale (c+ - c-), and each value formed from terms of coordinates at most
+    scale (|c+| + |c-|), with kappa + 7 roundings in all.
+
+    Its values are formed from the chain values of the factors when first read
+    (replayed_differences).
+    """
+    c = family.coordinates()
+    return ReplayedFamily(
+        scale * (c[0::2] - c[1::2]), family.d, (len(c) // 2,),
+        values=partial(replayed_differences, family.coords, family.scales, family.d, scale),
+        magnitudes=scale * (np.abs(c[0::2]) + np.abs(c[1::2])), kappa=_kappa(family) + 7,
+    )
+
+
+def replayed_differences(coords, scales, d: int, scale, rows: slice) -> np.ndarray:
+    """The values of difference_family for the factor pairs `rows`, from their coordinates."""
+    pairs = coords.reshape(-1, 2, coords.shape[1])[rows]
+    work = chain_products(pairs.reshape(-1, coords.shape[1]), scales).reshape(len(pairs), 2, -1)
+    places = _pauli_tables(d.bit_length() - 1)[0]
+    return scaled_differences(work, np.full(places.size, scale), place_mirror(places, d))
+
+
+# ------------------------------------------------------------ exact residuals
+#
+# The distance of chain values from the matrices their coordinates describe,
+# in exact rational arithmetic: every finite float is a rational, and every
+# entry of a chain is 0, +-1 or +-i.
+
+
+def exact_chain_residuals(coords: np.ndarray, values: np.ndarray) -> list[tuple[Fraction, Fraction]]:
+    """For each row c of an (m, 2L+2) coordinate array and its row of (L+1) d finite chain values
+    at the places of _pauli_tables(L): ||V - M'||_F^2 and max|V - M'|^2, exactly, for M' =
+    c_0 I + G(c) and V the matrix holding the values there (both are zero at every other place)."""
+    table = _pauli_tables((coords.shape[1] - 2) // 2)[1]
+    terms = [
+        [(p, int(table[p, j].real), int(table[p, j].imag)) for p in np.flatnonzero(table[:, j])]
+        for j in range(table.shape[1])
+    ]
+    out = []
+    for c, v in zip(coords.tolist(), values.tolist()):
+        exact = [Fraction(x) for x in c]
+        total = largest = Fraction(0)
+        for place, value in zip(terms, v):
+            re = Fraction(value.real) - sum(exact[p] * a for p, a, _ in place)
+            im = Fraction(value.imag) - sum(exact[p] * b for p, _, b in place)
+            square = re * re + im * im
+            total += square
+            largest = max(largest, square)
+        out.append((total, largest))
+    return out

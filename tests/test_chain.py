@@ -7,10 +7,12 @@ A dense stack is fitted in one chunked pass: the coordinates and the rebuilt val
 projection it replaced (``oracles.dense_pauli_coordinates``) bit for bit, residual norm
 included, and the fit that first scanned for a stack +0.0 off the chain support
 (``oracles.scan_pauli_coordinates``) bit for bit but for a residual norm on the support, which
-that fit summed over the support alone.
+that fit summed over the support alone.  A real stack's magnitudes are taken as floats, and only
+its support values are copied to complex.
 """
 
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +117,8 @@ def test_rotated_family_takes_the_full_pass(r):
 
 @pytest.mark.parametrize("r", [8, 9])
 def test_layouts_and_dtypes(r):
-    """Real stacks, strided and transposed views and an empty stack: the dense projection's bits."""
+    """Real, single-precision and integer stacks, strided and transposed views and an empty stack:
+    the dense projection's bits."""
     mats = build_cpsd_factorization(_points(r)[1]).mats
     stack = mats.reshape((-1,) + mats.shape[-2:])
     cases = {
@@ -125,11 +128,37 @@ def test_layouts_and_dtypes(r):
         "real_strided": stack.real,
         "empty": stack[:0],
         "complex64": stack.astype(np.complex64),
+        "float32": stack.real.astype(np.float32),
+        "int64": np.rint(stack.real * 4).astype(np.int64),
     }
     for case in cases.values():
         _assert_matches_oracle(case)
         _assert_matches_scan(case)
     assert pauli_coordinates(stack[:0])[0].shape == (0, 2 * (r // 2) + 2)
+
+
+def _traced_peak(fn, *args) -> int:
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_real_stack_is_fitted_without_a_complex_copy():
+    """r=10: a real chunk's magnitudes are taken as floats and only its support values are copied
+    to complex, so the fit peaks near twice the chunk's magnitudes (1.3x more for the support
+    temporaries); copying the chunk to complex first took over four times them."""
+    mats = build_cpsd_factorization(gen_extreme_lex(10)[0]).mats
+    stack = mats.real.reshape((-1,) + mats.shape[-2:]).copy()
+    d = stack.shape[-1]
+    rows = linalg.chunks(len(stack), d * d * 16)[0]
+    magnitudes = (rows.stop - rows.start) * d * d * 8
+    assert _traced_peak(pauli_coordinates, stack) <= 2.5 * magnitudes
+    assert _traced_peak(oracles.dense_pauli_coordinates, stack) > 4 * magnitudes
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 3 * 1024 + 5, 40_000, linalg.CHUNK_BYTES])

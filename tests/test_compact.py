@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,12 +66,12 @@ def _measured_residual(coords, dense):
 
 
 def _holds_its_values(family):
-    """An unspent holder's chain values are its dense stack's entries at the places of
-    clifford._pauli_tables, bit for bit, with +0.0 at every other entry, and its fit bounds how far
-    those values lie from its coordinates."""
+    """An unspent holder's chain values, chain_products of its coordinates and scales, are its dense
+    stack's entries at the places of clifford._pauli_tables, bit for bit, with +0.0 at every other
+    entry, and its fit bounds how far those values lie from its coordinates."""
     assert isinstance(family, PauliFamily) and not family.spent
     coords, delta, resid = family.fit()
-    values = family.chain_values()
+    values = clifford.chain_products(family.coords, family.scales)
     dense = family.dense()
     assert family.spent and dense.flags.c_contiguous and dense.dtype == complex
     d = dense.shape[-1]
@@ -137,11 +138,13 @@ def test_carried_values_are_the_dense_support_values(r, k):
 PARENT_HASHES = {
     # sha256 prefixes of the dense reads fb.a_mats, fb.b_mats, mf.x_mats, mf.y_mats, cpsd mats
     # and extracted x_mats, built from the lex vectors as given factors (no eigensolver), as the
-    # families kept as their chain-support values wrote them
+    # families kept as their chain-support values wrote them; the r=13 extracted X, held by its own
+    # coordinates, has the diagonal entries +-c_Z where the factors' values gave
+    # (c_0 + c_Z) - (c_0 - c_Z) (7f80c1b0ef1bf357 before)
     8: ("2e0b5a9975f5f8cd", "94b79ec5c8e58b33", "b02f36f52b47a47e", "928349bd3516086c", "82c1aba218dc8f4f", "368985724e354af5"),
     9: ("ee9f3e11991ce772", "db39f31705aefe36", "c451926f77ad8a49", "f13660d255826b13", "a8026c89f7432a1a", "af67654663151ccc"),
     12: ("221e422b19d42b9a", "70db5345cb7eaf46", "fcbf1028a045f331", "1b21a14c5b4909b3", "7273913c67b17bee", "04e0761e780c6a34"),
-    13: ("c799c46688a793ac", "fd9ffaf0afb446a3", "a2e6676991aaea50", "3361614c2224fc64", "94980f34ed355f8d", "7f80c1b0ef1bf357"),
+    13: ("c799c46688a793ac", "fd9ffaf0afb446a3", "a2e6676991aaea50", "3361614c2224fc64", "94980f34ed355f8d", "2753ccf436344c30"),
 }
 
 
@@ -177,6 +180,66 @@ def test_dense_stack_is_built_once_and_kept():
     first = family.mats
     assert family.mats is first and first.flags.writeable and first.shape == (36, 2, 16, 16)
     assert held(family, "mats").spent
+
+
+# ------------------------------------------------------------ the fit in exact arithmetic
+
+REGIMES = {
+    # binary exponents of the coordinates and of the scales
+    "subnormal": ((-1074, -1022), (-4, 4)),
+    "spread": ((-1063, -963), (-4, 4)),  # 1e-320 .. 1e-290: the squared norm underflows
+    "wide": ((-1074, 400), (-40, 40)),
+}
+
+
+def _draw_coordinates(rng, ell, k, exponents):
+    """k rows of 2L+2 coordinates, each +-m 2^e with m in [1, 2) and e uniform over `exponents`,
+    one in ten a signed zero."""
+    shape = (k, 2 * ell + 2)
+    mantissas = rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    coords = np.ldexp(mantissas, rng.integers(exponents[0], exponents[1] + 1, shape))
+    zeros = rng.random(shape) < 0.1
+    coords[zeros] = np.copysign(0.0, mantissas[zeros])
+    return coords
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("ell", range(1, 6))
+def test_the_fit_bounds_the_values_in_exact_arithmetic(ell, regime):
+    """d = 2..32, with 0, 1 and 2 scales: each value chain_products forms lies within the fit's
+    bounds of the matrix the scaled coordinates describe, checked in fractions.Fraction, for
+    subnormal coordinates and for squared norms that underflow alike."""
+    exponents, scale_exponents = REGIMES[regime]
+    rng = np.random.default_rng([ell, len(regime)])
+    for count in range(3):
+        coords = _draw_coordinates(rng, ell, 60, exponents)
+        signs = rng.choice([-1.0, 1.0], count)
+        scales = tuple(np.ldexp(rng.uniform(0.5, 2.0, count) * signs, rng.integers(*scale_exponents, count)).tolist())
+        scaled, delta, resid = PauliFamily(coords, 2**ell, (len(coords),), scales).fit()
+        assert np.isfinite(delta).all() and np.isfinite(resid).all()
+        values = clifford.chain_products(coords, scales)
+        for (frobenius, largest), bound, top in zip(oracles.exact_chain_residuals(scaled, values), delta, resid):
+            assert frobenius <= Fraction(bound) ** 2 and largest <= Fraction(top) ** 2, (count, scales)
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_a_non_finite_bound_leaves_the_report_to_the_dense_path(value):
+    """A coordinate whose square overflows, or that is not finite, gives a bound that proves
+    nothing: its check fails, and the verifier reports as the family's dense copy does."""
+    e = gen_extreme_lex(8)[0]
+    family = held(build_cpsd_factorization(e), "mats")
+    coords = family.coords.copy()
+    coords[3, 1] = value
+
+    def make():
+        return CpsdFactorization(PauliFamily(coords.copy(), family.d, family.lead, family.scales))
+
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(held(make(), "mats").fit()[1][3])
+        witness = cpsd.build_pc(e)
+        report = verify_cpsd_factorization(witness, make())
+        assert not report.passed
+        _same_exactly(report, verify_cpsd_factorization(witness, CpsdFactorization(make().mats.copy())))
 
 
 # ------------------------------------------------------------ reports and arrays
@@ -234,11 +297,22 @@ def _reports_agree_with_dense_copies(e):
     # the dense stacks, read last, are the dense copies' arrays
     pairs = [(fb.a_mats, fb_dense.a_mats), (fb.b_mats, fb_dense.b_mats), (mf.x_mats, mf_dense.x_mats)]
     pairs += [(mf.y_mats, mf_dense.y_mats), (mf.k, mf_dense.k), (family.mats, dense.mats)]
-    pairs += [(x.x_mats, x_dense.x_mats), (x.k, x_dense.k), (rep.alice_obs, rep_dense.alice_obs)]
+    pairs += [(x.k, x_dense.k), (rep.alice_obs, rep_dense.alice_obs)]
     pairs += [(rep.bob_obs, rep_dense.bob_obs), (reduced.alice_obs, reduced_dense.alice_obs)]
     pairs += [(reduced.bob_obs, reduced_dense.bob_obs), (reduced.psi, reduced_dense.psi)]
     for got, want in pairs:
         _same_array(got, want)
+    # the extracted X, held by its own coordinates, is the dense path's X save for the diagonal at
+    # odd rank, where its c_0 is an exact zero and the dense path rounds (c_0 + c_Z) - (c_0 - c_Z):
+    # each diagonal entry moves within the fit residual of the X whose values replayed that
+    if held(family, "mats").coords[:, -1].any():
+        off = ~np.eye(x.k.shape[0], dtype=bool)
+        _same_array(x.x_mats[:, off], x_dense.x_mats[:, off])
+        moved = np.abs(np.diagonal(x.x_mats, axis1=1, axis2=2) - np.diagonal(x_dense.x_mats, axis1=1, axis2=2))
+        replayed = held(oracles.values_extract_matrix_factorization(build_cpsd_factorization(e))[0], "x_mats")
+        assert np.all(moved <= replayed.fit()[2][:, None])
+    else:
+        _same_array(x.x_mats, x_dense.x_mats)
 
 
 @pytest.mark.parametrize("r, k", CASES)

@@ -1,13 +1,16 @@
-"""Extraction from a held psd-factor family (cpsd._held_diagonal, cpsd._difference_family),
-and the readers of a dense family.
+"""Extraction from a held psd-factor family (cpsd._held_diagonal), and the readers of a dense family.
 
 A family held as its Pauli coordinates whose outcome sums are exact zeros off
 the diagonal, as build_cpsd_factorization makes them, is extracted from its d
-diagonal places, and X's values are formed only when read.  Reports, weights and
-the dense X are the bytes of the values path (oracles.values_extract_matrix_factorization);
-any other held family reports as its dense copy does.  A dense family is read at
-all d^2 entries: the verifier's and extraction's reports, K and X are the bytes
-the chain-support readers gave (oracles.values_verify_cpsd_factorization and the
+diagonal places, and X = (P+ - P-)/k is held by its own coordinates, whose values
+are their chain_products as for every held family.  K, X's coordinates, the
+recovered matrix and every report outcome are those of the values path, which
+replayed X's values from the factors' values (oracles.values_extract_matrix_factorization);
+X's own rounding bound tightens the involutions bound, and X's dense read has the
+values path's bits at even rank and moves on the diagonal alone at odd rank.  Any
+other held family reports as its dense copy does.  A dense family is read at all
+d^2 entries: the verifier's and extraction's reports, K and X are the bytes the
+chain-support readers gave (oracles.values_verify_cpsd_factorization and the
 values path), and recovered and evaluated entries lie within 1e-14 of theirs.
 Extraction forms X in place and compares the outcome sums in one chunk buffer,
 with the bytes of the code that formed them in temporaries of their own
@@ -24,7 +27,15 @@ import pytest
 
 import oracles
 from corrfact import cpsd, linalg, matio
-from corrfact.clifford import PauliFamily, _pauli_tables, chain_products, gamma_generators, held, verify_clifford_relations
+from corrfact.clifford import (
+    PauliFamily,
+    _pauli_tables,
+    chain_products,
+    gamma_generators,
+    held,
+    unspent,
+    verify_clifford_relations,
+)
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, build_pc, extract_matrix_factorization, verify_cpsd_factorization
 from corrfact.elliptope import gen_extreme_lex
 from corrfact.errors import InconsistentSumsError, MemoryBudgetError, NotHermitianError, NotPsdError, NumericalContractError
@@ -42,10 +53,6 @@ def _text(report) -> str:
     return json.dumps(report_json("cpsd extract", report, DEFAULT_TOL, None))
 
 
-def _lazy(x) -> bool:
-    return isinstance(x, PauliFamily) and callable(x.values) and not x.spent
-
-
 def _pair(e):
     """The extraction of a held family and the values path's, each from a family of its own."""
     return extract_matrix_factorization(build_cpsd_factorization(e)), oracles.values_extract_matrix_factorization(
@@ -53,46 +60,87 @@ def _pair(e):
     )
 
 
+def _scattered(family) -> np.ndarray:
+    """The chain_products of a holder's coordinates scattered into a zero stack of its shape."""
+    k, d = len(family.coords), family.d
+    out = np.zeros((k, d * d), dtype=complex)
+    out[:, _pauli_tables(d.bit_length() - 1)[0]] = chain_products(family.coords, family.scales)
+    return out.reshape(family.shape)
+
+
+def _same_but_the_diagonal(x, old, r: int) -> None:
+    """X's dense read has the bits of the values path's X at even rank.  At odd rank it differs on
+    the diagonal alone: X's c_0 is an exact zero, so each diagonal entry is +-c_Z exactly, where the
+    values path rounded (c_0 + c_Z) - (c_0 - c_Z); each moves within that X's fit residual."""
+    got, want = x.dense(), old.dense()
+    if r % 2 == 0:
+        assert got.tobytes() == want.tobytes()
+        return
+    off = ~np.eye(x.d, dtype=bool)
+    assert got[:, off].tobytes() == want[:, off].tobytes()
+    assert not x.coords[:, 0].any()
+    z = np.diagonal(gamma_generators(2 * (x.d.bit_length() - 1) + 1).generators[-1]).real
+    diagonal = np.diagonal(got, axis1=1, axis2=2)
+    assert diagonal.tobytes() == (x.coords[:, -1:] * z + 0j).tobytes()
+    moved = np.abs(diagonal - np.diagonal(want, axis1=1, axis2=2))
+    assert np.all(moved <= old.fit()[2][:, None])
+
+
 # ------------------------------------------------------------ the held path
 
 
 @pytest.mark.parametrize("r, k", CASES)
 def test_held_extraction_is_the_values_path(r, k):
+    """X holds the values path's coordinates, with no scale; K, the recovered matrix and every
+    outcome, note, payload and deviation are the values path's, save the involutions bound, which
+    X's own fit tightens: it lies between the deviation of X's dense squares and the old bound."""
     (mf, report), (mf_old, report_old) = _pair(_points(r)[k])
-    x = held(mf, "x_mats")
-    assert _lazy(x) and held(mf, "y_mats") is x
-    assert _text(report) == _text(report_old)
+    x, old = held(mf, "x_mats"), held(mf_old, "x_mats")
+    assert type(x) is PauliFamily and unspent(x) and held(mf, "y_mats") is x
+    assert isinstance(old, oracles.ReplayedFamily)
+    assert x.coords.tobytes() == old.coords.tobytes() and x.scales == () and x.lead == old.lead
     assert mf.k.tobytes() == mf_old.k.tobytes()
     assert recover_correlation(mf).tobytes() == recover_correlation(mf_old).tobytes()
-    old = held(mf_old, "x_mats")
-    for a, b in zip(x.fit(), old.fit()):
-        assert a.tobytes() == b.tobytes()
-    assert _lazy(x)
-    assert mf.x_mats.tobytes() == mf_old.x_mats.tobytes()
+    assert unspent(x)
+    assert [(c.name, c.passed, c.note, c.value) for c in report.checks] == [
+        (c.name, c.passed, c.note, c.value) for c in report_old.checks
+    ]
+    for got, want in zip(report.checks, report_old.checks):
+        if got.name != "involutions":
+            assert got.deviation == want.deviation, got.name
+    bound, old_bound = report.check("involutions").deviation, report_old.check("involutions").deviation
+    assert float(np.max(linalg.square_deviations(mf.x_mats))) <= bound <= old_bound
+    _same_but_the_diagonal(x, old, r)
     assert x.spent and mf.y_mats is mf.x_mats
 
 
 @pytest.mark.parametrize("r", [8, 11, 16])
 def test_chain_values_are_formed_once_and_kept(r):
-    (mf, _), (mf_old, _) = _pair(_points(r)[1])
+    """X's dense stack is the scatter of the chain_products of its coordinates, bit for bit,
+    formed on the first read and kept."""
+    (mf, _), _ = _pair(_points(r)[1])
     x = held(mf, "x_mats")
-    values = x.chain_values()
-    assert values.tobytes() == held(mf_old, "x_mats").chain_values().tobytes()
-    assert x.values is values and x.chain_values() is values and not x.spent
+    want = _scattered(x)
+    assert not x.spent
+    dense = x.dense()
+    assert dense.tobytes() == want.tobytes() and dense.flags.c_contiguous and dense.flags.writeable
+    assert x.spent and x.dense() is dense and mf.x_mats is dense
 
 
 @pytest.mark.parametrize("r, k", [(8, 0), (9, 1), (12, 2), (15, 0)])
 def test_held_leading_slices_form_their_own_rows(r, k):
+    """A leading slice of the unspent X is a holder of those rows' coordinates, whose dense stack is
+    those rows of X's own, and leaves X unspent."""
     (mf, _), (mf_old, _) = _pair(_points(r)[k])
     x, old = held(mf, "x_mats"), held(mf_old, "x_mats")
+    whole = _scattered(x)
     n = x.lead[0]
     for key in (slice(None, r), slice(3, n - 2), slice(1, None, 3), slice(None, None, -2)):
-        part, want = x[key], old[key]
-        assert isinstance(part, PauliFamily) and not callable(part.values)
-        assert part.lead == want.lead and part.coords.tobytes() == want.coords.tobytes()
-        assert part.chain_values().tobytes() == want.chain_values().tobytes()
-        assert part.dense().tobytes() == want.dense().tobytes()
-    assert _lazy(x)
+        part = x[key]
+        assert type(part) is PauliFamily and unspent(part)
+        assert part.lead == old[key].lead and part.coords.tobytes() == old[key].coords.tobytes()
+        assert part.dense().tobytes() == whole[key].tobytes()
+    assert unspent(x)
 
 
 @pytest.mark.parametrize("r", range(8, 18))
@@ -113,7 +161,7 @@ def test_diagonal_values_are_the_chain_products_there(r):
 
 def test_held_extraction_at_r20_makes_no_pauli_tables():
     """r=20 (n=210, d=1024): extraction of the held family forms no chain value and no Pauli table
-    (704 MB at L=10); its report and weight come from the d diagonal places."""
+    (704 MB at L=10); its report and weight come from the d diagonal places, and X stays held."""
     family = build_cpsd_factorization(gen_extreme_lex(20)[0])
     info = _pauli_tables.cache_info()
     tracemalloc.start()
@@ -123,7 +171,7 @@ def test_held_extraction_at_r20_makes_no_pauli_tables():
     finally:
         tracemalloc.stop()
     after = _pauli_tables.cache_info()
-    assert report.passed and _lazy(held(mf, "x_mats"))
+    assert report.passed and unspent(held(mf, "x_mats"))
     assert after.hits + after.misses == info.hits + info.misses
     assert peak < 50 << 20
 
