@@ -424,10 +424,20 @@ def pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarra
 
     With M = M' + R and ||R||_F = delta, |Tr(M_p M_q^*) - Tr(M'_p M'_q)| is at
     most delta_p ||M_q||_F + ||M'_p||_F delta_q, and ||M_q||_F is at most
-    ||M'_q||_F + delta_q.
+    ||M'_q||_F + delta_q.  Near zero a product errs by up to UNDERFLOW / 2, whatever its relative
+    error, as in PauliFamily.fit: ||c||^2 takes (2L+2) UNDERFLOW, for squares that underflow,
+    and a pair with a row whose norm lies below sqrt(2^-1022 / u), so that the Gram entry's and
+    the slack's own products may fall below the normal range, takes d (2L+2) UNDERFLOW more.
+    Rows whose norms and squared norms lie above these bounds keep the bits of the slack
+    without these terms, and when every row does, no further (k, k) array is formed.
     """
-    norms = math.sqrt(d) * np.linalg.norm(coords, axis=1)
-    return d * (coords @ coords.T), np.outer(delta, norms + delta) + np.outer(norms, delta)
+    terms = coords.shape[1] * UNDERFLOW
+    norms = math.sqrt(d) * np.sqrt(np.add.reduce(coords * coords, axis=1) + terms)
+    slack = np.outer(delta, norms + delta) + np.outer(norms, delta)
+    small = norms < math.sqrt(np.finfo(float).tiny / UNIT_ROUNDOFF)
+    if small.any():
+        slack[small[:, None] | small] += d * terms
+    return d * (coords @ coords.T), slack
 
 
 def pauli_square_bounds(coords: np.ndarray, delta: np.ndarray, square: float) -> np.ndarray:

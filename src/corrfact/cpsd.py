@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    UNIT_ROUNDOFF,
     Family,
     PauliFamily,
     chain_family,
     family_fit,
     held,
     irreducible_dim,
-    max_entries,
     pauli_gram,
     pauli_square_bounds,
     rep_dim,
@@ -37,7 +35,6 @@ from .errors import InconsistentSumsError, ShapeError, ZeroSumError
 from .factorization import MatrixFactorization
 from .linalg import (
     DEFAULT_TOL,
-    GATHER_MIN_DIM,
     ToleranceConfig,
     as_matrix,
     chunks,
@@ -147,13 +144,13 @@ def build_cpsd_factorization(
 
 def _outcome_sum_check(mats: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, float]:
     """Mean outcome sum K = mean_i (P^i_+ + P^i_-) and max_i |P^i_+ + P^i_- - K| of an (n, 2, m)
-    family of flattened factors: the m = d^2 entries of each (_flat_factors), or the d diagonal
-    places of a held family (_held_diagonal).
+    family of flattened factors: the m = d^2 entries of each (_flat_factors), or the two diagonal
+    values of each held factor (_held_diagonal), K then being the two values of its diagonal.
 
     With `mirror`, the place of each place's transpose, K is Hermitized first,
     (K + K^*)/2.  No (n, m) stack of sums is built: each chunk of sums is
     added up in index order by np.add.reduce, its first member having taken
-    the running total, so K is bit-identical to sums.mean(axis=0) for d >= 2.
+    the running total, so K is bit-identical to sums.mean(axis=0) for m >= 2.
     (numpy reduces the leading axis of a C-ordered array member by member; in
     another layout it may sum pairwise, so the chunk is C-ordered.)  The
     deviation takes a second pass, a chunk of indices at a time, K subtracted
@@ -192,35 +189,43 @@ def _transposed(flat: np.ndarray, d: int) -> np.ndarray:
     return flat % d * d + flat // d
 
 
-def _held_diagonal(family, n: int) -> np.ndarray | None:
-    """The (n, 2, d) diagonal values of a family of factors held as coordinates whose outcome sums
-    are exact zeros off the diagonal, with the bits chain_products gives them; None otherwise.
+def _z_parity(d: int) -> np.ndarray:
+    """For each index a < d, 0 where the diagonal of the Z chain, (-1)^popcount(a), is +1 and 1
+    where it is -1."""
+    parity = np.zeros(1, dtype=np.intp)
+    for _ in range(d.bit_length() - 1):
+        parity = np.concatenate([parity, 1 - parity])
+    return parity
 
-    That is an unspent PauliFamily of shape (n, 2, d, d), d >= GATHER_MIN_DIM, with finite
-    coordinates and finite scaled X and Y terms, and whose sums c_i+ + c_i- are exactly zero
-    off the I and Z columns, as build_cpsd_factorization makes them.  Off the diagonal only
-    the X and Y chains of one slot are nonzero, with entries +-1 and +-i, so each part of a
-    value is one exact product +-c, and every scale rounds c and -c alike: the two factors of
-    a pair are negatives there, and their sum is zero.  On the diagonal only I and the Z chain
-    are nonzero, Z's entry at (a, a) being (-1)^popcount(a): each value is one rounding of
-    c_0 +- c_Z, then one per scale.
+
+def _held_diagonal(family, n: int) -> np.ndarray | None:
+    """The (n, 2, 2) diagonal values of a nonempty family of factors held as coordinates whose
+    outcome sums are exact zeros off the diagonal, at a place where the Z chain is +1 and at one
+    where it is -1, with the bits chain_products gives them there; None otherwise.
+
+    That is an unspent PauliFamily of shape (n, 2, d, d) with finite coordinates and finite
+    scaled X and Y terms, and whose sums c_i+ + c_i- are exactly zero off the I and Z columns,
+    as build_cpsd_factorization makes them.  Off the diagonal only the X and Y chains of one
+    slot are nonzero, with entries +-1 and +-i, so each part of a value is one exact product
+    +-c, and every scale rounds c and -c alike: the two factors of a pair are negatives there,
+    and their sum is zero.  On the diagonal only I and the Z chain are nonzero, Z's entry at
+    (a, a) being (-1)^popcount(a): a factor takes two values there, each one rounding of
+    c_0 +- c_Z, then one per scale.  So the outcome sums and their mean are read from these two
+    values per factor, in O(n) at any d, and spread to the d diagonal places by _z_parity.
     """
-    if not (unspent(family) and family.lead == (n, 2) and family.d >= GATHER_MIN_DIM):
+    if not (n and unspent(family) and family.lead == (n, 2)):
         return None
-    coords, d = family.coords, family.d
+    coords = family.coords
     top = float(np.max(np.abs(coords[:, 1:-1]), initial=0.0))
     for scale in family.scales:
         top *= abs(float(scale))
     if not (np.isfinite(coords).all() and math.isfinite(top)) or (coords[0::2, 1:-1] + coords[1::2, 1:-1]).any():
         return None
-    z = np.ones(1)
-    for _ in range(d.bit_length() - 1):
-        z = np.concatenate([z, -z])  # the diagonal of Z (x) ... (x) Z
-    values = np.zeros((2 * n, d), dtype=complex)
-    values.real = coords[:, :1] + coords[:, -1:] * z
+    values = np.zeros((2 * n, 2), dtype=complex)
+    values.real = coords[:, :1] + coords[:, -1:] * np.array([1.0, -1.0])
     for scale in family.scales:
         values *= scale
-    return values.reshape(n, 2, d)
+    return values.reshape(n, 2, 2)
 
 
 def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float, float]:
@@ -236,22 +241,21 @@ def _dense_deviations(stack: np.ndarray, mat: np.ndarray) -> tuple[float, float,
     return herm_dev, min_eig, entry_dev
 
 
-def _pauli_deviations(stack, mat: np.ndarray, fit=None) -> tuple[float, float, float] | None:
+def _pauli_deviations(family, mat: np.ndarray) -> tuple[float, float, float] | None:
     """Upper bounds on the Hermitian and entry deviations and a lower bound on the least
-    eigenvalue, from the Pauli coordinates of the factors (clifford.family_fit,
-    unless their `fit` is given; then `stack` only gives the size d).
+    eigenvalue of a (..., d, d) family of factors, from their Pauli coordinates
+    (clifford.family_fit).
 
     Each factor is M = M' + R with M' Hermitian, ||R||_F = delta and
     max|R| = resid: max|M - M^*| <= 2 resid; by Weyl's inequality the least
     eigenvalue of (M + M^*)/2 is at least c_0 - ||c|| - delta; entries are
     bounded by clifford.pauli_gram.  None when d is not a power of two >= 2.
     """
-    if fit is None:
-        fit = family_fit(stack)
+    fit = family_fit(family)
     if fit is None:
         return None
     coords, delta, resid = fit
-    gram, slack = pauli_gram(coords, delta, stack.shape[-1])
+    gram, slack = pauli_gram(coords, delta, family.shape[-1])
     herm_dev = 2.0 * float(np.max(resid, initial=0.0))
     min_eig = float(np.min(coords[:, 0] - np.linalg.norm(coords[:, 1:], axis=1) - delta, initial=math.inf))
     entry_dev = float(np.max(np.abs(gram - mat) + slack, initial=0.0))
@@ -271,16 +275,16 @@ def verify_cpsd_factorization(
 
     Hermiticity, positivity and the entries are first judged from bounds
     taken in Pauli coordinates (_pauli_deviations), which hold for every
-    family and are tight for a generator-built one.  That report stands only
-    when every check passes; otherwise the dense checks (_dense_deviations)
-    decide, so a pass is a proof and a failure is the dense report.  A
-    family held as its coordinates (an unspent clifford.PauliFamily) is
-    decided from them alone, outcome sums included (_coordinate_deviations):
-    no value is formed, and its dense stack is built only when the bounds do
-    not decide.  Any other family is dense: its outcome sums are compared
-    over all d^2 entries a chunk at a time, so each temporary stays near
-    linalg.CHUNK_BYTES, and its Pauli coordinates are measured from its
-    stack (clifford.pauli_coordinates).
+    family and are tight for a generator-built one: a family held as its
+    coordinates (an unspent clifford.PauliFamily) is fitted from them alone,
+    any other from its stack (clifford.pauli_coordinates).  That report
+    stands only when every check passes; otherwise the dense checks
+    (_dense_deviations) decide, so a pass is a proof and a failure is the
+    dense report.  The outcome sums and Tr(K^2) are measured once, and both
+    reports take them: a held family whose sums are exact zeros off the
+    diagonal (_held_diagonal) from its two diagonal values per factor, with
+    its dense copy's bits, and any other family over all d^2 entries a chunk
+    at a time, so each temporary stays near linalg.CHUNK_BYTES.
     """
     mat = as_matrix(p, "witness")
     n = f.n
@@ -306,47 +310,20 @@ def verify_cpsd_factorization(
     def stack() -> np.ndarray:
         return f.mats.reshape(2 * n, f.dim, f.dim)
 
-    def sums() -> tuple[float, float]:
-        """The outcome-sum and trace deviations, over all d^2 entries of every factor."""
-        mean_sum, sum_dev = _outcome_sum_check(_flat_factors(f), None)
-        mean_sum = mean_sum.reshape(f.dim, f.dim)
-        return sum_dev, abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
-
     mats = held(f, "mats")
     with np.errstate(invalid="ignore"):  # a non-finite factor fails the report, quietly
-        if n and unspent(mats):
-            # the dense stack, built first, is what the sums then read
-            fast = _coordinate_deviations(mats, mat)
-            return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums())
-        checks = sums()
-        fast = _pauli_deviations(stack(), mat)
+        # first, so that a held family is fitted from its coordinates even when its sums read it densely
+        fast = _pauli_deviations(mats, mat)
+        diagonal = _held_diagonal(mats, n)
+        mean_sum, sum_dev = _outcome_sum_check(_flat_factors(f) if diagonal is None else diagonal, None)
+        if diagonal is None:
+            k = mean_sum.reshape(f.dim, f.dim)
+            trace = np.trace(k @ k)
+        else:  # K is diagonal: its two values spread to the d places, summed as np.trace sums them
+            k = mean_sum[_z_parity(f.dim)]
+            trace = np.sum(k * k)
+        checks = (sum_dev, abs(float(trace.real) - 1.0))
         return decide(report, None if fast is None else fast + checks, lambda: _dense_deviations(stack(), mat) + checks)
-
-
-def _coordinate_deviations(family: PauliFamily, mat: np.ndarray) -> tuple[float, float, float, float, float]:
-    """The five deviations verify_cpsd_factorization checks, bounded from the coordinates of an
-    unspent PauliFamily of shape (n, 2, d, d) alone (PauliFamily.fit): no value is formed.
-
-    The outcome sum S_i = P^i_+ + P^i_- has the coordinates s_i = c_i+ + c_i-, and each computed
-    sum lies within e' = R + u (E + R) of it entrywise, R being the largest sum of the two
-    residuals and E the largest max_entries(s_i).  Their mean K, exact, lies within
-    e = e' + 4 u E of K' rebuilt from the mean m of the s_i (math.fsum, then one division).
-    So max_i |S_i - K| <= max_entries(s_i - m) + 2 e, and Tr(K^2) lies within
-    2 e ||K'||_1 + (L+1) d e^2 of Tr(K'^2) = d ||m||^2, with ||K'||_1 <= d sum_p |m_p|.
-    """
-    coords, _, resid = fit = family.fit()
-    n, d = family.lead[0], family.d
-    herm_dev, min_eig, entry_dev = _pauli_deviations(family, mat, fit)
-    sums = coords[0::2] + coords[1::2]
-    mean = np.array([math.fsum(column) for column in sums.T]) / n
-    big_r, big_e = float(np.max(resid[0::2] + resid[1::2])), float(np.max(max_entries(sums)))
-    err = big_r + UNIT_ROUNDOFF * (5.0 * big_e + big_r)
-    sum_dev = float(np.max(max_entries(sums - mean))) + 2.0 * err + UNIT_ROUNDOFF * big_e
-    trace = d * float(mean @ mean)
-    # err * err, not err**2: a float's ** raises OverflowError where * gives inf, and the check fails
-    slack = 2.0 * err * d * float(np.sum(np.abs(mean))) + coords.shape[1] // 2 * d * (err * err)
-    trace_dev = abs(trace - 1.0) + slack + coords.shape[1] * UNIT_ROUNDOFF * trace
-    return herm_dev, min_eig, entry_dev, sum_dev, trace_dev
 
 
 def certify_lower_bound(c, tol: ToleranceConfig = DEFAULT_TOL) -> CpsdRankCertificate:
@@ -393,11 +370,13 @@ def extract_matrix_factorization(
     multiplied in.  A family held as its coordinates (an unspent
     clifford.PauliFamily) whose outcome sums are exact zeros off the
     diagonal, as build_cpsd_factorization makes them (_held_diagonal), takes
-    K and its check from the d diagonal places alone, with the bits the
-    places give; when K is then a multiple k I, X is the PauliFamily of the
-    coordinates (c+ - c-)/k, c the factors' scaled coordinates, with the fit
-    and values every held family has (PauliFamily.fit, chain_products): no
-    chain value of the factors is formed and no Pauli table is built.  Any
+    K and its check from the two diagonal values of each factor, as
+    verify_cpsd_factorization does, with a dense copy's bits and no (n, d)
+    array, K spread to the d places by the Z chain's parity; when K is then a
+    multiple k I, X is the PauliFamily of the coordinates (c+ - c-)/k, c the
+    factors' scaled coordinates, with the fit and values every held family
+    has (PauliFamily.fit, chain_products): no chain value of the factors is
+    formed and no Pauli table is built.  Any
     other family is dense: K and its check take all d^2 entries of every
     factor, X is formed by the restriction above, and X's Pauli coordinates
     are measured from its stack (clifford.pauli_coordinates).
@@ -412,7 +391,7 @@ def extract_matrix_factorization(
     if diagonal is None:
         work, mirror = _flat_factors(f), _transposed(np.arange(d * d), d)
     else:  # every outcome sum is an exact zero off the diagonal, and so is K
-        work, mirror = diagonal, np.arange(d)
+        work, mirror = diagonal, np.arange(2)
     with np.errstate(invalid="ignore"):  # a non-finite factor raises below, without warnings
         mean_sum, sum_dev = _outcome_sum_check(work, mirror)
     if not sum_dev <= tol.eq_tol:  # a non-finite factor gives a non-finite deviation
@@ -422,7 +401,7 @@ def extract_matrix_factorization(
         diag = np.diag(mean_sum)
         off_diagonal = float(np.max(np.abs(mean_sum - np.diag(diag)), initial=0.0))
     else:
-        diag, off_diagonal = mean_sum, 0.0
+        diag, off_diagonal = mean_sum[_z_parity(d)], 0.0
 
     if off_diagonal <= tol.eq_tol:
         # already diagonal, so finite: keep the coordinate basis, where the

@@ -244,8 +244,7 @@ def anticommutator_deviations(mats: np.ndarray, rows, cols, coeffs) -> np.ndarra
 
 GATHER_MIN_DIM = 16
 """Least matrix size d at which structure is used: sandwich (through gather_steps) gathers
-monomial factors, clifford.chain_family keeps a built family as its Pauli coordinates, and
-cpsd._held_diagonal extracts such a family from its d diagonal places.
+monomial factors, and clifford.chain_family keeps a built family as its Pauli coordinates.
 
 Below it a batched matmul costs less than telling whether a factor is
 monomial: W^* M W with a diagonal W takes 15 us by matmul and 29 us by

@@ -15,16 +15,19 @@ fast paths now precede.  The tensordot section holds the builders that formed
 every generator combination densely before they were written on the chain
 support, with the loops of ``sorted_eigh`` and of the mean outcome sum, and
 the Pauli projection with a residual pass over every entry.  The last
-section but five holds the one-product-at-a-time chain build, the Pauli-table
+section but six holds the one-product-at-a-time chain build, the Pauli-table
 product that bounded anticommutators and the dense weight checks; the last
-but four holds extraction on the values of every factor and the row-by-row
-Schmidt phases; the last but three holds the readers that took a dense family
+but five holds extraction on the values of every factor and the row-by-row
+Schmidt phases; the last but four holds the readers that took a dense family
 proven zero off the chain support from its values there, with the scan and the
-compact fit of the Pauli projection; the last but two holds extraction as it
+compact fit of the Pauli projection; the last but three holds extraction as it
 formed X and compared the outcome sums in chunk temporaries of their own; the
-last but one holds the holder that gave a held extraction's X values replayed
-from the factors' values, with the helpers that formed them; the last holds
-the distance of chain values from their coordinates in exact arithmetic.
+last but two holds the holder that gave a held extraction's X values replayed
+from the factors' values, with the helpers that formed them; the last but one
+holds the distance of chain values from their coordinates and their Gram
+matrix in exact arithmetic, with the Gram slack that took no underflow; the
+last holds the verifier that bounded a held family's outcome sums by hand, and
+the d diagonal values a held extraction formed per factor.
 Tests compare the library against them; nothing in ``corrfact`` imports
 this module.
 """
@@ -57,18 +60,16 @@ from corrfact.clifford import (
     gamma_of_vector,
     held,
     max_entries,
+    pauli_gram,
     pauli_square_bounds,
     rep_dim,
     unspent,
 )
 from corrfact.cpsd import (
     CpsdFactorization,
-    _coordinate_deviations,
     _dense_deviations,
     _flat_factors,
-    _held_diagonal,
     _outcome_sum_check,
-    _pauli_deviations,
     _transposed,
 )
 from corrfact.elliptope import factored_correlation, gram_factors, require_correlation
@@ -1518,10 +1519,10 @@ def values_verify_cpsd_factorization(p, f: CpsdFactorization, tol: ToleranceConf
     mats = held(f, "mats")
     with np.errstate(invalid="ignore"):
         if n and unspent(mats):
-            fast = _coordinate_deviations(mats, mat)
+            fast = coordinate_deviations(mats, mat)
             return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums()[0])
         checks, fit = sums()
-        fast = _pauli_deviations(stack() if fit is None else mats, mat, fit)
+        fast = pauli_deviations(stack() if fit is None else mats, mat, fit)
         return decide(report, None if fast is None else fast + checks, lambda: _dense_deviations(stack(), mat) + checks)
 
 
@@ -1600,7 +1601,7 @@ def temporaries_extract_matrix_factorization(
     """extract_matrix_factorization with each chunk of X formed in temporaries and X fitted with the scan."""
     n, d = f.n, f.dim
     family = held(f, "mats")
-    diagonal = _held_diagonal(family, n)
+    diagonal = held_diagonal(family, n)
     if diagonal is None:
         work, mirror = _flat_factors(f), _transposed(np.arange(d * d), d)
     else:
@@ -1784,8 +1785,10 @@ def replayed_differences(coords, scales, d: int, scale, rows: slice) -> np.ndarr
 # ------------------------------------------------------------ exact residuals
 #
 # The distance of chain values from the matrices their coordinates describe,
-# in exact rational arithmetic: every finite float is a rational, and every
-# entry of a chain is 0, +-1 or +-i.
+# and the Gram matrix of those values, in exact rational arithmetic: every
+# finite float is a rational, and every entry of a chain is 0, +-1 or +-i.  And
+# the Gram slack of clifford.pauli_gram as it was before it covered products
+# that underflow.
 
 
 def exact_chain_residuals(coords: np.ndarray, values: np.ndarray) -> list[tuple[Fraction, Fraction]]:
@@ -1809,3 +1812,128 @@ def exact_chain_residuals(coords: np.ndarray, values: np.ndarray) -> list[tuple[
             largest = max(largest, square)
         out.append((total, largest))
     return out
+
+
+
+def exact_gram(values: np.ndarray) -> list[list[tuple[Fraction, Fraction]]]:
+    """The Gram matrix Tr(V_p V_q^*) of the matrices holding an (m, (L+1) d) array of finite chain
+    values at the places of _pauli_tables(L), exactly: (real part, imaginary part) of each entry."""
+    rows = [[(Fraction(v.real), Fraction(v.imag)) for v in row] for row in values.tolist()]
+    return [
+        [
+            (sum(x * u + y * v for (x, y), (u, v) in zip(a, b)), sum(y * u - x * v for (x, y), (u, v) in zip(a, b)))
+            for b in rows
+        ]
+        for a in rows
+    ]
+
+
+def unfloored_pauli_gram(coords: np.ndarray, delta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """clifford.pauli_gram without the terms for products that underflow."""
+    norms = math.sqrt(d) * np.linalg.norm(coords, axis=1)
+    return d * (coords @ coords.T), np.outer(delta, norms + delta) + np.outer(norms, delta)
+
+# ------------------------------------------------------------ outcome-sum bounds
+#
+# The verifier as it bounded a held family's outcome sums, their mean and Tr(K^2)
+# from its coordinates with a rounding analysis of its own, and took the Pauli
+# bounds of a given fit; and the (n, 2, d) diagonal values a held extraction
+# formed, before both read the two diagonal values of each factor.
+
+
+def pauli_deviations(stack, mat: np.ndarray, fit=None) -> tuple[float, float, float] | None:
+    """cpsd._pauli_deviations of a given fit (then `stack` only gives the size d)."""
+    if fit is None:
+        fit = family_fit(stack)
+    if fit is None:
+        return None
+    coords, delta, resid = fit
+    gram, slack = pauli_gram(coords, delta, stack.shape[-1])
+    herm_dev = 2.0 * float(np.max(resid, initial=0.0))
+    min_eig = float(np.min(coords[:, 0] - np.linalg.norm(coords[:, 1:], axis=1) - delta, initial=math.inf))
+    entry_dev = float(np.max(np.abs(gram - mat) + slack, initial=0.0))
+    return herm_dev, min_eig, entry_dev
+
+
+def coordinate_deviations(family: PauliFamily, mat: np.ndarray) -> tuple[float, float, float, float, float]:
+    """The five deviations verify_cpsd_factorization checks, bounded from the coordinates of an
+    unspent PauliFamily of shape (n, 2, d, d) alone (PauliFamily.fit): no value is formed.
+
+    The outcome sum S_i = P^i_+ + P^i_- has the coordinates s_i = c_i+ + c_i-, and each computed
+    sum lies within e' = R + u (E + R) of it entrywise, R being the largest sum of the two
+    residuals and E the largest max_entries(s_i).  Their mean K, exact, lies within
+    e = e' + 4 u E of K' rebuilt from the mean m of the s_i (math.fsum, then one division).
+    So max_i |S_i - K| <= max_entries(s_i - m) + 2 e, and Tr(K^2) lies within
+    2 e ||K'||_1 + (L+1) d e^2 of Tr(K'^2) = d ||m||^2, with ||K'||_1 <= d sum_p |m_p|.
+    """
+    coords, _, resid = fit = family.fit()
+    n, d = family.lead[0], family.d
+    herm_dev, min_eig, entry_dev = pauli_deviations(family, mat, fit)
+    sums = coords[0::2] + coords[1::2]
+    mean = np.array([math.fsum(column) for column in sums.T]) / n
+    big_r, big_e = float(np.max(resid[0::2] + resid[1::2])), float(np.max(max_entries(sums)))
+    err = big_r + UNIT_ROUNDOFF * (5.0 * big_e + big_r)
+    sum_dev = float(np.max(max_entries(sums - mean))) + 2.0 * err + UNIT_ROUNDOFF * big_e
+    trace = d * float(mean @ mean)
+    # err * err, not err**2: a float's ** raises OverflowError where * gives inf, and the check fails
+    slack = 2.0 * err * d * float(np.sum(np.abs(mean))) + coords.shape[1] // 2 * d * (err * err)
+    trace_dev = abs(trace - 1.0) + slack + coords.shape[1] * UNIT_ROUNDOFF * trace
+    return herm_dev, min_eig, entry_dev, sum_dev, trace_dev
+
+
+def bounds_verify_cpsd_factorization(p, f: CpsdFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+    """verify_cpsd_factorization with a held family's outcome sums and Tr(K^2) bounded from its
+    coordinates (coordinate_deviations), and the dense sums taken again by the dense path."""
+    mat = as_matrix(p, "witness")
+    n = f.n
+    if mat.shape != (2 * n, 2 * n):
+        raise ShapeError(f"witness shape {mat.shape} does not match family size {(2 * n, 2 * n)}")
+
+    def report(herm_dev, min_eig, entry_dev, sum_dev, trace_dev) -> VerificationReport:
+        return VerificationReport(
+            (
+                CheckResult("factors_hermitian", herm_dev <= tol.eq_tol, herm_dev),
+                CheckResult("factors_psd", min_eig >= -tol.psd_tol, max(0.0, -min_eig), note=f"min eigenvalue {min_eig:.6g}"),
+                CheckResult("entry_reconstruction", entry_dev <= tol.eq_tol, float(entry_dev)),
+                CheckResult("outcome_sums_consistent", sum_dev <= tol.eq_tol, sum_dev),
+                CheckResult("sum_trace_normalized", trace_dev <= tol.eq_tol, trace_dev),
+            )
+        )
+
+    def stack() -> np.ndarray:
+        return f.mats.reshape(2 * n, f.dim, f.dim)
+
+    def sums() -> tuple[float, float]:
+        mean_sum, sum_dev = _outcome_sum_check(_flat_factors(f), None)
+        mean_sum = mean_sum.reshape(f.dim, f.dim)
+        return sum_dev, abs(float(np.trace(mean_sum @ mean_sum).real) - 1.0)
+
+    mats = held(f, "mats")
+    with np.errstate(invalid="ignore"):
+        if n and unspent(mats):
+            fast = coordinate_deviations(mats, mat)
+            return decide(report, fast, lambda: _dense_deviations(stack(), mat) + sums())
+        checks = sums()
+        fast = pauli_deviations(stack(), mat)
+        return decide(report, None if fast is None else fast + checks, lambda: _dense_deviations(stack(), mat) + checks)
+
+
+def held_diagonal(family, n: int) -> np.ndarray | None:
+    """cpsd._held_diagonal as the (n, 2, d) diagonal values, every place of the Z chain formed, for
+    a family of size d >= GATHER_MIN_DIM alone."""
+    if not (unspent(family) and family.lead == (n, 2) and family.d >= GATHER_MIN_DIM):
+        return None
+    coords, d = family.coords, family.d
+    top = float(np.max(np.abs(coords[:, 1:-1]), initial=0.0))
+    for scale in family.scales:
+        top *= abs(float(scale))
+    if not (np.isfinite(coords).all() and math.isfinite(top)) or (coords[0::2, 1:-1] + coords[1::2, 1:-1]).any():
+        return None
+    z = np.ones(1)
+    for _ in range(d.bit_length() - 1):
+        z = np.concatenate([z, -z])  # the diagonal of Z (x) ... (x) Z
+    values = np.zeros((2 * n, d), dtype=complex)
+    values.real = coords[:, :1] + coords[:, -1:] * z
+    for scale in family.scales:
+        values *= scale
+    return values.reshape(n, 2, d)

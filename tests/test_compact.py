@@ -99,6 +99,15 @@ def _same_outcome(held_report, dense_report):
         assert abs(got.deviation - want.deviation) <= 1e-12, got.name
 
 
+def _same_checks(report, other, names):
+    """The named checks of two reports, deviations bit for bit."""
+    for name in names:
+        got, want = report.check(name), other.check(name)
+        assert (got.passed, got.note, np.float64(got.deviation).tobytes()) == (
+            want.passed, want.note, np.float64(want.deviation).tobytes()
+        ), (name, got.deviation, want.deviation)
+
+
 def _bounds(bound_report, exact_report):
     """Each deviation of a report taken from bounds is at least the deviation the dense products
     find, up to those products' own rounding (1e-14, the entries being at most 1)."""
@@ -222,6 +231,52 @@ def test_the_fit_bounds_the_values_in_exact_arithmetic(ell, regime):
             assert frobenius <= Fraction(bound) ** 2 and largest <= Fraction(top) ** 2, (count, scales)
 
 
+@pytest.mark.parametrize("ell", range(1, 4))
+def test_the_gram_slack_bounds_the_values_in_exact_arithmetic(ell):
+    """d = 2..8, coordinates over 1e-320 .. 1e-290, 30 rows a draw: each Gram entry Tr(V_p V_q^*)
+    of the chain values lies within pauli_gram's slack of d c_p . c_q, checked in
+    fractions.Fraction.  There the products and squared norms underflow, and the slack without its
+    underflow terms (oracles.unfloored_pauli_gram) is zero."""
+    d = 2**ell
+    rng = np.random.default_rng([ell, 25])
+    for _ in range(3):
+        coords = _draw_coordinates(rng, ell, 30, REGIMES["spread"][0])
+        scaled, delta, _ = PauliFamily(coords, d, (len(coords),)).fit()
+        gram, slack = clifford.pauli_gram(scaled, delta, d)
+        exact = oracles.exact_gram(clifford.chain_products(coords))
+        for p, row in enumerate(exact):
+            for q, (re, im) in enumerate(row):
+                miss = re - Fraction(gram[p, q])
+                assert miss * miss + im * im <= Fraction(slack[p, q]) ** 2, (p, q)
+        assert not oracles.unfloored_pauli_gram(scaled, delta, d)[1].any()
+
+
+@pytest.mark.parametrize("regime", ["normal", "wide"])
+def test_the_gram_slack_keeps_its_bits_at_normal_scales(regime):
+    """Between rows whose squared norms lie above the least normal over the unit roundoff, and
+    whose norms lie above its square root, the Gram matrix and its slack are those without the
+    underflow terms, bit for bit."""
+    exponents = (-40, 40) if regime == "normal" else REGIMES["wide"][0]
+    rng = np.random.default_rng(len(regime))
+    kept = 0
+    for ell in range(1, 7):
+        for _ in range(5):
+            coords = _draw_coordinates(rng, ell, 20, exponents)
+            scaled, delta, _ = PauliFamily(coords, 2**ell, (len(coords),), (0.25,)).fit()
+            gram, slack = clifford.pauli_gram(scaled, delta, 2**ell)
+            old_gram, old_slack = oracles.unfloored_pauli_gram(scaled, delta, 2**ell)
+            assert gram.tobytes() == old_gram.tobytes()
+            least = np.finfo(float).tiny / clifford.UNIT_ROUNDOFF
+            squares = np.add.reduce(scaled * scaled, axis=1)
+            norms = np.sqrt(2**ell) * np.sqrt(squares)
+            rows = (squares >= least) & (norms >= np.sqrt(least))
+            normal = np.outer(rows, rows)
+            assert slack[normal].tobytes() == old_slack[normal].tobytes()
+            kept += normal.all()
+    # every pair of every draw at normal scales; some draws of the wide regime reach below
+    assert kept == 30 if regime == "normal" else kept < 30
+
+
 @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
 def test_a_non_finite_bound_leaves_the_report_to_the_dense_path(value):
     """A coordinate whose square overflows, or that is not finite, gives a bound that proves
@@ -274,7 +329,13 @@ def _reports_agree_with_dense_copies(e):
     dense = CpsdFactorization(build_cpsd_factorization(e).mats.copy())
     witness = cpsd.build_pc(e)
     report = verify_cpsd_factorization(witness, family)
-    _same_outcome(report, verify_cpsd_factorization(witness, dense))
+    report_dense = verify_cpsd_factorization(witness, dense)
+    _same_outcome(report, report_dense)
+    # the outcome sums and Tr(K^2) are the dense copy's, bit for bit; the Pauli bounds are those
+    # the verifier took beside its hand-derived sum bounds
+    _same_checks(report, report_dense, ("outcome_sums_consistent", "sum_trace_normalized"))
+    bounds = oracles.bounds_verify_cpsd_factorization(witness, build_cpsd_factorization(e))
+    _same_checks(report, bounds, ("factors_hermitian", "factors_psd", "entry_reconstruction"))
     exact = oracles.dense_verify_cpsd_factorization(witness, dense)
     _bounds(report, exact)
     assert float(report.check("factors_psd").note.split()[-1]) <= float(exact.check("factors_psd").note.split()[-1])

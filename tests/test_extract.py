@@ -1,8 +1,10 @@
 """Extraction from a held psd-factor family (cpsd._held_diagonal), and the readers of a dense family.
 
 A family held as its Pauli coordinates whose outcome sums are exact zeros off
-the diagonal, as build_cpsd_factorization makes them, is extracted from its d
-diagonal places, and X = (P+ - P-)/k is held by its own coordinates, whose values
+the diagonal, as build_cpsd_factorization makes them, is extracted from the two
+diagonal values of each factor, which give K, its check and their bits as the d
+diagonal places did (oracles.held_diagonal), with no (n, d) array; and
+X = (P+ - P-)/k is held by its own coordinates, whose values
 are their chain_products as for every held family.  K, X's coordinates, the
 recovered matrix and every report outcome are those of the values path, which
 replayed X's values from the factors' values (oracles.values_extract_matrix_factorization);
@@ -30,6 +32,7 @@ from corrfact import cpsd, linalg, matio
 from corrfact.clifford import (
     PauliFamily,
     _pauli_tables,
+    chain_coordinates,
     chain_products,
     gamma_generators,
     held,
@@ -37,7 +40,7 @@ from corrfact.clifford import (
     verify_clifford_relations,
 )
 from corrfact.cpsd import CpsdFactorization, build_cpsd_factorization, build_pc, extract_matrix_factorization, verify_cpsd_factorization
-from corrfact.elliptope import gen_extreme_lex
+from corrfact.elliptope import factored_correlation, gen_extreme_lex
 from corrfact.errors import InconsistentSumsError, MemoryBudgetError, NotHermitianError, NotPsdError, NumericalContractError
 from corrfact.factorization import MatrixFactorization, factorize_clifford, recover_correlation, to_form_c
 from corrfact.linalg import DEFAULT_TOL, schmidt
@@ -145,23 +148,96 @@ def test_held_leading_slices_form_their_own_rows(r, k):
 
 @pytest.mark.parametrize("r", range(8, 18))
 def test_diagonal_values_are_the_chain_products_there(r):
-    """The (n, 2, d) diagonal values of the held path are the real parts chain_products gives at
-    the places (a, a), and every outcome sum is an exact zero at every other place."""
+    """The (n, 2, 2) diagonal values of the held path are the real parts chain_products gives at
+    the places (0, 0) and (1, 1), where the Z chain is +1 and -1; spread by the Z chain's parity
+    they are its values at every place (a, a), and every outcome sum is an exact zero at every
+    other place."""
     family = held(build_cpsd_factorization(_points(r)[2]), "mats")
     n, d = family.lead[0], family.d
     diagonal = cpsd._held_diagonal(family, n)
+    assert diagonal.shape == (n, 2, 2)
     places = _pauli_tables(d.bit_length() - 1)[0]
     values = chain_products(family.coords, family.scales).reshape(n, 2, -1)
     on = np.searchsorted(places, np.arange(d) * (d + 1))
-    assert diagonal.real.tobytes() == values[:, :, on].real.tobytes()
+    assert diagonal.real.tobytes() == values[:, :, on[:2]].real.tobytes()
+    assert diagonal[:, :, cpsd._z_parity(d)].real.tobytes() == values[:, :, on].real.tobytes()
     assert not diagonal.imag.any() and not values[:, :, on].imag.any()
     sums = values[:, 0] + values[:, 1]
     assert not np.delete(sums, on, axis=1).any()
 
 
+def _hand_held(e, edit=None, scales=None):
+    """The psd factors of a point held as a PauliFamily at any size, d < GATHER_MIN_DIM included:
+    the builder's coordinates, edited, with given scales in place of its one scale 1/(2 sqrt(d))."""
+    _, u = factored_correlation(e, unit=True)
+    rows = np.empty((2 * len(u), u.shape[1]))
+    rows[0::2], rows[1::2] = u, -u
+    coords = chain_coordinates(rows, c0=1.0)
+    d = 2 ** ((coords.shape[1] - 2) // 2)
+    if edit is not None:
+        edit(coords)
+    if scales is None:
+        scales = (1.0 / (2.0 * np.sqrt(d)),)
+    return CpsdFactorization(PauliFamily(coords, d, (len(u), 2), scales))
+
+
+TWO_VALUE_CASES = [(r, k, edit) for r in (4, 5, 6, 7, 8, 9, 12, 13) for k in range(3) for edit in (None, "z")]
+
+
+@pytest.mark.parametrize("r, k, edit", TWO_VALUE_CASES)
+def test_two_diagonal_values_give_the_d_place_route(monkeypatch, r, k, edit):
+    """K and the sum deviation from two diagonal values per factor are those of the (n, 2, d)
+    diagonal (oracles.held_diagonal, its size gate lowered to d = 2), bit for bit, with and
+    without the mirror, at d = 4 and 8 (hand-made holders) and from d = 16 (built ones); with a Z
+    part in the sums, so that K takes two values, and with two scales."""
+    monkeypatch.setattr(oracles, "GATHER_MIN_DIM", 2)
+    for scales in (None, (0.75, -1.25)):
+        f = _hand_held(_points(r)[k], _edit_z if edit else None, scales)
+        family = held(f, "mats")
+        n, d = family.lead[0], family.d
+        two, full = cpsd._held_diagonal(family, n), oracles.held_diagonal(family, n)
+        assert two.shape == (n, 2, 2) and full.shape == (n, 2, d)
+        parity = cpsd._z_parity(d)
+        assert two[:, :, parity].tobytes() == full.tobytes()
+        for mirror in (None, "mirror"):
+            mean, dev = cpsd._outcome_sum_check(two, mirror and np.arange(2))
+            want, want_dev = cpsd._outcome_sum_check(full, mirror and np.arange(d))
+            assert mean[parity].tobytes() == want.tobytes() and dev == want_dev
+        assert (mean[0] != mean[1]) == bool(edit)
+
+
+@pytest.mark.parametrize("r", [4, 6, 7])
+def test_hand_made_held_families_below_the_gather_size_extract_from_two_values(dense_path, r):
+    """A held family of size d = 4 or 8 is extracted from its two diagonal values per factor: K,
+    the sum check and the weight check are its dense copy's, bit for bit, and X is held."""
+    e = _points(r)[1]
+    mf, report = extract_matrix_factorization(_hand_held(e))
+    assert not dense_path and unspent(held(mf, "x_mats"))
+    mf_dense, report_dense = extract_matrix_factorization(_dense_copy(lambda: _hand_held(e)))
+    assert mf.k.tobytes() == mf_dense.k.tobytes()
+    assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in report_dense.checks]
+    for name in ("outcome_sums_consistent", "weight_trace_normalized", "support_dimension"):
+        assert report.check(name) == report_dense.check(name), name
+
+
+def test_held_sum_check_holds_no_n_by_d_array():
+    """r=16 (n=136, d=256): the held sum check reads two diagonal values per factor, so its peak
+    stays under one real (n, d) array; the d diagonal places of every factor took
+    (n, 2, d) complex values and a chunk of their sums."""
+    family = held(build_cpsd_factorization(gen_extreme_lex(16)[0]), "mats")
+    n, d = family.lead[0], family.d
+
+    def sum_check():
+        work = cpsd._held_diagonal(family, n)
+        return cpsd._outcome_sum_check(work, np.arange(work.shape[-1]))
+
+    assert _traced_peak(sum_check) < n * d * 8
+
+
 def test_held_extraction_at_r20_makes_no_pauli_tables():
     """r=20 (n=210, d=1024): extraction of the held family forms no chain value and no Pauli table
-    (704 MB at L=10); its report and weight come from the d diagonal places, and X stays held."""
+    (704 MB at L=10); its report and weight come from two diagonal values per factor, and X stays
+    held."""
     family = build_cpsd_factorization(gen_extreme_lex(20)[0])
     info = _pauli_tables.cache_info()
     tracemalloc.start()
